@@ -213,9 +213,6 @@ let to_attacker schedule =
             | _ -> ())
         t;
       if !lost then Attacker.Drop
-      else if
-        crashed_at t ~node:msg.Message.dst ~at_ms:(Time.to_ms (Message.arrival_time msg))
-      then Attacker.Drop
       else begin
         List.iter
           (fun s ->

@@ -108,10 +108,12 @@ val step_times : t -> float list
 
 val to_attacker : t -> Attacker.t
 (** Compiles the plan into an attacker.  Message verdicts are evaluated
-    against the plan at the message's send time (its source's crash state,
-    the partition, bursts) and at its arrival time (its destination's crash
-    state); [Gst_shift] steps fire on attacker timers and call
-    [env.override_delay]. *)
+    against the plan at the message's send time: its source's crash state,
+    the partition, bursts.  A destination that is down when a message
+    arrives is not the attacker's call — the arrival instant is only final
+    after the loss model — so the controller's transport drops it at
+    delivery ({!crashed_at} at the actual arrival).  [Gst_shift] steps fire
+    on attacker timers and call [env.override_delay]. *)
 
 val describe : t -> string
 (** Round-trips through {!of_string}; e.g. ["crash:3@0;recover:3@15000"]. *)
