@@ -27,7 +27,8 @@ type result = {
       (** Simulation time when the run ended (target reached or cap hit). *)
   messages_sent : int;  (** Honest wire messages (§II-C message usage). *)
   bytes_sent : int;
-  messages_dropped : int;  (** Suppressed by the attacker. *)
+  messages_dropped : int;
+      (** Dropped by the attacker or the loss model, or lost at a down node. *)
   events_processed : int;
   decisions : (int * string list) list;
       (** Per node, in decision order, keyed by {e logical} id.  Under a
@@ -36,7 +37,7 @@ type result = {
   safety_ok : bool;
       (** Agreement: for every decision index, all counted honest nodes that
           reached it decided the same value. *)
-  safety_violation : string option;
+  safety_violation : string option;  (** The online agreement monitor's first finding. *)
   violations : Invariant.violation list;
       (** Everything the online monitors flagged (agreement, validity,
           crashed-decide), in detection order with timestamps. *)
