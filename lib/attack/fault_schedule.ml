@@ -22,6 +22,8 @@ let empty = []
 
 let normalize t = List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) t
 
+let num = Float_text.to_string
+
 let describe_action = function
   | Crash node -> Printf.sprintf "crash:%d" node
   | Recover node -> Printf.sprintf "recover:%d" node
@@ -31,16 +33,16 @@ let describe_action = function
       (String.concat "|"
          (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups))
   | Heal -> "heal"
-  | Loss_burst { p; _ } -> Printf.sprintf "loss:%g" p
-  | Dup_burst { p; _ } -> Printf.sprintf "dup:%g" p
-  | Delay_spike { extra_ms; _ } -> Printf.sprintf "spike:%g" extra_ms
+  | Loss_burst { p; _ } -> "loss:" ^ num p
+  | Dup_burst { p; _ } -> "dup:" ^ num p
+  | Delay_spike { extra_ms; _ } -> "spike:" ^ num extra_ms
   | Gst_shift model -> Printf.sprintf "gst:%s" (Delay_model.to_cli_string model)
 
 let describe_step s =
   match s.action with
   | Loss_burst { until_ms; _ } | Dup_burst { until_ms; _ } | Delay_spike { until_ms; _ } ->
-    Printf.sprintf "%s@%g-%g" (describe_action s.action) s.at_ms until_ms
-  | _ -> Printf.sprintf "%s@%g" (describe_action s.action) s.at_ms
+    Printf.sprintf "%s@%s-%s" (describe_action s.action) (num s.at_ms) (num until_ms)
+  | _ -> Printf.sprintf "%s@%s" (describe_action s.action) (num s.at_ms)
 
 let describe t = String.concat ";" (List.map describe_step (normalize t))
 

@@ -116,7 +116,8 @@ val to_attacker : t -> Attacker.t
     on attacker timers and call [env.override_delay]. *)
 
 val describe : t -> string
-(** Round-trips through {!of_string}; e.g. ["crash:3@0;recover:3@15000"]. *)
+(** Round-trips through {!of_string} exactly, floats included
+    ({!Bftsim_sim.Float_text.to_string}); e.g. ["crash:3@0;recover:3@15000"]. *)
 
 val describe_action : action -> string
 

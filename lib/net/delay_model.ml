@@ -64,14 +64,16 @@ let rec describe = function
 
 let pp ppf t = Format.pp_print_string ppf (describe t)
 
-let rec to_cli_string = function
-  | Constant ms -> Printf.sprintf "constant:%g" ms
-  | Uniform { lo; hi } -> Printf.sprintf "uniform:%g,%g" lo hi
-  | Normal { mu; sigma } -> Printf.sprintf "normal:%g,%g" mu sigma
-  | Exponential { mean } -> Printf.sprintf "exp:%g" mean
-  | Poisson { mean } -> Printf.sprintf "poisson:%g" mean
-  | LogNormal { mu; sigma } -> Printf.sprintf "lognormal:%g,%g" mu sigma
-  | Bounded { base; bound } -> Printf.sprintf "bounded:%s@%g" (to_cli_string base) bound
+let rec to_cli_string =
+  let g = Float_text.to_string in
+  function
+  | Constant ms -> "constant:" ^ g ms
+  | Uniform { lo; hi } -> Printf.sprintf "uniform:%s,%s" (g lo) (g hi)
+  | Normal { mu; sigma } -> Printf.sprintf "normal:%s,%s" (g mu) (g sigma)
+  | Exponential { mean } -> "exp:" ^ g mean
+  | Poisson { mean } -> "poisson:" ^ g mean
+  | LogNormal { mu; sigma } -> Printf.sprintf "lognormal:%s,%s" (g mu) (g sigma)
+  | Bounded { base; bound } -> Printf.sprintf "bounded:%s@%s" (to_cli_string base) (g bound)
 
 let parse_floats s =
   try Some (List.map float_of_string (String.split_on_char ',' s)) with Failure _ -> None

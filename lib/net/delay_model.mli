@@ -57,6 +57,8 @@ val of_string : string -> (t, string) result
 
 val to_cli_string : t -> string
 (** Inverse of {!of_string}: renders the model in the parseable CLI syntax
-    (unlike {!describe}, which renders the human notation ["N(250,50)"]). *)
+    (unlike {!describe}, which renders the human notation ["N(250,50)"]),
+    with every parameter printed by {!Bftsim_sim.Float_text.to_string} so it
+    reads back exactly. *)
 
 val pp : Format.formatter -> t -> unit

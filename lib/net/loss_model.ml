@@ -52,7 +52,8 @@ let burst_of_string s =
       invalid_arg
         (Printf.sprintf "burst_loss %S: expected \"p_gb,p_bg,p_bad\"" s)
 
-let burst_to_string b = Printf.sprintf "%g,%g,%g" b.p_gb b.p_bg b.p_bad
+let burst_to_string b =
+  String.concat "," (List.map Bftsim_sim.Float_text.to_string [ b.p_gb; b.p_bg; b.p_bad ])
 
 let describe t =
   if is_none t then "lossless"
@@ -66,7 +67,7 @@ let describe t =
            (if t.reorder_ms > 0. then Printf.sprintf "reorder=%gms" t.reorder_ms
             else "");
            (match t.burst with
-           | Some b -> Printf.sprintf "burst=%s" (burst_to_string b)
+           | Some b -> Printf.sprintf "burst=%g,%g,%g" b.p_gb b.p_bg b.p_bad
            | None -> "");
          ])
 

@@ -41,6 +41,8 @@ val burst_of_string : string -> burst
     input. *)
 
 val burst_to_string : burst -> string
+(** Inverse of {!burst_of_string}; reads back exactly
+    ({!Bftsim_sim.Float_text.to_string}). *)
 
 val describe : t -> string
 (** One-line human summary, ["lossless"] for {!none}. *)
