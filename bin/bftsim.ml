@@ -55,174 +55,55 @@ let read_config_file path =
   close_in ic;
   List.rev !kvs
 
-let config_of_args ?transport ?costs ?deadline ?retries ?quarantine ?zones ?bandwidth ?pipeline
-    ?(extra = []) ~config_file ~protocol ~n ~lambda ~delay ~seed ~attack ~crashed ~target ~inputs
-    ~max_time ~chaos ~watchdog () =
-  let file_kvs = match config_file with Some path -> read_config_file path | None -> [] in
-  let flag key value = match value with Some v -> [ (key, v) ] | None -> [] in
-  (* Flags override file values because assoc finds the first binding. *)
-  let kvs =
-    flag "protocol" protocol @ flag "n" n @ flag "lambda" lambda @ flag "delay" delay
-    @ flag "seed" seed @ flag "attack" attack @ flag "crashed" crashed @ flag "target" target
-    @ flag "inputs" inputs @ flag "max_time_ms" max_time @ flag "transport" transport
-    @ flag "costs" costs @ flag "chaos" chaos @ flag "watchdog" watchdog
-    @ flag "deadline_ms" deadline @ flag "retries" retries @ flag "quarantine" quarantine
-    @ flag "zones" zones @ flag "bandwidth" bandwidth @ flag "pipeline" pipeline
-    @ extra @ file_kvs
-  in
-  Core.Config.of_keyvalues kvs
-
 (* Shared flag definitions *)
 let config_file_arg =
   let doc = "Configuration file with key = value lines (see bftsim run --help)." in
   Arg.(value & opt (some file) None & info [ "c"; "config" ] ~docv:"FILE" ~doc)
 
-let protocol_arg =
-  let doc = "Protocol to simulate: " ^ String.concat ", " (Protocols.Registry.names ()) ^ "." in
-  Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
-
-let n_arg = Arg.(value & opt (some string) None & info [ "n" ] ~docv:"NODES" ~doc:"Number of nodes.")
-
-let lambda_arg =
-  Arg.(value & opt (some string) None & info [ "lambda" ] ~docv:"MS" ~doc:"Assumed delay bound (ms).")
-
-let delay_arg =
-  let doc = "Network delay model, e.g. normal:250,50 | uniform:10,20 | exp:300." in
-  Arg.(value & opt (some string) None & info [ "delay" ] ~docv:"MODEL" ~doc)
-
-let seed_arg = Arg.(value & opt (some string) None & info [ "seed" ] ~docv:"INT" ~doc:"Random seed.")
-
-let attack_arg =
-  let doc =
-    "Attack: none | partition:<first>,<start>,<heal>[,delay] | silence:<ids>@<ms> | \
-     add-static:<f> | add-adaptive | extra-delay:<ms>."
+(* The scenario flags a subcommand offers, one per key in the given sets of
+   Config's key table; each flag given becomes a key = value pair ahead of
+   the config file's lines, so flags override file values. *)
+let config_term sets =
+  let pair (key, (f : Core.Config.flag)) =
+    match f.docv with
+    | None ->
+      Term.(
+        const (fun on -> if on then [ (key, "true") ] else [])
+        $ Arg.(value & flag & info f.names ~doc:f.doc))
+    | Some docv ->
+      Term.(
+        const (fun v -> Option.to_list (Option.map (fun v -> (key, v)) v))
+        $ Arg.(value & opt (some string) None & info f.names ~docv ~doc:f.doc))
   in
-  Arg.(value & opt (some string) None & info [ "attack" ] ~docv:"SPEC" ~doc)
-
-let crashed_arg =
-  Arg.(value & opt (some string) None & info [ "crashed" ] ~docv:"IDS" ~doc:"Fail-stop node ids, comma separated.")
-
-let target_arg =
-  Arg.(value & opt (some string) None & info [ "target" ] ~docv:"INT" ~doc:"Decisions per node before stopping.")
-
-let inputs_arg =
-  Arg.(value & opt (some string) None & info [ "inputs" ] ~docv:"SPEC" ~doc:"distinct | same:<v> | binary.")
-
-let max_time_arg =
-  Arg.(value & opt (some string) None & info [ "max-time" ] ~docv:"MS" ~doc:"Simulated-time cap (ms).")
-
-let transport_arg =
-  Arg.(value & opt (some string) None
-       & info [ "transport" ] ~docv:"SPEC" ~doc:"direct (default) or gossip:<fanout>.")
-
-let costs_arg =
-  Arg.(value & opt (some string) None
-       & info [ "costs" ] ~docv:"SPEC"
-           ~doc:"Computation costs: none | commodity | rsa2048 | custom:<sign_ms>,<verify_ms>.")
-
-let chaos_arg =
-  let doc =
-    "Timed fault schedule: semicolon-separated action@time steps, e.g. \
-     crash:3@0;recover:3@15000;loss:0.2@0-8000;partition:0,1|2,3@1000;heal@5000;\
-     spike:500@0-4000;dup:0.1@0-4000;gst:normal:100,10@15000."
+  let flags = List.filter (fun (_, f) -> List.mem f.Core.Config.set sets) Core.Config.flags in
+  let flag_kvs =
+    List.fold_right (fun f acc -> Term.(const ( @ ) $ pair f $ acc)) flags (Term.const [])
   in
-  Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"PLAN" ~doc)
-
-let watchdog_arg =
-  let doc =
-    "Liveness watchdog: abort as stalled after this many lambda without a decision \
-     (once all scheduled chaos steps have played out)."
+  let config file flag_kvs =
+    Core.Config.of_keyvalues (flag_kvs @ Option.fold ~none:[] ~some:read_config_file file)
   in
-  Arg.(value & opt (some string) None & info [ "watchdog" ] ~docv:"K" ~doc)
-
-(* Lossy-network / crash-recovery family, bundled into one term that yields
-   the key = value pairs [config_of_args] splices in front of the config
-   file (so flags override file values, like every other flag). *)
-let lossy_args =
-  let loss =
-    Arg.(value & opt (some string) None
-         & info [ "loss" ] ~docv:"P"
-             ~doc:"Independent per-message drop probability on every link.")
-  in
-  let dup =
-    Arg.(value & opt (some string) None
-         & info [ "dup" ] ~docv:"P" ~doc:"Per-delivered-message duplication probability.")
-  in
-  let reorder =
-    Arg.(value & opt (some string) None
-         & info [ "reorder" ] ~docv:"MS"
-             ~doc:"Reordering window: extra uniform [0,$(docv)) delay per delivered message.")
-  in
-  let burst_loss =
-    Arg.(value & opt (some string) None
-         & info [ "burst-loss" ] ~docv:"GB,BG,BAD"
-             ~doc:"Gilbert-Elliott burst loss per link: good-to-bad and bad-to-good transition \
-                   probabilities and the drop probability while in the bad state.")
-  in
-  let reliable =
-    Arg.(value & flag
-         & info [ "reliable" ]
-             ~doc:"Run protocol traffic over the simulated reliable channel: sequence-numbered \
-                   frames, acks, retransmission with exponential backoff, receive-side \
-                   deduplication.")
-  in
-  let retrans_base =
-    Arg.(value & opt (some string) None
-         & info [ "retrans-base" ] ~docv:"MS"
-             ~doc:"Reliable-channel base retransmission timeout (default 2 lambda).")
-  in
-  let retrans_backoff =
-    Arg.(value & opt (some string) None
-         & info [ "retrans-backoff" ] ~docv:"F"
-             ~doc:"Reliable-channel exponential backoff factor (default 2).")
-  in
-  let retrans_max =
-    Arg.(value & opt (some string) None
-         & info [ "retrans-max" ] ~docv:"INT"
-             ~doc:"Retransmissions per frame before the channel gives up (default 10).")
-  in
-  let wal_ms =
-    Arg.(value & opt (some string) None
-         & info [ "wal-ms" ] ~docv:"MS"
-             ~doc:"Simulated write-ahead-log write latency charged to the node's CPU per \
-                   Context.persist call.")
-  in
-  let stall_ms =
-    Arg.(value & opt (some string) None
-         & info [ "stall-ms" ] ~docv:"MS"
-             ~doc:"Absolute liveness-watchdog stall threshold (ms); overrides the \
-                   $(b,--watchdog) multiplier.")
-  in
-  let collect loss dup reorder burst_loss reliable retrans_base retrans_backoff retrans_max
-      wal_ms stall_ms =
-    let flag key value = match value with Some v -> [ (key, v) ] | None -> [] in
-    flag "loss" loss @ flag "dup" dup @ flag "reorder" reorder @ flag "burst_loss" burst_loss
-    @ (if reliable then [ ("reliable", "true") ] else [])
-    @ flag "retrans_base_ms" retrans_base
-    @ flag "retrans_backoff" retrans_backoff
-    @ flag "retrans_max" retrans_max @ flag "wal_ms" wal_ms @ flag "stall_ms" stall_ms
-  in
-  Term.(
-    const collect $ loss $ dup $ reorder $ burst_loss $ reliable $ retrans_base
-    $ retrans_backoff $ retrans_max $ wal_ms $ stall_ms)
+  Term.(const config $ config_file_arg $ flag_kvs)
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log simulation events.")
 
-let deadline_arg =
-  Arg.(value & opt (some float) None
-       & info [ "deadline" ] ~docv:"MS"
-           ~doc:"Wall-clock budget per supervised replication attempt (ms); overruns are \
-                 abandoned between events, reported, and retried.")
-
-let retries_arg =
-  Arg.(value & opt (some int) None
-       & info [ "retries" ] ~docv:"INT"
-           ~doc:"Extra attempts after a crashed or deadline-overrunning replication (default 1).")
-
-let quarantine_arg =
-  Arg.(value & opt (some int) None
-       & info [ "quarantine" ] ~docv:"INT"
-           ~doc:"Failures of one replication before it is quarantined (default 3).")
+(* conform and twins build their Supervisor.policy straight from sweep's
+   supervision flags, with the same spellings and help. *)
+let policy_term =
+  let arg c name =
+    let _, f = List.find (fun (_, f) -> List.mem name f.Core.Config.names) Core.Config.flags in
+    Arg.(value & opt (some c) None & info f.names ?docv:f.docv ~doc:f.doc)
+  in
+  let policy deadline retries quarantine seed =
+    let d = Core.Supervisor.default_policy in
+    {
+      d with
+      Core.Supervisor.seed;
+      deadline_ms = (if Option.is_some deadline then deadline else d.deadline_ms);
+      max_retries = Option.value ~default:d.Core.Supervisor.max_retries retries;
+      quarantine_after = Option.value ~default:d.Core.Supervisor.quarantine_after quarantine;
+    }
+  in
+  Term.(const policy $ arg Arg.float "deadline" $ arg Arg.int "retries" $ arg Arg.int "quarantine")
 
 let journal_arg =
   Arg.(value & opt (some string) None
@@ -295,13 +176,9 @@ let run_cmd =
   let views_arg =
     Arg.(value & flag & info [ "views" ] ~doc:"Sample views every 250 ms and render the timeline.")
   in
-  let action config_file protocol n lambda delay seed attack crashed target inputs max_time
-      chaos watchdog transport costs lossy trace trace_format metrics events views verbose =
+  let action config trace trace_format metrics events views verbose =
     setup_logs verbose;
-    match
-      config_of_args ?transport ?costs ~extra:lossy ~config_file ~protocol ~n ~lambda ~delay
-        ~seed ~attack ~crashed ~target ~inputs ~max_time ~chaos ~watchdog ()
-    with
+    match config with
     | Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -344,10 +221,9 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ config_file_arg $ protocol_arg $ n_arg $ lambda_arg $ delay_arg $ seed_arg
-      $ attack_arg $ crashed_arg $ target_arg $ inputs_arg $ max_time_arg $ chaos_arg
-      $ watchdog_arg $ transport_arg $ costs_arg $ lossy_args $ trace_arg $ trace_format_arg
-      $ metrics_arg $ events_arg $ views_arg $ verbose_arg)
+      const action
+      $ config_term Core.Config.[ Base; Scenario; Transport; Faults ]
+      $ trace_arg $ trace_format_arg $ metrics_arg $ events_arg $ views_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print its metrics") term
 
@@ -367,18 +243,9 @@ let sweep_cmd =
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write per-run results as CSV.")
   in
-  let action config_file protocol n lambda delay seed attack crashed target inputs max_time
-      chaos watchdog transport costs lossy reps jobs journal resume deadline retries quarantine
-      csv metrics verbose =
+  let action config reps jobs journal resume csv metrics verbose =
     setup_logs verbose;
-    match
-      config_of_args ?transport ?costs
-        ?deadline:(Option.map (Printf.sprintf "%g") deadline)
-        ?retries:(Option.map string_of_int retries)
-        ?quarantine:(Option.map string_of_int quarantine)
-        ~extra:lossy ~config_file ~protocol ~n ~lambda ~delay ~seed ~attack ~crashed ~target
-        ~inputs ~max_time ~chaos ~watchdog ()
-    with
+    match config with
     | Error e ->
       Format.eprintf "error: %s@." e;
       Exit_code.crash
@@ -440,11 +307,9 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const action $ config_file_arg $ protocol_arg $ n_arg $ lambda_arg $ delay_arg $ seed_arg
-      $ attack_arg $ crashed_arg $ target_arg $ inputs_arg $ max_time_arg $ chaos_arg
-      $ watchdog_arg $ transport_arg $ costs_arg $ lossy_args $ reps_arg $ jobs_arg $ journal_arg
-      $ resume_arg $ deadline_arg $ retries_arg $ quarantine_arg $ csv_arg $ metrics_arg
-      $ verbose_arg)
+      const action
+      $ config_term Core.Config.[ Base; Scenario; Transport; Faults; Supervision ]
+      $ reps_arg $ jobs_arg $ journal_arg $ resume_arg $ csv_arg $ metrics_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Run a configuration repeatedly and report mean/stddev") term
 
@@ -490,21 +355,6 @@ let load_cmd =
     Arg.(value & opt int 50
          & info [ "heights" ] ~docv:"INT" ~doc:"Consensus heights to drive per point.")
   in
-  let zones_arg =
-    Arg.(value & opt (some string) None
-         & info [ "zones" ] ~docv:"SPEC"
-             ~doc:"Geographic zones: geo3 | geo5 | uniform:<k>@<rtt_ms>; replicas are placed \
-                   round-robin and messages pay the one-way inter-zone latency.")
-  in
-  let bandwidth_arg =
-    Arg.(value & opt (some float) None
-         & info [ "bandwidth" ] ~docv:"MBPS"
-             ~doc:"Per-sender egress bandwidth: batch bytes serialize FIFO into delay.")
-  in
-  let pipeline_arg =
-    Arg.(value & opt (some int) None
-         & info [ "pipeline" ] ~docv:"INT" ~doc:"Consensus heights a leader keeps in flight.")
-  in
   let jobs_arg =
     Arg.(value & opt (some int) None
          & info [ "j"; "jobs" ] ~docv:"INT"
@@ -517,9 +367,8 @@ let load_cmd =
   let out_arg =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc:"Write the curve as JSON.")
   in
-  let action config_file protocol n lambda delay seed crashed max_time lossy rates arrival batch
-      mempool clients keys heights zones bandwidth pipeline jobs journal resume csv out metrics
-      verbose =
+  let action config rates arrival batch mempool clients keys heights jobs journal resume csv out
+      metrics verbose =
     setup_logs verbose;
     let parse_rates s =
       let items = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
@@ -539,13 +388,13 @@ let load_cmd =
       let* policy = Wl.Batch.of_string batch in
       let* clients = Wl.Driver.clients_of_string clients in
       let* keys = Wl.Keys.of_string keys in
-      let* config =
-        config_of_args ?zones
-          ?bandwidth:(Option.map (Printf.sprintf "%g") bandwidth)
-          ?pipeline:(Option.map string_of_int pipeline)
-          ~extra:lossy ~config_file ~protocol ~n ~lambda ~delay ~seed ~attack:None ~crashed
-          ~target:(Some (string_of_int heights)) ~inputs:None ~max_time ~chaos:None
-          ~watchdog:None ()
+      let* config = config in
+      (* --heights is the decision target, whatever the config file says. *)
+      let config = { config with Core.Config.decisions_target = heights } in
+      let* () =
+        match Core.Config.validate config with
+        | () -> Ok ()
+        | exception Invalid_argument e -> Error e
       in
       Ok (rates, arrival, policy, clients, keys, config)
     in
@@ -608,11 +457,10 @@ let load_cmd =
   in
   let term =
     Term.(
-      const action $ config_file_arg $ protocol_arg $ n_arg $ lambda_arg $ delay_arg $ seed_arg
-      $ crashed_arg $ max_time_arg $ lossy_args $ rates_arg $ arrival_arg $ batch_arg
-      $ mempool_arg $ clients_arg $ keys_arg $ heights_arg $ zones_arg $ bandwidth_arg
-      $ pipeline_arg $ jobs_arg $ journal_arg $ resume_arg $ csv_arg $ out_arg $ metrics_arg
-      $ verbose_arg)
+      const action
+      $ config_term Core.Config.[ Base; Faults; Placement ]
+      $ rates_arg $ arrival_arg $ batch_arg $ mempool_arg $ clients_arg $ keys_arg $ heights_arg
+      $ jobs_arg $ journal_arg $ resume_arg $ csv_arg $ out_arg $ metrics_arg $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "load"
@@ -642,13 +490,9 @@ let list_cmd =
 (* --- validate --- *)
 
 let validate_cmd =
-  let action config_file protocol n lambda delay seed attack crashed target inputs max_time chaos
-      watchdog verbose =
+  let action config verbose =
     setup_logs verbose;
-    match
-      config_of_args ~config_file ~protocol ~n ~lambda ~delay ~seed ~attack ~crashed ~target ~inputs
-        ~max_time ~chaos ~watchdog ()
-    with
+    match config with
     | Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -663,10 +507,7 @@ let validate_cmd =
       else Exit_code.safety
   in
   let term =
-    Term.(
-      const action $ config_file_arg $ protocol_arg $ n_arg $ lambda_arg $ delay_arg $ seed_arg
-      $ attack_arg $ crashed_arg $ target_arg $ inputs_arg $ max_time_arg $ chaos_arg
-      $ watchdog_arg $ verbose_arg)
+    Term.(const action $ config_term Core.Config.[ Base; Scenario ] $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Cross-validate a configuration (determinism and trace replay)")
@@ -716,7 +557,7 @@ let conform_cmd =
              ~doc:"Max harness re-evaluations the shrinker may spend per counterexample.")
   in
   let action budget seed protocols families out jobs no_det no_shrink shrink_budget journal
-      resume deadline retries quarantine verbose =
+      resume policy verbose =
     setup_logs verbose;
     let parse_csv parse label = function
       | None -> Ok None
@@ -747,17 +588,7 @@ let conform_cmd =
         Format.printf "MUTATION ACTIVE: %s (expect failures)@."
           (Protocols.Quorum.mutation_to_string m)
       | None -> ());
-      let policy =
-        let d = Core.Supervisor.default_policy in
-        {
-          d with
-          Core.Supervisor.seed;
-          deadline_ms = (match deadline with Some _ -> deadline | None -> d.deadline_ms);
-          max_retries = Option.value ~default:d.Core.Supervisor.max_retries retries;
-          quarantine_after =
-            Option.value ~default:d.Core.Supervisor.quarantine_after quarantine;
-        }
-      in
+      let policy = policy seed in
       let fingerprint =
         Conf.Harness.campaign_cell ~budget ~seed
           (Conf.Scenario.sample ?protocols ?families ~budget ~seed ())
@@ -788,8 +619,8 @@ let conform_cmd =
   let term =
     Term.(
       const action $ budget_arg $ seed_arg $ protocols_arg $ families_arg $ out_arg $ jobs_arg
-      $ no_det_arg $ no_shrink_arg $ shrink_budget_arg $ journal_arg $ resume_arg $ deadline_arg
-      $ retries_arg $ quarantine_arg $ verbose_arg)
+      $ no_det_arg $ no_shrink_arg $ shrink_budget_arg $ journal_arg $ resume_arg $ policy_term
+      $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "conform"
@@ -863,7 +694,7 @@ let twins_cmd =
              ~doc:"Max harness re-evaluations the shrinker may spend per counterexample.")
   in
   let action budget seed protocols n rounds round_ms enumerate_only out jobs no_det no_shrink
-      shrink_budget journal resume deadline retries quarantine verbose =
+      shrink_budget journal resume policy verbose =
     setup_logs verbose;
     let protocols_r =
       match protocols with
@@ -902,17 +733,7 @@ let twins_cmd =
           Format.printf "checking %d scenario(s) across %d protocol(s)@."
             (List.length scenarios)
             (List.length scenarios / stats.Twins.Enumerate.emitted);
-          let policy =
-            let d = Core.Supervisor.default_policy in
-            {
-              d with
-              Core.Supervisor.seed;
-              deadline_ms = (match deadline with Some _ -> deadline | None -> d.deadline_ms);
-              max_retries = Option.value ~default:d.Core.Supervisor.max_retries retries;
-              quarantine_after =
-                Option.value ~default:d.Core.Supervisor.quarantine_after quarantine;
-            }
-          in
+          let policy = policy seed in
           let fingerprint =
             Conf.Harness.campaign_cell ~mode:"twins" ~budget ~seed scenarios
           in
@@ -956,7 +777,7 @@ let twins_cmd =
     Term.(
       const action $ budget_arg $ seed_arg $ protocols_arg $ n_arg $ rounds_arg $ round_ms_arg
       $ enumerate_only_arg $ out_arg $ jobs_arg $ no_det_arg $ no_shrink_arg $ shrink_budget_arg
-      $ journal_arg $ resume_arg $ deadline_arg $ retries_arg $ quarantine_arg $ verbose_arg)
+      $ journal_arg $ resume_arg $ policy_term $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "twins"

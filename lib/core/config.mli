@@ -106,12 +106,12 @@ type t = {
   check_validity : bool;
       (** Enable the online validity monitor (decided values must be
           proposed values).  Off by default: chained protocols decide block
-          digests, not raw inputs, and would trip it spuriously. *)
+          digests, not raw inputs, and would trip it spuriously.  Like
+          [record_trace] and [view_sample_ms], it has no file syntax. *)
   naive_reset : Bftsim_protocols.Context.naive_reset_policy;
       (** HotStuff+NS pacemaker ablation knob (DESIGN.md §3.5), plumbed to
           the nodes through their context.  Per-run configuration rather
-          than a process-global setter so concurrent runs cannot race;
-          defaulted from the BFTSIM_NAIVE_RESET environment variable
+          than a process-global setter so concurrent runs cannot race
           ([commit] (default) | [never] | [view]). *)
   telemetry : telemetry;
       (** Observability switches (DESIGN.md §3.11).  Off by default; the
@@ -174,7 +174,9 @@ type t = {
 }
 
 val validate : t -> unit
-(** Full consistency check: positive [lambda_ms] / caps / decision target,
+(** Full consistency check.  Each key's own range check lives in the key
+    table next to its parser; the checks that relate fields follow.  In
+    all: positive [lambda_ms] / caps / decision target,
     crashed ids in range and unique and within the protocol model's
     tolerance ((n-1)/2 crash faults under synchrony, (n-1)/3 otherwise),
     well-formed attack windows (partition [heal_ms > start_ms >= 0],
@@ -252,31 +254,44 @@ val inputs_to_cli_string : inputs -> string
 
 val of_keyvalues : (string * string) list -> (t, string) result
 (** Builds a config from [key = value] pairs (the CLI's config-file
-    contents).  Recognized keys: [protocol], [n], [lambda], [delay],
-    [seed], [crashed] (comma-separated ids), [attack]
-    ([none] | [partition:<first>,<start>,<heal>[,delay]] |
-    [silence:<ids>@<ms>] | [add-static:<f>] | [add-adaptive] |
-    [extra-delay:<ms>]), [target], [max_time_ms], [inputs]
-    ([distinct] | [same:<v>] | [binary]), [chaos] (a
-    {!Bftsim_attack.Fault_schedule.of_string} plan, e.g.
-    ["crash:3@0;recover:3@15000"]), [watchdog] (the stall multiplier
-    [k], in units of [lambda_ms]), [naive_reset]
-    ([commit] | [never] | [view]), [max_events], [metrics] / [tracing]
-    (booleans), [trace_capacity] (ring-buffer entries), [zones]
-    ([geo3] | [geo5] | [uniform:<k>@<rtt>]), [bandwidth] (per-sender
-    egress Mbps), [pipeline] (heights in flight), the lossy-network and
-    recovery family: [loss] / [dup] (probabilities), [reorder] (window
-    ms), [burst_loss] (["p_gb,p_bg,p_bad"]), [reliable] (boolean),
-    [retrans_base_ms] / [retrans_backoff] / [retrans_max], [wal_ms]
-    (simulated WAL write latency), [stall_ms] (absolute watchdog stall
-    threshold), and the twins
-    family: [twins] (comma-separated logical ids to duplicate),
-    [twins_rounds] (per-round physical-id partitions, e.g.
-    ["0,1,4|2,3;-;0,4|1,2,3"]), [twins_leaders] (per-view logical leader
-    ids) and [twins_round_ms] (round duration, default [4 * lambda]). *)
+    contents) by folding the key table over the defaults; the first
+    binding of a key wins.  The keys, their flags, defaults and value
+    syntax are listed in README.md, "Configuration keys".  A key outside
+    {!keys} is an error that names it. *)
 
 val to_keyvalues : t -> (string * string) list
 (** Inverse of {!of_keyvalues}: the configuration as parseable key = value
-    pairs (the repro-bundle format).  Round-trips through {!of_keyvalues}
-    for every field that has file syntax; per-invocation switches
-    ([record_trace], [view_sample_ms]) are omitted. *)
+    pairs (the repro-bundle format), in table order.  The first nine keys
+    (protocol through inputs) are always written, every other key only
+    when its value differs from the default.  Floats print exactly
+    ({!Bftsim_sim.Float_text}), so [of_keyvalues (to_keyvalues c) = Ok c]
+    for every valid [c] whose three fields without file syntax
+    ([record_trace], [view_sample_ms], [check_validity]) are at their
+    defaults. *)
+
+val keys : string list
+(** Every file key, in table order. *)
+
+val differing_keys : t -> t -> string list
+(** The keys whose values differ between two configs, followed by the
+    names of differing fields without file syntax. *)
+
+(** Which subcommands offer a key's flag: each config-taking subcommand
+    exposes a fixed list of these sets. *)
+type flag_set =
+  | Base  (** protocol, n, lambda, delay, seed, crashed, max-time *)
+  | Scenario  (** attack, target, inputs, chaos, watchdog *)
+  | Transport  (** transport, costs *)
+  | Faults  (** the lossy-network and crash-recovery family *)
+  | Placement  (** zones, bandwidth, pipeline *)
+  | Supervision  (** deadline, retries, quarantine *)
+
+type flag = {
+  set : flag_set;
+  names : string list;  (** Spellings without dashes, e.g. [["p"; "protocol"]]. *)
+  docv : string option;  (** [None]: a switch that sets the key to [true]. *)
+  doc : string;  (** Help text (cmdliner markup). *)
+}
+
+val flags : (string * flag) list
+(** The CLI flag of every key that has one, keyed by file key. *)

@@ -104,10 +104,10 @@ let leader ctx view = Context.leader_round_robin ctx ~view
 
 (* HotStuff+NS uses the naive view-doubling synchronizer (Naor et al.): the
    view timeout doubles on every local timeout.  The per-run configuration
-   (Config.naive_reset, surfaced as BFTSIM_NAIVE_RESET / the naive_reset
-   config key) selects when (if ever) the back-off resets — "commit"
-   (default) resets on every local commit, "never" keeps growing, "view"
-   derives the budget from the view number itself.  LibraBFT's pacemaker
+   (Config.naive_reset, surfaced as the naive_reset config key) selects
+   when (if ever) the back-off resets — "commit" (default) resets on every
+   local commit, "never" keeps growing, "view" derives the budget from the
+   view number itself.  LibraBFT's pacemaker
    doubles per consecutive timeout and resets on any progress. *)
 type naive_reset_policy = Context.naive_reset_policy =
   | Reset_on_commit

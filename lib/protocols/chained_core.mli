@@ -76,7 +76,7 @@ type naive_reset_policy = Context.naive_reset_policy =
 (** When HotStuff+NS's view-doubling back-off resets (re-exported from
     {!Context}): on every local commit (default, and the configuration that
     reproduces the paper's shapes), never, or derived from the view number.
-    Selected per run via [Config.naive_reset] (defaulted from the
-    BFTSIM_NAIVE_RESET environment variable: [commit] | [never] | [view])
-    and read from the node context — there is deliberately no process-global
+    Selected per run via [Config.naive_reset] (the [naive_reset] config
+    key: [commit] (default) | [never] | [view]) and read from the node
+    context — there is deliberately no process-global
     setter, so concurrent runs on different domains cannot race on it. *)

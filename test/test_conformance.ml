@@ -173,51 +173,101 @@ let test_scenario_family_filter () =
 
 (* --- Config round-trip (the bundle format) --- *)
 
+(* The round trip must give back the config itself; on failure the report
+   names the keys that came back different (from Config's key table). *)
+let roundtrips config =
+  match Core.Config.of_keyvalues (Core.Config.to_keyvalues config) with
+  | Error e -> QCheck.Test.fail_report e
+  | Ok parsed when parsed = config -> true
+  | Ok parsed ->
+    QCheck.Test.fail_report
+      (Printf.sprintf "reparse differs in: %s\nkeyvalues: %s"
+         (String.concat ", " (Core.Config.differing_keys parsed config))
+         (String.concat "; "
+            (List.map (fun (k, v) -> k ^ "=" ^ v) (Core.Config.to_keyvalues config))))
+
 let prop_config_roundtrip =
   QCheck.Test.make ~count:60 ~name:"to_keyvalues round-trips through of_keyvalues"
     QCheck.(make (Conf.Scenario.gen ()))
-    (fun s ->
-      let config = s.Conf.Scenario.config in
-      match Core.Config.of_keyvalues (Core.Config.to_keyvalues config) with
-      | Error e -> QCheck.Test.fail_report e
-      | Ok parsed ->
-        (* record_trace/view_sample_ms are per-invocation switches; the
-           scenario generator leaves them at defaults, so full structural
-           equality is the right check here. *)
-        if parsed = config then true
-        else begin
-          let open Core.Config in
-          let fields =
-            [
-              ("protocol", parsed.protocol = config.protocol);
-              ("n", parsed.n = config.n);
-              ("crashed", parsed.crashed = config.crashed);
-              ("lambda_ms", parsed.lambda_ms = config.lambda_ms);
-              ("delay", parsed.delay = config.delay);
-              ("seed", parsed.seed = config.seed);
-              ("attack", parsed.attack = config.attack);
-              ("decisions_target", parsed.decisions_target = config.decisions_target);
-              ("max_time_ms", parsed.max_time_ms = config.max_time_ms);
-              ("max_events", parsed.max_events = config.max_events);
-              ("inputs", parsed.inputs = config.inputs);
-              ("transport", parsed.transport = config.transport);
-              ("costs", parsed.costs = config.costs);
-              ("record_trace", parsed.record_trace = config.record_trace);
-              ("view_sample_ms", parsed.view_sample_ms = config.view_sample_ms);
-              ("chaos", parsed.chaos = config.chaos);
-              ("watchdog", parsed.watchdog = config.watchdog);
-              ("check_validity", parsed.check_validity = config.check_validity);
-              ("naive_reset", parsed.naive_reset = config.naive_reset);
-              ("telemetry", parsed.telemetry = config.telemetry);
-            ]
-          in
-          let bad = List.filter_map (fun (k, ok) -> if ok then None else Some k) fields in
-          QCheck.Test.fail_report
-            (Printf.sprintf "reparse differs in: %s\nkeyvalues: %s"
-               (String.concat ", " bad)
-               (String.concat "; "
-                  (List.map (fun (k, v) -> k ^ "=" ^ v) (Core.Config.to_keyvalues config))))
-        end)
+    (fun s -> roundtrips s.Conf.Scenario.config)
+
+(* A generated scenario with every field that has file syntax redrawn from
+   its whole valid range: unsnapped floats, retrans_* with the reliable
+   channel off, non-default telemetry and supervision.  Cross-field rules
+   hold by construction (gossip only without twins or reliable). *)
+let gen_any_config : Core.Config.t QCheck.Gen.t =
+ fun st ->
+  let module G = QCheck.Gen in
+  let s = Conf.Scenario.gen () st in
+  let c = s.Conf.Scenario.config in
+  let pos hi = G.float_range 1e-3 hi st in
+  let opt g = if G.bool st then Some (g ()) else None in
+  let prob () = G.float_range 0. 1. st in
+  let attack =
+    match c.Core.Config.attack with
+    | Core.Config.Partition p ->
+      let start_ms = G.float_range 0. 2000. st in
+      Core.Config.Partition { p with start_ms; heal_ms = start_ms +. 1. +. pos 6000. }
+    | Core.Config.Silence p -> Core.Config.Silence { p with at_ms = pos 3000. }
+    | Core.Config.Extra_delay _ -> Core.Config.Extra_delay { extra_ms = pos 300. }
+    | a -> a
+  in
+  let twins =
+    Option.map (fun tw -> { tw with Bftsim_attack.Twins_schedule.round_ms = pos 5000. }) c.twins
+  in
+  let gossip = twins = None && G.bool st in
+  let reliable = (not gossip) && G.bool st in
+  {
+    c with
+    Core.Config.lambda_ms = pos 5000.;
+    delay =
+      G.oneofl
+        [
+          Net.Delay_model.normal ~mu:(pos 400.) ~sigma:(pos 100.);
+          Net.Delay_model.Constant (pos 300.);
+          Net.Delay_model.bounded (Net.Delay_model.Exponential { mean = pos 300. }) ~bound:(pos 2000.);
+        ]
+        st;
+    seed = G.int_range 0 1_000_000_000 st;
+    attack;
+    decisions_target = G.int_range 1 50 st;
+    max_time_ms = pos 1e7;
+    max_events = G.int_range 1 100_000_000 st;
+    inputs = G.oneofl Core.Config.[ Distinct; Same "w"; Random_binary ] st;
+    transport = (if gossip then Core.Config.Gossip { fanout = G.int_range 1 8 st } else c.transport);
+    costs = { Core.Cost_model.sign_ms = pos 2.; verify_ms = pos 2. };
+    twins;
+    watchdog = opt (fun () -> pos 50.);
+    naive_reset = G.oneofl Protocols.Context.[ Reset_on_commit; Never_reset; Per_view_number ] st;
+    telemetry = { metrics = G.bool st; tracing = G.bool st; trace_capacity = G.int_range 1 1_000_000 st };
+    supervision =
+      {
+        deadline_ms = opt (fun () -> pos 1e5);
+        max_retries = G.int_range 0 9 st;
+        quarantine_after = G.int_range 1 9 st;
+        retry_base_ms = G.float_range 0. 500. st;
+      };
+    zones = G.oneofl [ None; Some "geo3"; Some "geo5"; Some "uniform:3@120.5" ] st;
+    bandwidth_mbps = opt (fun () -> pos 1000.);
+    pipeline = G.int_range 1 8 st;
+    loss =
+      Net.Loss_model.make ~drop:(prob ()) ~dup:(prob ()) ~reorder_ms:(G.float_range 0. 100. st)
+        ?burst:(opt (fun () -> { Net.Loss_model.p_gb = prob (); p_bg = prob (); p_bad = prob () }))
+        ();
+    reliable;
+    retrans_base_ms = G.float_range 0. 3000. st;
+    retrans_backoff = 1. +. G.float_range 0. 3. st;
+    retrans_max = G.int_range 0 20 st;
+    wal_ms = G.float_range 0. 10. st;
+    stall_ms = opt (fun () -> pos 1e5);
+  }
+
+let prop_any_config_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"every file-syntax field round-trips exactly"
+    QCheck.(make gen_any_config)
+    (fun config ->
+      Core.Config.validate config;
+      roundtrips config)
 
 (* --- Shrinking --- *)
 
@@ -368,7 +418,11 @@ let () =
           Alcotest.test_case "deterministic sampling" `Quick test_scenario_sample_deterministic;
           Alcotest.test_case "family filter" `Quick test_scenario_family_filter;
         ] );
-      ("config", [ QCheck_alcotest.to_alcotest prop_config_roundtrip ]);
+      ( "config",
+        [
+          QCheck_alcotest.to_alcotest prop_config_roundtrip;
+          QCheck_alcotest.to_alcotest prop_any_config_roundtrip;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "minimizes n and seed" `Quick test_shrink_minimizes_n_and_seed;
