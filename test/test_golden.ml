@@ -8,6 +8,7 @@
 module Core = Bftsim_core
 module Conf = Bftsim_conformance
 module Net = Bftsim_net
+module Obs = Bftsim_obs
 
 (* The paper's eight protocols, each under a fixed small configuration:
    n = 7 (tight 3f+1), deterministic constant delays, fixed seed. *)
@@ -127,6 +128,154 @@ let check_feature (name, config, expected) () =
          expected actual)
   end
 
+(* Further feature pins for paths the set above leaves out: the twins id
+   mapping, a workload-driven load point, a silent attacker beside a
+   config-crashed node, the adaptive corruption hook and periodic view
+   sampling (whose samples the result hash does not cover, so they get a
+   third hash). *)
+let sha s = Bftsim_crypto.Sha256.to_hex (Bftsim_crypto.Sha256.digest_string s)
+
+let of_view_samples samples =
+  sha
+    (String.concat "\n"
+       (List.map
+          (fun (at, views) ->
+            Printf.sprintf "%h:%s" at
+              (String.concat ";" (Array.to_list (Array.map string_of_int views))))
+          samples))
+
+let twins_config () =
+  let twins =
+    {
+      Bftsim_attack.Twins_schedule.ids = [ 1 ];
+      round_ms = 400.;
+      rounds = [ [ [ 0; 1; 2 ]; [ 3; 4 ] ]; [ [ 0; 4; 3 ]; [ 1; 2 ] ]; [] ];
+      leaders = [ 1; 1; 0; 2 ];
+    }
+  in
+  Core.Config.make "pbft" ~n:4 ~seed:42 ~delay:(Net.Delay_model.Constant 100.) ~record_trace:true
+    ~twins
+
+let load_point () =
+  let config =
+    Core.Config.make "hotstuff-ns" ~n:4 ~lambda_ms:200. ~delay:(Net.Delay_model.Constant 20.)
+      ~decisions_target:12 ~seed:7 ~pipeline:2 ~record_trace:true
+  in
+  let driver =
+    Bftsim_workload.Driver.make
+      ~arrival:(Bftsim_workload.Arrival.constant ~rate:1.)
+      ~policy:(Bftsim_workload.Batch.make ~max_batch:32 ~max_wait_ms:10.)
+      ~mempool_capacity:256 ()
+  in
+  let _, _, result = Bftsim_workload.Driver.run_point_audit driver ~rate:400. config in
+  result
+
+let run_config config () = Core.Controller.run (config ())
+
+let pinned_paths =
+  [
+    ( "pbft twins rounds+leaders",
+      run_config twins_config,
+      "fb048476f9429960b06345c74d3ea017c927e45766e62e51ae242903ce0947e4/142f37cfa28904daf8e4a14f991c2cff50b8794551a0c713077af018814cc2b5",
+      `Plain );
+    ( "hotstuff-ns load point",
+      load_point,
+      "f0edc62e6071b0b4d2efd791bf6d9297c9e226d46e249f4a8950bd44e8d97bf7/0f2abcf3e6ea7ae213758e51650db3a2a67bd0fbda2982e2d11cb8f87a7a201b",
+      `Plain );
+    ( "pbft silence+crashed",
+      run_config (fun () ->
+          {
+            (canonical_config "pbft") with
+            Core.Config.crashed = [ 6 ];
+            attack = Core.Config.Silence { nodes = [ 0 ]; at_ms = 0. };
+            decisions_target = 3;
+          }),
+      "63a6ab046fa0fd5e5df227600a36cef17944b6e00316b0045051b9bca736073f/e6d2917e2a14762e6150e7a4772b9163e8e5468fd3fcd3462624b285e55778ac",
+      `Plain );
+    ( "add-v2 rushing adaptive",
+      run_config (fun () ->
+          {
+            (canonical_config "add-v2") with
+            Core.Config.attack = Core.Config.Add_rushing_adaptive { budget = Some 2 };
+          }),
+      "e33c4125b7a5b12e9b92c406e1ef2e53e68d119ca78dbbb4eea5a137de0d54d5/2736efcf2e63998bd15eac71a50c8f702c1ad85c302b08a8c716fc05477ca6f0",
+      `Plain );
+    ( "pbft view samples",
+      run_config (fun () ->
+          {
+            (canonical_config "pbft") with
+            Core.Config.crashed = [ 0 ];
+            decisions_target = 3;
+            view_sample_ms = Some 100.;
+          }),
+      "9ae6f16e532718e7f731d431fe3b086fe07d8fa3847c802639ee70792d54b0be/d786e51fc9b07bab4bfb8d11030cdc59acbbb4e82524fb36cc36a075bb622137/44fce11580ded20c66eb7f2b38aa2620e957da5aee1003ffbece7e06ff238610",
+      `Views );
+  ]
+
+let check_path (name, run, expected, kind) () =
+  let result = run () in
+  let actual =
+    Conf.Fingerprint.of_result result ^ "/" ^ Conf.Fingerprint.of_trace (Option.get result.trace)
+    ^ match kind with `Plain -> "" | `Views -> "/" ^ of_view_samples result.view_samples
+  in
+  if actual <> expected then begin
+    Printf.printf "--- canonical form for %s (fingerprint %s) ---\n%s\n" name actual
+      (Conf.Fingerprint.canonical result);
+    Alcotest.fail
+      (Printf.sprintf "%s fingerprint changed: pinned %s, got %s — canonical form above" name
+         expected actual)
+  end
+
+(* Telemetry pins: the metrics registry (as its lossless JSON) and the
+   tracer's entries, with metrics and tracing on.  The tracer's wall-clock
+   fields — [wall_us] and the dispatch spans' [wall_dur_us] argument — are
+   host time and left out; everything else is simulated and deterministic. *)
+let canonical_spans tracer =
+  let arg = function
+    | Obs.Tracer.Str s -> Printf.sprintf "%S" s
+    | Obs.Tracer.Int i -> string_of_int i
+    | Obs.Tracer.Float f -> Printf.sprintf "%h" f
+  in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Printf.sprintf "recorded=%d\n" (Obs.Tracer.recorded tracer));
+  Obs.Tracer.iter tracer (fun e ->
+      Printf.bprintf b "%s|%s|%d|%h|%h|%s|%s\n" e.Obs.Tracer.name e.cat e.node e.ts_us e.dur_us
+        (match e.phase with Obs.Tracer.Complete -> "X" | Obs.Tracer.Instant -> "i")
+        (String.concat ","
+           (List.filter_map
+              (fun (k, v) -> if k = "wall_dur_us" then None else Some (k ^ "=" ^ arg v))
+              e.args)));
+  Buffer.contents b
+
+let telemetry_on config =
+  {
+    config with
+    Core.Config.telemetry = { Core.Config.default_telemetry with metrics = true; tracing = true };
+  }
+
+let pinned_telemetry =
+  [
+    ( "pbft canonical",
+      (fun () -> canonical_config "pbft"),
+      "2be72588e85c450930602f0638ee9683c5289f8600d0db202160379eab64233d/6ab9f59fb4ab95dabe2e4e36766260ac46271170df6312bdc9f2162b871c21e6" );
+    ( "pbft loss+reliable+restart",
+      (fun () -> restarting (lossy (canonical_config "pbft"))),
+      "2196807c8d1a5cd85e61f19d3415ce382a3033b3ba1fe8215b53f5177e365f64/ca45fc1bdc61cd4e62571b54dcd7f366ead21ee50350114f89b5e6fd405813d7" );
+    ( "hotstuff-ns loss+reliable+restart",
+      (fun () -> restarting (lossy (canonical_config "hotstuff-ns"))),
+      "61eeac4344a809ba48c4c477ae3425a2e5a9368dd0f5a2ff94daeb87399dde60/07bd2d2bfd32290f57046914e337eee09084160007d2e370fe4a2ad599802f24" );
+  ]
+
+let check_telemetry (name, config, expected) () =
+  let result = Core.Controller.run (telemetry_on (config ())) in
+  let actual =
+    sha (Obs.Json.to_string (Obs.Metrics.to_json (Option.get result.metrics)))
+    ^ "/" ^ sha (canonical_spans (Option.get result.spans))
+  in
+  if actual <> expected then
+    Alcotest.fail
+      (Printf.sprintf "%s telemetry fingerprint changed: pinned %s, got %s" name expected actual)
+
 let () =
   Alcotest.run "golden"
     [
@@ -144,4 +293,12 @@ let () =
         List.map
           (fun ((name, _, _) as pin) -> Alcotest.test_case name `Quick (check_feature pin))
           pinned_features );
+      ( "fingerprints paths",
+        List.map
+          (fun ((name, _, _, _) as pin) -> Alcotest.test_case name `Quick (check_path pin))
+          pinned_paths );
+      ( "fingerprints telemetry",
+        List.map
+          (fun ((name, _, _) as pin) -> Alcotest.test_case name `Quick (check_telemetry pin))
+          pinned_telemetry );
     ]
