@@ -614,19 +614,17 @@ let sweep ?jobs ?journal ?(resumed = []) (t : t) (config : Core.Config.t) ~rates
     Core.Parallel.map ?jobs
       (fun rate ->
         let point, metrics = run_point t ~rate config in
+        (* Journaled from inside the worker, like [Runner.run_many]: a sweep
+           that fails or is killed mid-flight keeps every finished point. *)
+        Option.iter
+          (fun j ->
+            Core.Journal.append j
+              (Core.Journal.Note { cell = cell t config ~rate; body = note_body point metrics }))
+          journal;
         (rate, point, metrics))
       todo
   in
-  (* Journal completed points in rate order (the deterministic order the
-     sequential path produces), then stitch recovered + fresh results. *)
-  Option.iter
-    (fun j ->
-      List.iter
-        (fun (rate, point, metrics) ->
-          Core.Journal.append j
-            (Core.Journal.Note { cell = cell t config ~rate; body = note_body point metrics }))
-        ran)
-    journal;
+  (* Stitch recovered + fresh results. *)
   let fresh = Hashtbl.create 16 in
   List.iter (fun (rate, point, metrics) -> Hashtbl.replace fresh rate (point, metrics)) ran;
   let resolved =

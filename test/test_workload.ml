@@ -245,6 +245,29 @@ let test_driver_sweep_jobs_identical () =
   Alcotest.(check bool) "points identical at any jobs" true
     (c1.Wl.Driver.points = c2.Wl.Driver.points)
 
+(* A journaled sweep keeps every finished point even when a later one
+   raises (rate 0 is rejected), and a resume picks those points up. *)
+let test_driver_sweep_journal_keeps_finished () =
+  let config = load_config () in
+  let path = Filename.temp_file "bftsim-load" ".jsonl" in
+  let fingerprint = "fp-load" in
+  let j = Core.Journal.create ~fingerprint path in
+  (match Wl.Driver.sweep ~jobs:1 ~journal:j (driver ()) config ~rates:[ 50.; 100.; 0. ] with
+  | _ -> Alcotest.fail "rate 0 should raise"
+  | exception _ -> ());
+  Core.Journal.close j;
+  match Core.Journal.resume ~fingerprint path with
+  | Error e -> Alcotest.fail e
+  | Ok (j, events) ->
+    let notes = List.filter (function Core.Journal.Note _ -> true | _ -> false) events in
+    Alcotest.(check int) "finished points journaled" 2 (List.length notes);
+    let curve =
+      Wl.Driver.sweep ~jobs:1 ~journal:j ~resumed:events (driver ()) config ~rates:[ 50.; 100. ]
+    in
+    Core.Journal.close j;
+    Sys.remove path;
+    Alcotest.(check int) "resumed points" 2 curve.Wl.Driver.resumed
+
 let test_driver_saturation () =
   (* Drive far past capacity: the pool must overflow and committed
      throughput must fall well short of the offered rate. *)
@@ -530,6 +553,8 @@ let () =
         [
           Alcotest.test_case "point deterministic" `Quick test_driver_point_deterministic;
           Alcotest.test_case "sweep jobs-identical" `Quick test_driver_sweep_jobs_identical;
+          Alcotest.test_case "sweep journal keeps finished points" `Quick
+            test_driver_sweep_journal_keeps_finished;
           Alcotest.test_case "saturation under overload" `Quick test_driver_saturation;
           Alcotest.test_case "point json roundtrip" `Quick test_driver_point_json_roundtrip;
           Alcotest.test_case "pipelined liveness" `Quick test_driver_pipeline_commits;
