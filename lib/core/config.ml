@@ -670,10 +670,6 @@ let input_for t node =
     let d = Sha256.digest_string (Printf.sprintf "input|%d|%d" t.seed node) in
     if Char.code (Sha256.to_raw d).[0] land 1 = 0 then "0" else "1"
 
-let honest_excluding_crashed t =
-  let crashed = t.crashed in
-  List.filter (fun i -> not (List.mem i crashed)) (List.init t.n (fun i -> i))
-
 let describe_attack = function
   | No_attack -> "none"
   | Partition { first_size; start_ms; heal_ms; drop } ->

@@ -238,9 +238,6 @@ val make :
 val input_for : t -> int -> string
 (** The input value node [i] starts with under this configuration. *)
 
-val honest_excluding_crashed : t -> int list
-(** Node ids that are started (not in [crashed]). *)
-
 val describe : t -> string
 (** One-line summary used in tables and logs. *)
 

@@ -6,8 +6,6 @@
     their modules, advances the simulation clock, and finally computes the
     performance metrics (time usage and message usage, §II-C). *)
 
-open Bftsim_sim
-
 type outcome =
   | Reached_target  (** Every counted honest node hit the decision target. *)
   | Timed_out  (** The simulated-time cap elapsed first: a liveness failure. *)
@@ -139,7 +137,3 @@ val wall_clock_of_run : Config.t -> float * result
     Fig. 2. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
-
-type Timer.payload += Sample_views
-(** Internal controller timer driving periodic view sampling; exposed so
-    traces render it meaningfully. *)

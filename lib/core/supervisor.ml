@@ -18,6 +18,42 @@ module Obs = Bftsim_obs
 
 exception Cancelled
 
+(* Test-only fault injection: BFTSIM_FAULT_INJECT="crash@17;hang@23" makes
+   the replication seeded 17 raise at startup and the one seeded 23 spin on
+   the wall clock until cancelled.  The supervised campaign drivers turn
+   those into structured outcomes; the knob exists so the resilience tests
+   and the CI kill-and-resume job can exercise that machinery end to end. *)
+let injected_faults =
+  lazy
+    (match Sys.getenv_opt "BFTSIM_FAULT_INJECT" with
+    | None | Some "" -> []
+    | Some spec ->
+      String.split_on_char ';' spec
+      |> List.filter_map (fun directive ->
+             match String.split_on_char '@' (String.trim directive) with
+             | [ "crash"; seed ] -> Option.map (fun s -> (`Crash, s)) (int_of_string_opt seed)
+             | [ "hang"; seed ] -> Option.map (fun s -> (`Hang, s)) (int_of_string_opt seed)
+             | _ ->
+               invalid_arg
+                 (Printf.sprintf "BFTSIM_FAULT_INJECT: cannot parse %S (want crash@N or hang@N)"
+                    directive)))
+
+let inject_faults ~cancel ~seed =
+  List.iter
+    (fun (kind, s) ->
+      if s = seed then
+        match kind with
+        | `Crash -> failwith (Printf.sprintf "BFTSIM_FAULT_INJECT: injected crash (seed %d)" s)
+        | `Hang ->
+          (* Spin on the wall clock, not sim time: this models a replication
+             that hangs the host.  Only the cooperative deadline (or a
+             SIGKILL) gets it unstuck. *)
+          while not (cancel ()) do
+            Unix.sleepf 0.005
+          done;
+          raise Cancelled)
+    (Lazy.force injected_faults)
+
 type policy = {
   deadline_ms : float option;
   max_retries : int;

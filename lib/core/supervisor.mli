@@ -22,6 +22,13 @@ exception Cancelled
     passed.  Tasks may also keep polling and return normally — a completed
     result is kept even if it finished over the deadline. *)
 
+val inject_faults : cancel:(unit -> bool) -> seed:int -> unit
+(** The test knob behind the resilience suite and the CI kill-and-resume
+    job, checked by [Controller.run] at startup: [BFTSIM_FAULT_INJECT]
+    (e.g. ["crash@17;hang@23"]) makes the run seeded 17 raise, and the one
+    seeded 23 spin on the wall clock until [cancel] reports [true], then
+    raise {!Cancelled}. *)
+
 type policy = {
   deadline_ms : float option;  (** Per-attempt wall-clock budget; [None] = unbounded. *)
   max_retries : int;  (** Additional attempts after the first failure. *)

@@ -15,19 +15,14 @@ type env = {
   network : Network.t;
   rng : Rng.t;
   now : unit -> Time.t;
-  crashed : bool array;
+  lifecycle : Lifecycle.t;
   cpus : Cost_model.cpu array;
   attack : Message.t -> Attack.Attacker.verdict;
   delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
   next_id : unit -> int;
   deliver_at : Message.t -> unit;
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
-  timer_fired : Timer.t -> unit;
-  counter : string -> int ref;
-  histogram : ?buckets:float array -> string -> Obs.Metrics.histogram option;
-  discarded : Trace.kind -> name:string -> detail:string -> Message.t -> unit;
-  record : Trace.kind -> node:int -> peer:int -> tag:string -> detail:string -> unit;
-  recording : bool;
+  telemetry : Telemetry.t;
   dropped : int ref;
 }
 
@@ -65,7 +60,8 @@ let rc_header_bytes = 16
 let reliable e rng lower =
   let cfg = e.config in
   let pn = Config.physical_n cfg in
-  let c_retrans = e.counter "net.retrans" and c_dup_dropped = e.counter "net.dup_dropped" in
+  let c_retrans = Telemetry.counter e.telemetry "net.retrans" in
+  let c_dup_dropped = Telemetry.counter e.telemetry "net.dup_dropped" in
   let base_ms =
     if cfg.Config.retrans_base_ms > 0. then cfg.Config.retrans_base_ms else 2. *. cfg.lambda_ms
   in
@@ -101,7 +97,7 @@ let reliable e rng lower =
   let receive up (msg : Message.t) =
     let src = msg.Message.src and dst = msg.Message.dst in
     match msg.Message.payload with
-    | Rc_frame { seq; tag; size; inner } when not e.crashed.(dst) ->
+    | Rc_frame { seq; tag; size; inner } when not (Lifecycle.absent e.lifecycle dst) ->
       (* Ack unconditionally, duplicates included: a duplicate frame
          usually means the previous ack was lost on the way back.  Acks are
          sent raw — a lost ack is repaired by the frame's retransmission. *)
@@ -122,16 +118,19 @@ let reliable e rng lower =
     | Rc_retransmit { dst; seq } ->
       let owner = timer.Timer.owner in
       (match Hashtbl.find_opt out (owner, dst, seq) with
-      | None -> () (* acked in the meantime; the channel is quiet *)
+      | None ->
+        (* Acked in the meantime; the channel is quiet. *)
+        Telemetry.alarm e.telemetry Telemetry.Released timer
       | Some frame when frame.attempts >= cfg.Config.retrans_max ->
         (* Retry budget exhausted: the channel declares the peer
            unreachable and abandons the frame. *)
         Hashtbl.remove out (owner, dst, seq);
-        e.record Trace.Drop ~node:owner ~peer:dst ~tag:frame.p_tag ~detail:"rc-give-up"
+        Telemetry.alarm e.telemetry Telemetry.Released timer;
+        Telemetry.gave_up e.telemetry ~src:owner ~dst ~tag:frame.p_tag
       | Some frame ->
         frame.attempts <- frame.attempts + 1;
         incr c_retrans;
-        e.timer_fired timer;
+        Telemetry.alarm e.telemetry Telemetry.Fired timer;
         lower.send ~src:owner ~dst ~tag:frame.p_tag ~size:(frame.p_size + rc_header_bytes)
           (Rc_frame { seq; tag = frame.p_tag; size = frame.p_size; inner = frame.p_inner });
         arm owner ~dst ~seq ~attempt:frame.attempts);
@@ -177,7 +176,7 @@ let gossip e rng ~fanout lower =
     | Gossip_frame { origin; gid; tag; size; inner } ->
       if not (Hashtbl.mem seen.(dst) (origin, gid)) then begin
         Hashtbl.replace seen.(dst) (origin, gid) ();
-        if not e.crashed.(dst) then forward dst msg.Message.payload ~tag ~size;
+        if not (Lifecycle.absent e.lifecycle dst) then forward dst msg.Message.payload ~tag ~size;
         up
           (Message.make ~id:(e.next_id ()) ~src:origin ~dst ~sent_at:msg.Message.sent_at ~tag ~size
              inner)
@@ -186,6 +185,17 @@ let gossip e rng ~fanout lower =
   in
   { lower with broadcast; deliver = (fun up -> lower.deliver (receive up)) }
 
+(* Twins (DESIGN.md §3.14): the protocol addresses a logical identity; a
+   twinned destination is two machines, each owed its own copy.  Broadcasts
+   already fan out over the physical replica set. *)
+let twins ~n tw lower =
+  let send ~src ~dst ~tag ~size payload =
+    List.iter
+      (fun pdst -> lower.send ~src ~dst:pdst ~tag ~size payload)
+      (Attack.Twins_schedule.instances ~n tw dst)
+  in
+  { lower with send }
+
 let create e =
   let cfg = e.config in
   let pn = Config.physical_n cfg in
@@ -193,15 +203,17 @@ let create e =
      (legacy position), then loss and reliable only when configured — so
      enabling a feature never shifts the streams of a run without it. *)
   let gossip_rng = Rng.split e.rng in
-  let c_sent = e.counter "net.sent" and c_bytes = e.counter "net.bytes" in
-  let c_dropped = e.counter "net.dropped" in
-  let h_delay = e.histogram "net.delay_ms" in
+  let tel = e.telemetry in
+  let counter = Telemetry.counter tel and histogram = Telemetry.histogram tel in
+  let c_sent = counter "net.sent" and c_bytes = counter "net.bytes" in
+  let c_dropped = counter "net.dropped" in
+  let h_delay = histogram "net.delay_ms" in
   let h_size =
-    e.histogram ~buckets:[| 64.; 256.; 1024.; 4096.; 16384.; 65536.; 262144. |] "net.msg.size_bytes"
+    histogram ~buckets:[| 64.; 256.; 1024.; 4096.; 16384.; 65536.; 262144. |] "net.msg.size_bytes"
   in
   (* Egress queue-delay distribution: registered only with the bandwidth
      model, so the registry of other configs is unchanged. *)
-  let h_queue = if cfg.Config.bandwidth_mbps = None then None else e.histogram "net.queue_ms" in
+  let h_queue = if cfg.Config.bandwidth_mbps = None then None else histogram "net.queue_ms" in
   (* Per-tag send counters ride on the registry, resolved through a private
      cache: one registry lookup per distinct tag, not per message. *)
   let count_tag =
@@ -214,16 +226,20 @@ let create e =
           match Hashtbl.find_opt cache tag with
           | Some c -> c
           | None ->
-            let c = e.counter ("net.sent." ^ tag) in
+            let c = counter ("net.sent." ^ tag) in
             Hashtbl.replace cache tag c;
             c
         in
         incr cell
   in
-  let discard counter ~name kind ~detail msg =
+  let discard counter what msg =
     incr e.dropped;
     incr counter;
-    e.discarded kind ~name ~detail msg
+    Telemetry.message tel what msg
+  in
+  let deliver_at msg =
+    Telemetry.message tel Telemetry.In_flight msg;
+    e.deliver_at msg
   in
   let enqueue (msg : Message.t) =
     (match h_delay with
@@ -233,7 +249,7 @@ let create e =
       | Some q -> Obs.Metrics.observe_h q (Network.last_queue_ms e.network)
       | None -> ())
     | _ -> ());
-    e.deliver_at msg
+    deliver_at msg
   in
   (* Stochastic per-link faults run after the adversary: the attacker models
      intent, this models the wire itself.  Self-addressed messages are local
@@ -242,12 +258,12 @@ let create e =
     if Loss_model.is_none cfg.Config.loss then enqueue
     else begin
       let rng = Rng.split e.rng and state = Loss_model.state cfg.Config.loss in
-      let c_lost = e.counter "net.loss_dropped" and c_dup = e.counter "net.dup_created" in
+      let c_lost = counter "net.loss_dropped" and c_dup = counter "net.dup_created" in
       fun (msg : Message.t) ->
         if msg.Message.src = msg.Message.dst then enqueue msg
         else
           let v = Loss_model.sample state rng ~src:msg.Message.src ~dst:msg.Message.dst in
-          if not v.Loss_model.deliver then discard c_lost ~name:"loss:" Trace.Drop ~detail:"loss" msg
+          if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg
           else begin
             msg.Message.delay_ms <- msg.Message.delay_ms +. v.Loss_model.reorder_extra_ms;
             enqueue msg;
@@ -255,7 +271,7 @@ let create e =
               (* A network artifact, not traffic the sender paid for: its
                  own message id but no send stats. *)
               incr c_dup;
-              e.deliver_at
+              deliver_at
                 {
                   msg with
                   Message.id = e.next_id ();
@@ -272,7 +288,7 @@ let create e =
      delay behind a persist reaches the wire even when signing is free. *)
   let charge_cpu = sign_ms > 0. || cfg.Config.wal_ms > 0. in
   let send ~src ~dst ~tag ~size payload =
-    if not e.crashed.(src) then begin
+    if not (Lifecycle.absent e.lifecycle src) then begin
       let id = e.next_id () in
       (* Mirror [Network.stats]: self-addressed messages are local
          deliveries, not wire traffic (§II-C message usage). *)
@@ -292,17 +308,14 @@ let create e =
         | None -> None
         | Some override -> override ~src ~dst ~tag ~seq:(next_seq link_seqs (src, dst, tag))
       in
-      (* Payload rendering is the costliest allocation on the send path:
-         only when a trace is actually recorded. *)
-      if e.recording then
-        e.record Trace.Send ~node:src ~peer:dst ~tag ~detail:(Message.payload_to_string payload);
+      Telemetry.message tel Telemetry.Sent msg;
       if charge_cpu then begin
         let now = Time.to_ms (e.now ()) in
         let finish = Cost_model.charge e.cpus.(src) ~now_ms:now ~cost_ms:sign_ms in
         msg.Message.delay_ms <- msg.Message.delay_ms +. (finish -. now)
       end;
       match e.attack msg with
-      | Attack.Attacker.Drop -> discard c_dropped ~name:"drop:" Trace.Drop ~detail:"" msg
+      | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
       | Attack.Attacker.Deliver ->
         (match replay_delay with Some d -> msg.Message.delay_ms <- d | None -> ());
         transmit msg
@@ -320,24 +333,20 @@ let create e =
      actual arrival instant — after the loss model's reorder and duplicate
      delays, which no send-time verdict can see.  Present only when the
      plan crashes a node. *)
-  let chaos = Attack.Fault_schedule.normalize cfg.Config.chaos in
   let down lower =
     let receive up (msg : Message.t) =
-      if Attack.Fault_schedule.crashed_at chaos ~node:msg.Message.dst ~at_ms:(Time.to_ms (e.now ()))
-      then discard c_dropped ~name:"lost:" Trace.Lost ~detail:"" msg
+      if Lifecycle.down e.lifecycle ~node:msg.Message.dst ~at_ms:(Time.to_ms (e.now ())) then
+        discard c_dropped Telemetry.Lost_at_down_node msg
       else up msg
     in
     { lower with deliver = (fun up -> lower.deliver (receive up)) }
   in
-  let crashes =
-    List.exists (fun node -> Attack.Fault_schedule.ever_crashed chaos ~node) (List.init pn Fun.id)
-  in
   let layers =
-    (if crashes then [ down ] else [])
+    (if Lifecycle.crashes e.lifecycle then [ down ] else [])
     @ (if cfg.Config.reliable then [ reliable e (Rng.split e.rng) ] else [])
-    @
-    match cfg.Config.transport with
-    | Config.Gossip { fanout } -> [ gossip e gossip_rng ~fanout ]
-    | Config.Direct -> []
+    @ (match cfg.Config.transport with
+      | Config.Gossip { fanout } -> [ gossip e gossip_rng ~fanout ]
+      | Config.Direct -> [])
+    @ match cfg.Config.twins with Some tw -> [ twins ~n:cfg.Config.n tw ] | None -> []
   in
   List.fold_left (fun below layer -> layer below) wire layers

@@ -2,9 +2,9 @@
 
     {!create} builds the stack once per run from the {!Config.t}: the base
     wire is always present; a down-node stage (when the chaos plan crashes
-    a node), the reliable channel and gossip are stacked on it only when
-    configured, so a feature that is off is absent rather than branched
-    around.  Sends go down the stack, deliveries come up it.  Each stage
+    a node), the reliable channel, gossip and the twins stage are stacked
+    on it only when configured, so a feature that is off is absent rather
+    than branched around.  Sends go down the stack, deliveries come up it.  Each stage
     owns its envelope, its timer payloads and its [net.*] counters
     (DESIGN.md §3.6, §3.17). *)
 
@@ -29,28 +29,20 @@ type env = {
   network : Network.t;
   rng : Rng.t;  (** Root stream; {!create} splits the stage streams off it. *)
   now : unit -> Time.t;
-  crashed : bool array;  (** [config.crashed] by physical id: these never run. *)
+  lifecycle : Lifecycle.t;  (** Which nodes never run, and which are down when. *)
   cpus : Cost_model.cpu array;  (** Per-node sequential CPUs; a send waits for signing. *)
   attack : Message.t -> Bftsim_attack.Attacker.verdict;
   delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
       (** Replay: the recorded delay of the [seq]-th send on a link. *)
   next_id : unit -> int;  (** A fresh message id. *)
-  deliver_at : Message.t -> unit;
-      (** Enqueue the message at its arrival time (and trace its flight). *)
+  deliver_at : Message.t -> unit;  (** Enqueue the message at its arrival time. *)
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
-  timer_fired : Timer.t -> unit;  (** Count and trace a fired alarm. *)
-  counter : string -> int ref;  (** Registers a counter (a dead cell without metrics). *)
-  histogram : ?buckets:float array -> string -> Bftsim_obs.Metrics.histogram option;
-      (** Registers a histogram; [None] without metrics. *)
-  discarded : Trace.kind -> name:string -> detail:string -> Message.t -> unit;
-      (** Trace a discarded message: a [kind] row with [detail], and a tracer
-          instant named [name ^ tag]. *)
-  record : Trace.kind -> node:int -> peer:int -> tag:string -> detail:string -> unit;
-  recording : bool;  (** Whether [record] keeps rows (guards payload rendering). *)
+  telemetry : Telemetry.t;
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)
 }
-(** What the controller hands the stack: configuration, clock, the event
-    queue, the attacker verdict, timers and telemetry sinks. *)
+(** What the controller hands the stack: configuration, clock, the node
+    lifecycle, the event queue, the attacker verdict, timers and the run's
+    telemetry. *)
 
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
@@ -65,7 +57,8 @@ type stage = {
 val create : env -> stage
 (** The top of the stack: protocol sends enter its [send]/[broadcast], and
     [deliver up] is the handler for arrivals, handing [up] what reaches the
-    top. *)
+    top.  Under twins, [send]'s [dst] is a logical identity, expanded to
+    its physical instances; everything below addresses physical ids. *)
 
 val reliable : env -> Rng.t -> stage -> stage
 (** The reliable-channel stage over [lower]: remote sends are wrapped in

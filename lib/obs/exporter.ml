@@ -9,13 +9,6 @@
 
 type format = Jsonl | Chrome
 
-let format_of_string = function
-  | "jsonl" -> Some Jsonl
-  | "chrome" -> Some Chrome
-  | _ -> None
-
-let format_to_string = function Jsonl -> "jsonl" | Chrome -> "chrome"
-
 let arg_to_json = function
   | Tracer.Str s -> Json.String s
   | Tracer.Int i -> Json.Int i

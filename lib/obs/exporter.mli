@@ -9,11 +9,6 @@
 
 type format = Jsonl | Chrome
 
-val format_of_string : string -> format option
-(** ["jsonl"] | ["chrome"]. *)
-
-val format_to_string : format -> string
-
 val entry_to_json : Tracer.entry -> Json.t
 (** One Chrome trace-event object: name, cat, ph (X/i), ts, dur/s, pid,
     tid (the node), args. *)

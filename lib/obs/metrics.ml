@@ -103,13 +103,11 @@ let observe_h h v =
 
 let observe ?buckets t name v = observe_h (histogram ?buckets t name) v
 
-(* Disabled-path sinks: a pre-resolved handle that goes nowhere, so
+(* Disabled-path sink: a pre-resolved handle that goes nowhere, so
    instrumented hot paths pay one increment on a dead cell instead of a
    branch plus a hash lookup.  Fresh per call site — sharing one across
    domains would be a benign but noisy data race. *)
 let null_counter () = ref 0
-
-let null_histogram () = fresh_histogram [| infinity |]
 
 (* --- snapshots (deterministic order) --- *)
 

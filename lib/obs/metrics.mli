@@ -52,8 +52,6 @@ val null_counter : unit -> int ref
 (** A dead cell for disabled telemetry: increments go nowhere, so the
     disabled path costs one store instead of a branch per probe. *)
 
-val null_histogram : unit -> histogram
-
 (** {1 Snapshots and aggregation} *)
 
 type histogram_snapshot = {

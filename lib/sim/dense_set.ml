@@ -42,3 +42,15 @@ let remove t i =
   end
 
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+
+let cardinal t =
+  let count = ref 0 in
+  Bytes.iter
+    (fun c ->
+      let b = ref (Char.code c) in
+      while !b <> 0 do
+        b := !b land (!b - 1);
+        incr count
+      done)
+    t.bits;
+  !count

@@ -23,3 +23,6 @@ val remove : t -> int -> unit
 
 val clear : t -> unit
 (** Empties the set, keeping its capacity. *)
+
+val cardinal : t -> int
+(** Number of members; linear in the capacity. *)

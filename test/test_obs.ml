@@ -286,26 +286,6 @@ let test_jsonl_export () =
           | _ -> Alcotest.fail "line is not an object")
         lines)
 
-(* --- Probe (ambient sink) --- *)
-
-let test_probe_ambient () =
-  (* Without a sink every helper is a no-op. *)
-  Obs.Probe.clear ();
-  Obs.Probe.incr "c";
-  Obs.Probe.instant ~name:"x" ~cat:"t" ~node:0 ~ts_us:0. ();
-  let reg = Obs.Metrics.create () in
-  let tr = Obs.Tracer.create ~capacity:4 () in
-  Obs.Probe.set ~metrics:reg ~tracer:tr ();
-  Obs.Probe.incr ~by:2 "c";
-  Obs.Probe.observe ~buckets:[| 10. |] "h" 3.;
-  Obs.Probe.instant ~name:"x" ~cat:"t" ~node:0 ~ts_us:0. ();
-  Obs.Probe.clear ();
-  Obs.Probe.incr "c";
-  (match List.assoc "c" (Obs.Metrics.snapshot reg) with
-  | Obs.Metrics.Counter_v 2 -> ()
-  | _ -> Alcotest.fail "ambient counter");
-  Alcotest.(check int) "ambient instant" 1 (Obs.Tracer.length tr)
-
 (* --- End-to-end: controller + runner --- *)
 
 let base_config ?(telemetry = Core.Config.default_telemetry) () =
@@ -371,6 +351,56 @@ let test_merged_metrics_jobs_independent () =
     (Format.asprintf "%a" Obs.Metrics.pp m1)
     (Format.asprintf "%a" Obs.Metrics.pp m4)
 
+(* A traced run ends with one open timer span per pending alarm: every path
+   that consumes an alarm without firing it (a retransmission whose frame
+   was acked or abandoned, an alarm lost with a node that never restarts)
+   closes its span as well.  The controller's debug line at run end reports
+   both counts. *)
+let test_timer_spans_match_pending_alarms () =
+  let lines = ref [] in
+  let report _src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun s ->
+            lines := s :: !lines;
+            over ();
+            k ())
+          fmt)
+  in
+  let src = Bftsim_sim.Simlog.src in
+  let reporter = Logs.reporter () and level = Logs.Src.level src in
+  Logs.set_reporter { Logs.report };
+  Logs.Src.set_level src (Some Logs.Debug);
+  let config =
+    {
+      (Core.Config.make "pbft" ~n:7 ~seed:42 ~delay:(Net.Delay_model.Constant 100.)) with
+      Core.Config.loss = Net.Loss_model.make ~drop:0.05 ~dup:0.02 ~reorder_ms:50. ();
+      reliable = true;
+      retrans_base_ms = 250.;
+      chaos =
+        Result.get_ok
+          (Bftsim_attack.Fault_schedule.of_string "crash:2@200;restart:2@700;crash:5@300");
+      telemetry = { Core.Config.metrics = false; tracing = true; trace_capacity = 1024 };
+    }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level src level)
+    (fun () -> ignore (Core.Controller.run config : Core.Controller.result));
+  let counts line =
+    match String.index_opt line ':' with
+    | Some i when String.length line > i + 2 ->
+      let rest = String.sub line (i + 2) (String.length line - i - 2) in
+      Scanf.sscanf_opt rest "%d alarms pending, %d timer spans open" (fun a b -> (a, b))
+    | _ -> None
+  in
+  match List.find_map counts !lines with
+  | None -> Alcotest.fail "no run-end debug line"
+  | Some (pending, open_spans) ->
+    Alcotest.(check bool) "alarms still pending at run end" true (pending > 0);
+    Alcotest.(check int) "open timer spans" pending open_spans
+
 let test_simlog_mirror () =
   let tr = Obs.Tracer.create ~capacity:16 () in
   Bftsim_sim.Simlog.set_mirror
@@ -423,11 +453,12 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "probe ambient sink" `Quick test_probe_ambient;
           Alcotest.test_case "telemetry does not perturb results" `Quick
             test_telemetry_does_not_perturb;
           Alcotest.test_case "merged metrics jobs-independent" `Quick
             test_merged_metrics_jobs_independent;
           Alcotest.test_case "simlog mirror" `Quick test_simlog_mirror;
+          Alcotest.test_case "timer spans match pending alarms" `Quick
+            test_timer_spans_match_pending_alarms;
         ] );
     ]

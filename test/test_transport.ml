@@ -10,7 +10,8 @@
      once;
    - no frame is sent more than [1 + retrans_max] times;
    - once the wire is perfect, a frame that reaches its receiver is acked
-     before its sender could abandon it. *)
+     before its sender could abandon it;
+   - every alarm the channel consumed closed its timer span. *)
 
 open Bftsim_sim
 open Bftsim_net
@@ -61,11 +62,16 @@ let take l i =
   (List.nth l i, List.filteri (fun j _ -> j <> i) l)
 
 let run_script ops =
-  let config = Core.Config.make "pbft" ~n:4 ~reliable:true ~retrans_max in
+  let config =
+    {
+      (Core.Config.make "pbft" ~n:4 ~reliable:true ~retrans_max ~record_trace:true) with
+      Core.Config.telemetry = { Core.Config.default_telemetry with tracing = true };
+    }
+  in
   let flying = ref [] and alarms = ref [] in
-  let unwrapped = Hashtbl.create 16 and given_up = Hashtbl.create 16 in
-  (* Drain phase: frames that arrived, and frames abandoned. *)
-  let draining = ref false and arrived_late = Hashtbl.create 16 and given_up_late = ref [] in
+  let unwrapped = Hashtbl.create 16 in
+  (* Drain phase: frames that arrived. *)
+  let draining = ref false and arrived_late = Hashtbl.create 16 in
   (* Frames put on the wire, per (src, dst, seq). *)
   let frames = Hashtbl.create 16 in
   let next_id = ref 0 in
@@ -86,6 +92,7 @@ let run_script ops =
       on_timer = (fun _ -> false);
     }
   in
+  let telemetry = Core.Telemetry.create config ~now_ms:(fun () -> 0.) ~restarts:false in
   let env =
     {
       Transport.config;
@@ -94,7 +101,7 @@ let run_script ops =
           ~rng:(Rng.create 1) ();
       rng = Rng.create 2;
       now = (fun () -> Time.zero);
-      crashed = Array.make 4 false;
+      lifecycle = Core.Lifecycle.create config ~cpus:[||] ~now_ms:(fun () -> 0.);
       cpus = [||];
       attack = (fun _ -> Bftsim_attack.Attacker.Deliver);
       delay_override = None;
@@ -103,19 +110,11 @@ let run_script ops =
       arm_timer =
         (fun ~owner ~delay_ms:_ ~tag payload ->
           incr next_id;
-          alarms := !alarms @ [ { Timer.id = !next_id; owner; deadline = Time.zero; tag; payload } ];
+          let alarm = { Timer.id = !next_id; owner; deadline = Time.zero; tag; payload } in
+          alarms := !alarms @ [ alarm ];
+          Core.Telemetry.alarm telemetry Core.Telemetry.Armed alarm;
           !next_id);
-      timer_fired = ignore;
-      counter = (fun _ -> ref 0);
-      histogram = (fun ?buckets:_ _ -> None);
-      discarded = (fun _ ~name:_ ~detail:_ _ -> ());
-      record =
-        (fun kind ~node ~peer ~tag ~detail ->
-          if kind = Core.Trace.Drop && detail = "rc-give-up" then begin
-            Hashtbl.replace given_up (node, peer, tag) ();
-            if !draining then given_up_late := (node, peer, tag) :: !given_up_late
-          end);
-      recording = false;
+      telemetry;
       dropped = ref 0;
     }
   in
@@ -163,14 +162,28 @@ let run_script ops =
       drain ()
     | [], [] -> ()
   in
+  let trace = Option.get (Core.Telemetry.trace telemetry) in
+  let before_drain = Core.Trace.length trace in
   draining := true;
   drain ();
+  (* Abandoned frames, as the trace records them: all, and those given up
+     during the drain. *)
+  let given_up = Hashtbl.create 16 and given_up_late = ref [] in
+  List.iteri
+    (fun i (e : Core.Trace.entry) ->
+      if e.kind = Core.Trace.Drop && e.detail = "rc-give-up" then begin
+        Hashtbl.replace given_up (e.node, e.peer, e.tag) ();
+        if i >= before_drain then given_up_late := (e.node, e.peer, e.tag) :: !given_up_late
+      end)
+    (Core.Trace.entries trace);
+  Core.Telemetry.close telemetry;
   let count table k = Option.value ~default:0 (Hashtbl.find_opt table k) in
   List.for_all
     (fun k -> count unwrapped k = 1 || (count unwrapped k = 0 && Hashtbl.mem given_up k))
     !sent
   && Hashtbl.fold (fun _ n ok -> ok && n <= 1 + retrans_max) frames true
   && List.for_all (fun k -> not (Hashtbl.mem arrived_late k)) !given_up_late
+  && Core.Telemetry.open_timer_spans telemetry = 0
 
 let prop_reliable_channel =
   QCheck.Test.make ~count:500
