@@ -52,5 +52,8 @@ let () =
 
   (* A forged request cannot prove inclusion. *)
   let forged_ok = Merkle.verify ~root ~leaf:"transfer(acct0 -> attacker, 999999)" (Merkle.prove batch 0) in
-  Format.printf "forged request accepted: %b (proof sizes: %d hashes per request)@." forged_ok
-    (List.length (Merkle.prove batch 0))
+  (* An unpaired node moves up a level without a sibling, so proofs in a
+     batch that is not a power of two differ in length. *)
+  let sizes = List.init (List.length batch) (fun i -> List.length (Merkle.prove batch i)) in
+  Format.printf "forged request accepted: %b (proofs of %d to %d hashes)@." forged_ok
+    (List.fold_left min max_int sizes) (List.fold_left max 0 sizes)

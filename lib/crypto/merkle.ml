@@ -6,25 +6,17 @@ let hash_leaf leaf = Sha256.digest_string ("leaf|" ^ leaf)
 
 let hash_node l r = Sha256.digest_string ("node|" ^ Sha256.to_raw l ^ Sha256.to_raw r)
 
-(* Pad to a power of two by repeating the last leaf hash; standard and keeps
-   proof shapes uniform. *)
-let level_of_leaves leaves =
-  let hashes = List.map hash_leaf leaves in
-  match hashes with
+let level_of_leaves = function
   | [] -> [| Sha256.digest_string "" |]
-  | _ ->
-    let n = List.length hashes in
-    let size = ref 1 in
-    while !size < n do
-      size := !size * 2
-    done;
-    let arr = Array.make !size (List.nth hashes (n - 1)) in
-    List.iteri (fun i h -> arr.(i) <- h) hashes;
-    arr
+  | leaves -> Array.of_list (List.map hash_leaf leaves)
 
+(* An unpaired last node moves up a level unchanged (the RFC 6962 tree
+   shape).  Pairing it with a copy of itself instead would give [a; b; c] and
+   [a; b; c; c] the same root. *)
 let reduce level =
-  let half = Array.length level / 2 in
-  Array.init half (fun i -> hash_node level.(2 * i) level.((2 * i) + 1))
+  let n = Array.length level in
+  Array.init ((n + 1) / 2) (fun i ->
+      if (2 * i) + 1 < n then hash_node level.(2 * i) level.((2 * i) + 1) else level.(2 * i))
 
 let root leaves =
   let level = ref (level_of_leaves leaves) in
@@ -40,11 +32,8 @@ let prove leaves i =
   let idx = ref i in
   let steps = ref [] in
   while Array.length !level > 1 do
-    let sibling = if !idx mod 2 = 0 then !idx + 1 else !idx - 1 in
-    let step =
-      if !idx mod 2 = 0 then Right !level.(sibling) else Left !level.(sibling)
-    in
-    steps := step :: !steps;
+    if !idx mod 2 = 1 then steps := Left !level.(!idx - 1) :: !steps
+    else if !idx + 1 < Array.length !level then steps := Right !level.(!idx + 1) :: !steps;
     level := reduce !level;
     idx := !idx / 2
   done;

@@ -12,8 +12,9 @@ type proof_step = Left of Sha256.digest | Right of Sha256.digest
 type proof = proof_step list
 
 val root : string list -> Sha256.digest
-(** Merkle root of the leaves (duplicate-last padding to a power of two).
-    The root of [\[\]] is the digest of the empty string. *)
+(** Merkle root of the leaves.  An unpaired node is carried up a level
+    unchanged (the RFC 6962 shape), so the root binds the leaf count.  The
+    root of [\[\]] is the digest of the empty string. *)
 
 val prove : string list -> int -> proof
 (** [prove leaves i] is the inclusion proof for leaf [i].

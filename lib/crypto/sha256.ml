@@ -1,132 +1,117 @@
 type digest = string
 
+(* Each 32-bit word lives in a native int, kept in [0, 2^32) by masking after
+   every operation that can carry past bit 31.  Unlike [Int32], native ints
+   are unboxed, so compression allocates nothing. *)
+let mask = 0xffffffff
+
 (* Round constants: cube roots of the first 64 primes (FIPS 180-4 §4.2.2). *)
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l; 0x923f82a4l;
-    0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel;
-    0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl;
-    0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l;
-    0xc6e00bf3l; 0xd5a79147l; 0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-    0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l;
-    0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl; 0x682e6ff3l;
-    0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l; 0x90befffal; 0xa4506cebl; 0xbef9a3f7l;
-    0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4; 0xab1c5ed5;
+    0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174;
+    0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967;
+    0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+    0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+(* Initial hash: square roots of the first 8 primes. *)
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
-let ( +% ) = Int32.add
+let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let ( ^% ) = Int32.logxor
+(* Per-domain scratch: the message schedule, the chaining state and room for
+   the one or two padded final blocks.  It must not be a plain top-level
+   buffer, because [Runner.run_many] hashes on several domains at once. *)
+type scratch = { w : int array; h : int array; tail : Bytes.t }
 
-let ( &% ) = Int32.logand
+let scratch =
+  Domain.DLS.new_key (fun () -> { w = Array.make 64 0; h = Array.make 8 0; tail = Bytes.create 128 })
 
-let lnot32 = Int32.lognot
-
-let shr = Int32.shift_right_logical
-
-type state = { h : int32 array }
-
-let init () =
-  (* Initial hash: square roots of the first 8 primes. *)
-  {
-    h =
-      [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl; 0x9b05688cl; 0x1f83d9abl;
-        0x5be0cd19l;
-      |];
-  }
-
-let compress st block off =
-  let w = Array.make 64 0l in
+let compress w h block off =
   for t = 0 to 15 do
-    let base = off + (4 * t) in
-    let byte i = Int32.of_int (Char.code (Bytes.get block (base + i))) in
-    w.(t) <-
-      Int32.logor
-        (Int32.shift_left (byte 0) 24)
-        (Int32.logor
-           (Int32.shift_left (byte 1) 16)
-           (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^% rotr w.(t - 15) 18 ^% shr w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^% rotr w.(t - 2) 19 ^% shr w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
   done;
-  let a = ref st.h.(0)
-  and b = ref st.h.(1)
-  and c = ref st.h.(2)
-  and d = ref st.h.(3)
-  and e = ref st.h.(4)
-  and f = ref st.h.(5)
-  and g = ref st.h.(6)
-  and hh = ref st.h.(7) in
+  let a = ref h.(0)
+  and b = ref h.(1)
+  and c = ref h.(2)
+  and d = ref h.(3)
+  and e = ref h.(4)
+  and f = ref h.(5)
+  and g = ref h.(6)
+  and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (lnot32 !e &% !g) in
-    let t1 = !hh +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let t2 = s0 +% maj in
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor ((e' lxor mask) land !g) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% t1;
+    f := e';
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := t1 +% t2
+    b := a';
+    a := (t1 + s0 + maj) land mask
   done;
-  st.h.(0) <- st.h.(0) +% !a;
-  st.h.(1) <- st.h.(1) +% !b;
-  st.h.(2) <- st.h.(2) +% !c;
-  st.h.(3) <- st.h.(3) +% !d;
-  st.h.(4) <- st.h.(4) +% !e;
-  st.h.(5) <- st.h.(5) +% !f;
-  st.h.(6) <- st.h.(6) +% !g;
-  st.h.(7) <- st.h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
+(* Whole blocks are compressed in place; only the remainder is copied, into
+   one or two scratch blocks that carry the padding: 0x80, zeros, then the
+   bit length as a big-endian 64-bit word. *)
 let digest_bytes msg =
-  let st = init () in
+  let { w; h; tail } = Domain.DLS.get scratch in
+  Array.blit iv 0 h 0 8;
   let len = Bytes.length msg in
-  (* Padding: 0x80, zeros, then the bit length as a big-endian 64-bit word,
-     bringing the total to a multiple of 64 bytes. *)
-  let rem = len mod 64 in
-  let pad_len = if rem < 56 then 56 - rem else 120 - rem in
-  let total = len + pad_len + 8 in
-  let buf = Bytes.make total '\000' in
-  Bytes.blit msg 0 buf 0 len;
-  Bytes.set buf len '\x80';
-  let bitlen = Int64.of_int (8 * len) in
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set buf
-      (total - 8 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen shift) 0xffL)))
+  let full = len / 64 * 64 in
+  for b = 0 to (len / 64) - 1 do
+    compress w h msg (64 * b)
   done;
-  let blocks = total / 64 in
-  for b = 0 to blocks - 1 do
-    compress st buf (b * 64)
-  done;
+  let rem = len - full in
+  let tail_len = if rem < 56 then 64 else 128 in
+  Bytes.blit msg full tail 0 rem;
+  Bytes.set tail rem '\x80';
+  Bytes.fill tail (rem + 1) (tail_len - rem - 9) '\000';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (8 * len));
+  compress w h tail 0;
+  if tail_len = 128 then compress w h tail 64;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = st.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (shr v 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (shr v 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (shr v 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int h.(i))
   done;
   Bytes.unsafe_to_string out
 
-let digest_string s = digest_bytes (Bytes.of_string s)
+(* [digest_bytes] only reads its argument, so sharing the string is safe. *)
+let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
+
+let hex_digits = "0123456789abcdef"
 
 let to_hex d =
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length d) in
+  for i = 0 to String.length d - 1 do
+    let b = Char.code (String.unsafe_get d i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[b lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[b land 15]
+  done;
+  Bytes.unsafe_to_string out
 
 let of_raw s = if String.length s <> 32 then invalid_arg "Sha256.of_raw: need 32 bytes" else s
 
@@ -136,11 +121,6 @@ let equal = String.equal
 
 let compare = String.compare
 
-let first64 d =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code d.[i]))
-  done;
-  !acc
+let first64 d = String.get_int64_be d 0
 
 let pp ppf d = Format.pp_print_string ppf (String.sub (to_hex d) 0 8)

@@ -3,7 +3,8 @@ type keypair = { node : int; secret : string; public : string }
 type signature = { signer : int; tag : Sha256.digest }
 
 let secret_of ~seed ~node =
-  Sha256.to_raw (Sha256.digest_string (Printf.sprintf "bftsim-sk|%d|%d" seed node))
+  Sha256.to_raw
+    (Sha256.digest_string (String.concat "|" [ "bftsim-sk"; string_of_int seed; string_of_int node ]))
 
 let keygen ~seed ~node =
   let secret = secret_of ~seed ~node in

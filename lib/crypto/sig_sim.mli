@@ -14,6 +14,10 @@ type keypair = { node : int; secret : string; public : string }
 
 type signature = { signer : int; tag : Sha256.digest }
 
+val secret_of : seed:int -> node:int -> string
+(** The secret key of [node] in the key domain [seed]; [keygen] and [verify]
+    derive it the same way. *)
+
 val keygen : seed:int -> node:int -> keypair
 (** Deterministic keypair for [node] in the key domain [seed]. *)
 

@@ -44,6 +44,57 @@ let test_sha256_padding_boundaries () =
     "64 bytes" "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
     (sha_hex (String.make 64 'a'))
 
+(* Independent vectors for a binary byte pattern at every block and padding
+   boundary, computed once with Python's hashlib/hmac:
+   python3 -c 'import hashlib,hmac;p=lambda n:bytes(i%256 for i in range(n));[print(n,hashlib.sha256(p(n)).hexdigest()) for n in (0,1,55,56,57,63,64,65,119,120,121,127,128,129,191,192,1000)];[print(k,hmac.new(p(k),p(100),"sha256").hexdigest()) for k in (63,64,65)]' *)
+let pattern n = String.init n (fun i -> Char.chr (i land 0xff))
+
+let sha256_pattern_vectors =
+  [
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+    (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+    (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+    (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+    (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+    (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+    (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+    (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+    (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+    (121, "335a461692b30bba1d647cc71604e88e676c90e4c22455d0b8c83f4bd7c8ac9b");
+    (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+    (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+    (129, "5099c6a56203f9687f7d33f4bfdf576d31dc91f6b695ecea38b2770c87631135");
+    (191, "d280f473c251cb75c91880ea0eca2a2f1cda3152bef54a38c4a3aedad615c819");
+    (192, "8b4a544837a1a0280fa8a7c82865c27a1064b3cc6281fda0753566b9bb104a87");
+    (1000, "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f");
+  ]
+
+let test_sha256_block_boundaries () =
+  List.iter
+    (fun (n, hex) ->
+      Alcotest.(check string) (Printf.sprintf "%d pattern bytes" n) hex (sha_hex (pattern n));
+      Alcotest.(check string)
+        (Printf.sprintf "%d pattern bytes via digest_bytes" n)
+        hex
+        (Sha256.to_hex (Sha256.digest_bytes (Bytes.of_string (pattern n)))))
+    sha256_pattern_vectors
+
+(* Each domain hashes with its own scratch; two domains hashing at once must
+   agree with a sequential pass. *)
+let test_sha256_concurrent_domains () =
+  let inputs = List.init 300 (fun n -> pattern (n * 7 mod 601)) in
+  let digest_all () = List.map (fun s -> Sha256.to_hex (Sha256.digest_string s)) inputs in
+  let expected = digest_all () in
+  let spawn () = Domain.spawn (fun () -> List.init 20 (fun _ -> digest_all ())) in
+  let d1 = spawn () and d2 = spawn () in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun got -> Alcotest.(check (list string)) "concurrent = sequential" expected got)
+        (Domain.join d))
+    [ d1; d2 ]
+
 let test_sha256_digest_ops () =
   let d = Sha256.digest_string "abc" in
   Alcotest.(check bool) "equal to itself" true (Sha256.equal d (Sha256.digest_string "abc"));
@@ -93,6 +144,21 @@ let test_hmac_long_key () =
   Alcotest.(check string)
     "case 6 (long key)" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Sha256.to_hex (Hmac.mac ~key "Test Using Larger Than Block-Size Key - Hash Key First"))
+
+let test_hmac_key_block_boundary () =
+  (* 63- and 64-byte keys are zero-filled; a 65-byte key is hashed first.
+     Vectors from the Python command above the SHA-256 pattern table. *)
+  List.iter
+    (fun (k, hex) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d-byte key" k)
+        hex
+        (Sha256.to_hex (Hmac.mac ~key:(pattern k) (pattern 100))))
+    [
+      (63, "05830d59141b58e273d16624f5ed386b0353bc37f3a9af8504e165d5294ee1a7");
+      (64, "e0fc11a31f1f2b329e227864906e9a8b39de647be9e0a456fe509e8b63f111af");
+      (65, "b111d1e4b6591f801ff7643c4d592adb08869a9686d44f4217b01405b29830e9");
+    ]
 
 let test_hmac_verify () =
   let tag = Hmac.mac ~key:"k" "message" in
@@ -213,6 +279,50 @@ let prop_merkle_all_proofs =
         (fun i -> Merkle.verify ~root ~leaf:(List.nth leaves i) (Merkle.prove leaves i))
         (List.init (List.length leaves) (fun i -> i)))
 
+let prop_merkle_root_binds_leaf_count =
+  QCheck.Test.make ~name:"repeating the last leaf changes the root" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 24) (string_gen_of_size (Gen.int_range 0 8) Gen.printable))
+    (fun leaves ->
+      let longer = leaves @ [ List.nth leaves (List.length leaves - 1) ] in
+      let all_prove l =
+        let root = Merkle.root l in
+        List.for_all (fun i -> Merkle.verify ~root ~leaf:(List.nth l i) (Merkle.prove l i))
+          (List.init (List.length l) (fun i -> i))
+      in
+      let last = List.length longer - 1 in
+      (not (Sha256.equal (Merkle.root leaves) (Merkle.root longer)))
+      && all_prove leaves && all_prove longer
+      && not
+           (Merkle.verify ~root:(Merkle.root leaves) ~leaf:(List.nth longer last)
+              (Merkle.prove longer last)))
+
+(* --- Allocation budgets ---
+
+   Minor words per call, averaged over 1,000 calls.  The kernel works on
+   native ints in per-domain scratch, so a digest allocates little beyond its
+   32-byte result; a budget breach names this layer directly. *)
+
+let words_per_call f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. 1_000.
+
+let check_budget name budget f =
+  let w = words_per_call f in
+  if w > budget then Alcotest.failf "%s: %.1f minor words per call > budget %.0f" name w budget
+
+let test_alloc_budgets () =
+  let block = String.make 64 'x' in
+  check_budget "Sha256.digest_string (64 B)" 32. (fun () ->
+      ignore (Sha256.digest_string block : Sha256.digest));
+  let ev = Vrf.eval ~seed:3 ~node:3 ~input:"round-7" in
+  check_budget "Vrf.verify" 400. (fun () -> ignore (Vrf.verify ~seed:3 ev : bool));
+  let d = Sha256.digest_string block in
+  check_budget "Sha256.to_hex" 16. (fun () -> ignore (Sha256.to_hex d : string))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "crypto"
@@ -225,6 +335,8 @@ let () =
           Alcotest.test_case "896-bit" `Quick test_sha256_896_bit;
           Alcotest.test_case "1000 a" `Quick test_sha256_thousand_a;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_padding_boundaries;
+          Alcotest.test_case "block boundaries (hashlib vectors)" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "concurrent domains" `Quick test_sha256_concurrent_domains;
           Alcotest.test_case "digest operations" `Quick test_sha256_digest_ops;
           qc prop_sha256_deterministic;
           qc prop_sha256_injective_on_samples;
@@ -235,6 +347,7 @@ let () =
           Alcotest.test_case "rfc4231 case 2" `Quick test_hmac_rfc4231_case2;
           Alcotest.test_case "rfc4231 case 3" `Quick test_hmac_rfc4231_case3;
           Alcotest.test_case "rfc4231 case 6 long key" `Quick test_hmac_long_key;
+          Alcotest.test_case "key block boundary (hmac vectors)" `Quick test_hmac_key_block_boundary;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
         ] );
       ( "signatures",
@@ -259,5 +372,7 @@ let () =
           Alcotest.test_case "order sensitivity" `Quick test_merkle_root_depends_on_order;
           Alcotest.test_case "bounds" `Quick test_merkle_out_of_bounds;
           qc prop_merkle_all_proofs;
+          qc prop_merkle_root_binds_leaf_count;
         ] );
+      ("allocation", [ Alcotest.test_case "per-call budgets" `Quick test_alloc_budgets ]);
     ]
