@@ -611,9 +611,11 @@ let speedup () =
 
 (* events/sec and minor words/event of one Controller.run on the speedup
    kernel's configuration — the two numbers the hot-path work of DESIGN.md
-   §3.15 moves.  Minor words come from Gc.quick_stat deltas around the run,
+   §3.15 moves.  Minor words come from Gc.minor_words () around the run,
    so the figure includes protocol allocation (payloads), not just the
-   engine: it is an end-to-end per-event budget. *)
+   engine: it is an end-to-end per-event budget.  Gc.quick_stat would not
+   do: in OCaml 5 its minor_words advances only at minor collections, so
+   its delta counts whole minor heaps, not the words allocated. *)
 let event_cost_record : (int * float * float * float) option ref = ref None
 
 let event_cost () =
@@ -632,16 +634,14 @@ let event_cost () =
   in
   (* Warm-up run so lane growth and code paths are resident. *)
   ignore (Core.Controller.run config);
-  let s0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = Core.Controller.run config in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () in
   let events = r.Core.Controller.events_processed in
   let events_per_sec = float_of_int events /. Float.max wall_s 1e-9 in
-  let words_per_event =
-    (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int (Stdlib.max events 1)
-  in
+  let words_per_event = (w1 -. w0) /. float_of_int (Stdlib.max events 1) in
   Printf.printf "  events            %10d\n" events;
   Printf.printf "  wall time         %10.4f s\n" wall_s;
   Printf.printf "  events/sec        %10.0f\n" events_per_sec;

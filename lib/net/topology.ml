@@ -3,7 +3,7 @@ type zones = { names : string array; assignment : int array; rtt_ms : float arra
 type t = {
   n : int;
   subnet : int array;
-  scales : (int * int, float) Hashtbl.t;
+  scales : (int, float) Hashtbl.t;  (* keyed by [src * n + dst] *)
   zones : zones option;
 }
 
@@ -28,9 +28,19 @@ let subnet_of t i = t.subnet.(i)
 
 let same_subnet t a b = t.subnet.(a) = t.subnet.(b)
 
-let set_pair_scale t ~src ~dst scale = Hashtbl.replace t.scales (src, dst) scale
+(* Pairs are keyed by one int, so a per-send lookup hashes an immediate
+   instead of allocating and hashing a [(src, dst)] tuple; with no scale set
+   (the common case) it skips the table altogether. *)
+let pair_key t ~src ~dst = (src * t.n) + dst
 
-let pair_scale t ~src ~dst = Option.value ~default:1.0 (Hashtbl.find_opt t.scales (src, dst))
+let set_pair_scale t ~src ~dst scale =
+  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
+    invalid_arg "Topology.set_pair_scale: node out of range";
+  Hashtbl.replace t.scales (pair_key t ~src ~dst) scale
+
+let pair_scale t ~src ~dst =
+  if Hashtbl.length t.scales = 0 then 1.0
+  else match Hashtbl.find t.scales (pair_key t ~src ~dst) with s -> s | exception Not_found -> 1.0
 
 (* --- Geographic zones --- *)
 
@@ -81,8 +91,10 @@ let zone_rtt_ms t ~a ~b =
   match t.zones with None -> 0. | Some z -> z.rtt_ms.(z.assignment.(a)).(z.assignment.(b))
 
 (* One-way propagation: half the zone-pair RTT.  Without zones the model
-   degenerates to 0 and delays come from the sampled distribution alone. *)
-let zone_delay_ms t ~src ~dst = zone_rtt_ms t ~a:src ~b:dst /. 2.
+   degenerates to 0 and delays come from the sampled distribution alone;
+   that case returns the literal, so the per-send call allocates no box. *)
+let zone_delay_ms t ~src ~dst =
+  match t.zones with None -> 0. | Some _ -> zone_rtt_ms t ~a:src ~b:dst /. 2.
 
 let round_robin_assignment ~n ~zones =
   if zones <= 0 then invalid_arg "Topology.round_robin_assignment: zones <= 0";

@@ -35,7 +35,8 @@ val subnet_of : t -> int -> int
 val same_subnet : t -> int -> int -> bool
 
 val set_pair_scale : t -> src:int -> dst:int -> float -> unit
-(** Multiplies sampled delays on the directed link [src -> dst]. *)
+(** Multiplies sampled delays on the directed link [src -> dst].
+    @raise Invalid_argument if [src] or [dst] is not a node of [t]. *)
 
 val pair_scale : t -> src:int -> dst:int -> float
 (** The scaling factor for a directed link; 1.0 by default. *)

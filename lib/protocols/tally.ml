@@ -1,38 +1,48 @@
-type 'k entry = { voters : (int, unit) Hashtbl.t }
+(* Each key's voters are a bitset over logical node ids plus a running
+   count of distinct voters.  At n=512 a voter set is 64 bytes of bits,
+   where a per-key hashtable grew to hundreds of scattered buckets; a vote
+   is one hash of the key and a bit test. *)
+
+open Bftsim_sim
+
+type entry = { voters : Dense_set.t; mutable count : int }
 
 type 'k t = {
-  table : ('k, 'k entry) Hashtbl.t;
+  table : ('k, entry) Hashtbl.t;
   mutable order : 'k list;  (** Keys in first-seen order, newest first. *)
 }
 
 let create () = { table = Hashtbl.create 32; order = [] }
 
 let entry t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
-    let e = { voters = Hashtbl.create 8 } in
-    Hashtbl.replace t.table key e;
+  match Hashtbl.find t.table key with
+  | e -> e
+  | exception Not_found ->
+    let e = { voters = Dense_set.create (); count = 0 } in
+    Hashtbl.add t.table key e;
     t.order <- key :: t.order;
     e
 
 let add t key ~voter =
+  if voter < 0 then invalid_arg "Tally.add: negative voter";
   let e = entry t key in
-  if not (Hashtbl.mem e.voters voter) then Hashtbl.replace e.voters voter ();
-  Hashtbl.length e.voters
+  if not (Dense_set.mem e.voters voter) then begin
+    Dense_set.add e.voters voter;
+    e.count <- e.count + 1
+  end;
+  e.count
 
-let count t key =
-  match Hashtbl.find_opt t.table key with None -> 0 | Some e -> Hashtbl.length e.voters
+let count t key = match Hashtbl.find t.table key with e -> e.count | exception Not_found -> 0
 
 let has_voted t key ~voter =
-  match Hashtbl.find_opt t.table key with
-  | None -> false
-  | Some e -> Hashtbl.mem e.voters voter
+  match Hashtbl.find t.table key with
+  | e -> Dense_set.mem e.voters voter
+  | exception Not_found -> false
 
 let voters t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> []
-  | Some e -> Hashtbl.fold (fun voter () acc -> voter :: acc) e.voters [] |> List.sort compare
+  match Hashtbl.find t.table key with
+  | e -> Dense_set.elements e.voters
+  | exception Not_found -> []
 
 let keys t = t.order
 

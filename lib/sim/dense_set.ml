@@ -1,9 +1,10 @@
 (* Growable bitset over small non-negative integers.
 
-   The controller's timer bookkeeping keys on sequential timer ids, so a
-   flat bit per id beats a hashtable: membership is a shift and a mask with
-   no per-operation allocation (a [Hashtbl.replace] conses a bucket), and
-   the set grows to one bit per id ever issued. *)
+   The controller's timer bookkeeping keys on sequential timer ids and the
+   protocols' vote tallies on logical node ids, so a flat bit per id beats
+   a hashtable: membership is a shift and a mask with no per-operation
+   allocation (a [Hashtbl.replace] conses a bucket), and the set grows to
+   one bit per id ever issued. *)
 
 type t = { mutable bits : Bytes.t }
 
@@ -54,3 +55,10 @@ let cardinal t =
       done)
     t.bits;
   !count
+
+let elements t =
+  let acc = ref [] in
+  for i = (8 * Bytes.length t.bits) - 1 downto 0 do
+    if mem t i then acc := i :: !acc
+  done;
+  !acc

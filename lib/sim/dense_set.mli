@@ -1,9 +1,10 @@
 (** Growable bitset over small non-negative integers.
 
-    Built for the controller's timer bookkeeping (DESIGN.md §3.15): timer
-    ids are issued sequentially, so pending/cancelled membership is one bit
-    per id in a flat byte array — no per-operation allocation, unlike the
-    hashtable it replaced.  Memory is one bit per key ever {!add}ed. *)
+    Built for the controller's timer bookkeeping and the protocols' vote
+    tallies (DESIGN.md §3.15): timer ids are issued sequentially and voters
+    are logical node ids, so membership is one bit per id in a flat byte
+    array — no per-operation allocation, unlike the hashtables it replaced.
+    Memory is one bit per id up to the largest ever {!add}ed. *)
 
 type t
 
@@ -26,3 +27,6 @@ val clear : t -> unit
 
 val cardinal : t -> int
 (** Number of members; linear in the capacity. *)
+
+val elements : t -> int list
+(** Members in ascending order; linear in the capacity. *)

@@ -1,4 +1,4 @@
-(** Imperative binary min-heap with deterministic tie-breaking.
+(** Imperative 4-ary min-heap with deterministic tie-breaking.
 
     The event queue of the simulator (paper §III-A2) must pop events in
     timestamp order; events carrying the same timestamp must come out in the
@@ -11,7 +11,10 @@
     Representation (DESIGN.md §3.15): the heap lives in three flat lanes —
     an unboxed float array of priorities, an int array of sequence numbers
     and a uniform payload array — so pushes and pops move words between
-    arrays instead of allocating boxed entries.  {!min_priority} and
+    arrays instead of allocating boxed entries.  Each slot has four
+    children, adjacent in every lane, which halves the depth a binary heap
+    would have.  Because [(priority, sequence)] is a strict total order, the
+    pop sequence does not depend on the heap's shape.  {!min_priority} and
     {!pop_exn} expose the hot path without the option/tuple boxing of
     {!pop}. *)
 

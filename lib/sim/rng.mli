@@ -10,7 +10,9 @@
     uniform helpers protocols need for value choices and leader election. *)
 
 type t
-(** A mutable generator.  Not thread-safe; each simulation owns its own. *)
+(** A mutable generator.  Not thread-safe; each simulation owns its own.
+    The 64-bit state is held unboxed, so drawing allocates nothing beyond
+    the boxed result a caller in another module receives. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds yield equal streams. *)
@@ -53,7 +55,10 @@ val exponential : t -> mean:float -> float
 (** Exponential with the given mean. *)
 
 val poisson : t -> mean:float -> int
-(** Poisson-distributed count (Knuth's algorithm; O(mean)). *)
+(** Poisson-distributed count (Knuth's algorithm; O(mean)).  Means above
+    500 are drawn as a sum of independent draws of mean at most 500, so
+    [e^-mean] never underflows; means up to 500 take a single draw.
+    @raise Invalid_argument if [mean] is negative or not finite. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -191,7 +191,12 @@ let test_topology_pair_scale () =
   let t = Topology.fully_connected 4 in
   Topology.set_pair_scale t ~src:1 ~dst:2 3.5;
   Alcotest.(check (float 1e-9)) "scaled link" 3.5 (Topology.pair_scale t ~src:1 ~dst:2);
-  Alcotest.(check (float 1e-9)) "reverse direction untouched" 1.0 (Topology.pair_scale t ~src:2 ~dst:1)
+  Alcotest.(check (float 1e-9)) "reverse direction untouched" 1.0 (Topology.pair_scale t ~src:2 ~dst:1);
+  (* Pairs share one int key space, so an out-of-range node must not alias
+     another link. *)
+  match Topology.set_pair_scale t ~src:0 ~dst:4 2.0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "out-of-range destination accepted"
 
 let test_topology_validation () =
   (match Topology.fully_connected 0 with
@@ -446,6 +451,34 @@ let test_loss_model_validate () =
     (Invalid_argument "burst_loss \"x\": expected \"p_gb,p_bg,p_bad\"") (fun () ->
       ignore (Loss_model.burst_of_string "x"))
 
+(* --- Allocation budgets ---
+
+   Minor words per call, averaged over 1,000 calls, on the per-recipient
+   send path.  The generator's state is unboxed and the samplers build no
+   closures, so a delay draw allocates about the boxed float it returns and
+   [assign_delay] adds the box of the stored delay. *)
+
+let words_per_call f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. 1_000.
+
+let check_budget name budget f =
+  let w = words_per_call f in
+  if w > budget then Alcotest.failf "%s: %.1f minor words per call > budget %.0f" name w budget
+
+let test_send_path_alloc_budgets () =
+  let normal = Delay_model.normal ~mu:250. ~sigma:50. in
+  let r = rng () in
+  check_budget "Delay_model.sample (normal)" 8. (fun () ->
+      ignore (Delay_model.sample normal r : float));
+  let net = Network.create ~delay:normal ~topology:(Topology.fully_connected 4) ~rng:(rng ()) () in
+  let m = make_msg ~src:0 ~dst:1 in
+  check_budget "Network.assign_delay" 8. (fun () -> Network.assign_delay net m)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "net"
@@ -490,6 +523,7 @@ let () =
           Alcotest.test_case "bandwidth fifo queue" `Quick test_network_bandwidth_fifo_queue;
           Alcotest.test_case "bandwidth link drains" `Quick test_network_bandwidth_link_drains;
           Alcotest.test_case "mid-run override" `Quick test_network_override_delay;
+          Alcotest.test_case "send-path allocation" `Quick test_send_path_alloc_budgets;
         ] );
       ( "loss_model",
         [

@@ -6,26 +6,29 @@
 
 open Bftsim_sim
 
-(* --- reference model: a sorted association list keyed (priority, seq) --- *)
+(* --- reference model: an ordered map keyed (priority, seq) --- *)
 
 module Model = struct
-  type 'a t = { mutable entries : (float * int * 'a) list; mutable next_seq : int }
+  module Key_map = Map.Make (struct
+    type t = float * int
 
-  let create () = { entries = []; next_seq = 0 }
+    let compare (p1, s1) (p2, s2) = if p1 <> p2 then compare p1 p2 else compare s1 s2
+  end)
+
+  type 'a t = { mutable entries : 'a Key_map.t; mutable next_seq : int }
+
+  let create () = { entries = Key_map.empty; next_seq = 0 }
 
   let push m ~priority v =
     let seq = m.next_seq in
     m.next_seq <- seq + 1;
-    m.entries <-
-      List.merge
-        (fun (p1, s1, _) (p2, s2, _) -> if p1 <> p2 then compare p1 p2 else compare s1 s2)
-        m.entries [ (priority, seq, v) ]
+    m.entries <- Key_map.add (priority, seq) v m.entries
 
   let pop m =
-    match m.entries with
-    | [] -> None
-    | (p, _, v) :: rest ->
-      m.entries <- rest;
+    match Key_map.min_binding_opt m.entries with
+    | None -> None
+    | Some (((p, _) as key), v) ->
+      m.entries <- Key_map.remove key m.entries;
       Some (p, v)
 end
 
@@ -43,12 +46,25 @@ let op_gen =
         (2, return Pop);
       ])
 
+(* Deep scripts push four times as often as they pop, so the heap reaches
+   thousands of entries (five or six levels of the 4-ary layout) with its
+   last child group filled to every possible degree, and ties stay heavy. *)
+let deep_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun p -> Push (float_of_int p)) (int_range 0 9)); (1, return Pop) ])
+
 let script_arb =
   QCheck.make
     ~print:(fun ops ->
       String.concat ";"
         (List.map (function Push p -> Printf.sprintf "push %g" p | Pop -> "pop") ops))
-    QCheck.Gen.(list_size (int_range 0 200) op_gen)
+    QCheck.Gen.(
+      frequency
+        [
+          (4, list_size (int_range 0 200) op_gen);
+          (1, list_size (int_range 1_000 6_000) deep_op_gen);
+        ])
 
 let run_script ops =
   let q = Pqueue.create () in

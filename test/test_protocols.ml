@@ -77,6 +77,127 @@ let prop_tally_counts_distinct_voters =
           P.Tally.count t key = List.length expected)
         (List.sort_uniq compare (List.map fst votes)))
 
+(* Model check: random scripts over at most 4 keys and voters in [0, 600),
+   with frequent re-votes, run against a reference built on per-key
+   hashtables.  Every observation must match exactly: counts, membership,
+   ascending voters, keys newest first, and max_count's first-seen
+   tie-break. *)
+type tally_op =
+  | T_add of int * int
+  | T_count of int
+  | T_has_voted of int * int
+  | T_voters of int
+  | T_keys
+  | T_max_count
+  | T_clear
+
+type tally_obs =
+  | O_int of int
+  | O_bool of bool
+  | O_list of int list
+  | O_max of (int * int) option
+  | O_unit
+
+module Tally_ref = struct
+  type t = { table : (int, (int, unit) Hashtbl.t) Hashtbl.t; mutable order : int list }
+
+  let create () = { table = Hashtbl.create 8; order = [] }
+
+  let set t key =
+    match Hashtbl.find_opt t.table key with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.create 8 in
+      Hashtbl.replace t.table key s;
+      t.order <- key :: t.order;
+      s
+
+  let count t key = match Hashtbl.find_opt t.table key with None -> 0 | Some s -> Hashtbl.length s
+
+  let apply t = function
+    | T_add (key, voter) ->
+      let s = set t key in
+      Hashtbl.replace s voter ();
+      O_int (Hashtbl.length s)
+    | T_count key -> O_int (count t key)
+    | T_has_voted (key, voter) ->
+      O_bool (match Hashtbl.find_opt t.table key with None -> false | Some s -> Hashtbl.mem s voter)
+    | T_voters key ->
+      O_list
+        (match Hashtbl.find_opt t.table key with
+        | None -> []
+        | Some s -> List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) s []))
+    | T_keys -> O_list t.order
+    | T_max_count ->
+      O_max
+        (List.fold_left
+           (fun best key ->
+             let c = count t key in
+             match best with Some (_, bc) when bc >= c -> best | _ -> Some (key, c))
+           None (List.rev t.order))
+    | T_clear ->
+      Hashtbl.reset t.table;
+      t.order <- [];
+      O_unit
+end
+
+let tally_apply t = function
+  | T_add (key, voter) -> O_int (P.Tally.add t key ~voter)
+  | T_count key -> O_int (P.Tally.count t key)
+  | T_has_voted (key, voter) -> O_bool (P.Tally.has_voted t key ~voter)
+  | T_voters key -> O_list (P.Tally.voters t key)
+  | T_keys -> O_list (P.Tally.keys t)
+  | T_max_count -> O_max (P.Tally.max_count t)
+  | T_clear ->
+    P.Tally.clear t;
+    O_unit
+
+let tally_op_arb =
+  let open QCheck.Gen in
+  let key = int_range 0 3 in
+  (* A small pool of low ids makes re-votes common; the wide range reaches
+     past a 512-bit set. *)
+  let voter = frequency [ (2, int_range 0 7); (3, int_range 0 599) ] in
+  let op =
+    frequency
+      [
+        (8, map2 (fun k v -> T_add (k, v)) key voter);
+        (2, map (fun k -> T_count k) key);
+        (2, map2 (fun k v -> T_has_voted (k, v)) key voter);
+        (1, map (fun k -> T_voters k) key);
+        (1, return T_keys);
+        (1, return T_max_count);
+        (1, return T_clear);
+      ]
+  in
+  let print = function
+    | T_add (k, v) -> Printf.sprintf "add %d %d" k v
+    | T_count k -> Printf.sprintf "count %d" k
+    | T_has_voted (k, v) -> Printf.sprintf "has_voted %d %d" k v
+    | T_voters k -> Printf.sprintf "voters %d" k
+    | T_keys -> "keys"
+    | T_max_count -> "max_count"
+    | T_clear -> "clear"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 0 300) op)
+
+let prop_tally_matches_model =
+  QCheck.Test.make ~name:"tally matches a hashtable reference" ~count:300 tally_op_arb
+    (fun ops ->
+      let t = P.Tally.create () and r = Tally_ref.create () in
+      List.for_all (fun op -> tally_apply t op = Tally_ref.apply r op) ops)
+
+let test_tally_rejects_negative_voter () =
+  let t = P.Tally.create () in
+  ignore (P.Tally.add t "k" ~voter:0);
+  Alcotest.check_raises "negative voter" (Invalid_argument "Tally.add: negative voter") (fun () ->
+      ignore (P.Tally.add t "k" ~voter:(-1)));
+  Alcotest.(check int) "count unchanged" 1 (P.Tally.count t "k");
+  Alcotest.(check bool) "negative never voted" false (P.Tally.has_voted t "k" ~voter:(-1));
+  Alcotest.(check (list string)) "no key created" [ "k" ] (P.Tally.keys t)
+
 (* --- Chain --- *)
 
 let qc view block = { P.Chain.view; block }
@@ -363,6 +484,8 @@ let () =
           Alcotest.test_case "voters" `Quick test_tally_voters;
           Alcotest.test_case "max_count / clear" `Quick test_tally_max_count;
           qc prop_tally_counts_distinct_voters;
+          qc prop_tally_matches_model;
+          Alcotest.test_case "negative voter rejected" `Quick test_tally_rejects_negative_voter;
         ] );
       ( "chain",
         [

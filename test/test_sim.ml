@@ -293,6 +293,101 @@ let test_rng_pick () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty pick accepted"
 
+(* The first draws of every sampler for two seeds.  Every golden
+   fingerprint rests on these streams, so a change of the generator's
+   representation or of a sampler must reproduce them bit for bit; floats
+   are compared through their hexadecimal rendering. *)
+let rng_pins =
+  [
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL ],
+      [ 162; 791; 623; 292 ],
+      [ "0x1.7fdf0061bb85ap-1"; "0x1.7d54b3920bcaap-2"; "0x1.c0cd7f0f6bcf6p-2"; "0x1.e881fc76c58f3p-1" ],
+      [ "0x1.7054cf21f48cbp+6"; "0x1.d9e2bd6f50ed1p+6"; "0x1.378af9075a7d5p+6"; "0x1.ad762549f0aeep+6" ],
+      [ "0x1.1e49221db86b9p+6"; "0x1.1468f89799e35p+5"; "0x1.088ae63e5ff8p+6"; "0x1.ff34f3ec1434cp+3" ],
+      [ "0x1.20048effc7309p+6"; "0x1.ede6f66bd095ep+7"; "0x1.9c71b6c989c22p+7"; "0x1.77c1114fa5e8ep+3" ],
+      [ 48; 64; 43; 44 ],
+      [ 4; 3; 4; 2 ] );
+    ( 0xC0FFEE,
+      [ 0xbfa0a00efa4b3e10L; 0xeba44047baed2abfL; 0xcfc11f60e6673934L; 0x31a47fb3fd6839e6L ],
+      [ 320; 663; 652; 198 ],
+      [ "0x1.7f41401df4967p-1"; "0x1.d748808f75da5p-1"; "0x1.9f823ec1ccce7p-1"; "0x1.8d23fd9feb41cp-3" ],
+      [ "0x1.b81501b18a44ep+6"; "0x1.9d61f97fcd093p+6"; "0x1.53177dcd62864p+6"; "0x1.94dad0f79c25ap+6" ],
+      [ "0x1.5b36b5f4ef205p+5"; "0x1.526fa952add04p+4"; "0x1.c175c4759940dp+3"; "0x1.58854b07f749cp+6" ],
+      [ "0x1.219fd632f6f34p+6"; "0x1.4b762ed70fdc8p+4"; "0x1.a1a44d7b33e1cp+5"; "0x1.9a15087161117p+8" ],
+      [ 48; 60; 56; 48 ],
+      [ 4; 2; 2; 0 ] );
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, bits, ints, floats, normals, truncs, exps, poisson50, poisson3) ->
+      let draws f =
+        let rng = Rng.create seed in
+        List.init 4 (fun _ -> f rng)
+      in
+      let hex f = draws (fun rng -> Printf.sprintf "%h" (f rng)) in
+      let name s = Printf.sprintf "seed %d: %s" seed s in
+      Alcotest.(check (list int64)) (name "bits64") bits (draws Rng.bits64);
+      Alcotest.(check (list int)) (name "int 1000") ints (draws (fun rng -> Rng.int rng 1000));
+      Alcotest.(check (list string)) (name "float") floats (hex (fun rng -> Rng.float rng 1.0));
+      Alcotest.(check (list string))
+        (name "normal") normals
+        (hex (fun rng -> Rng.normal rng ~mu:100. ~sigma:15.));
+      Alcotest.(check (list string))
+        (name "truncated_normal") truncs
+        (hex (fun rng -> Rng.truncated_normal rng ~mu:10. ~sigma:50. ~lo:0.));
+      Alcotest.(check (list string))
+        (name "exponential") exps
+        (hex (fun rng -> Rng.exponential rng ~mean:250.));
+      Alcotest.(check (list int))
+        (name "poisson 50") poisson50
+        (draws (fun rng -> Rng.poisson rng ~mean:50.));
+      Alcotest.(check (list int))
+        (name "poisson 3") poisson3
+        (draws (fun rng -> Rng.poisson rng ~mean:3.)))
+    rng_pins
+
+(* Knuth's product of uniforms underflows once e^-mean does (mean > ~745),
+   which used to pin every large-mean draw near 746.  The sample mean of
+   2,000 draws must sit within 4 standard errors of the true mean. *)
+let test_rng_poisson_large_mean () =
+  List.iter
+    (fun mean ->
+      let rng = Rng.create 11 in
+      let k = 2_000 in
+      let sum = ref 0 in
+      for _ = 1 to k do
+        sum := !sum + Rng.poisson rng ~mean
+      done;
+      let sample_mean = float_of_int !sum /. float_of_int k in
+      let se = sqrt (mean /. float_of_int k) in
+      if Float.abs (sample_mean -. mean) > 4. *. se then
+        Alcotest.failf "poisson mean %g: sample mean %.2f outside 4 sigma (%.2f)" mean
+          sample_mean (4. *. se))
+    [ 750.; 1_000.; 5_000. ];
+  let rng = Rng.create 1 in
+  List.iter
+    (fun mean ->
+      match Rng.poisson rng ~mean with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "poisson accepted mean %g" mean)
+    [ -1.; Float.infinity; Float.nan ]
+
+(* Minor words per call over 1,000 calls: the state is unboxed and the
+   samplers build no closures, so a draw allocates only the boxed float it
+   returns across the module boundary. *)
+let test_rng_alloc_budget () =
+  let rng = Rng.create 3 in
+  let f () = ignore (Rng.truncated_normal rng ~mu:10. ~sigma:50. ~lo:0. : float) in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  let w = (Gc.minor_words () -. before) /. 1_000. in
+  if w > 8. then Alcotest.failf "Rng.truncated_normal: %.1f minor words per call > 8" w
+
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"rng int covers the full range" ~count:50
     QCheck.(int_range 2 40)
@@ -348,6 +443,9 @@ let () =
           Alcotest.test_case "poisson mean" `Slow test_rng_poisson_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "pick" `Quick test_rng_pick;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "poisson large mean" `Quick test_rng_poisson_large_mean;
+          Alcotest.test_case "truncated normal allocation" `Quick test_rng_alloc_budget;
           qc prop_rng_int_uniformish;
         ] );
     ]
