@@ -21,8 +21,6 @@ let k =
 (* Initial hash: square roots of the first 8 primes. *)
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
 (* Per-domain scratch: the message schedule, the chaining state and room for
    the one or two padded final blocks.  It must not be a plain top-level
    buffer, because [Runner.run_many] hashes on several domains at once. *)
@@ -31,14 +29,24 @@ type scratch = { w : int array; h : int array; tail : Bytes.t }
 let scratch =
   Domain.DLS.new_key (fun () -> { w = Array.make 64 0; h = Array.make 8 0; tail = Bytes.create 128 })
 
+(* A rotation of [x] is a window of [x] written twice side by side: with
+   [d = x lor (x lsl 32)], bits [n .. n+31] of [d] are [x] rotated right by
+   [n].  Bit 31 of [x] falls off the 63-bit int, which only a rotation by 32
+   would read.  Each sigma then costs one shift per term and one mask. *)
+let[@inline] double x = x lor (x lsl 32)
+
+(* [ch] and [maj] take their three- and four-operation forms, and
+   [k.(t) + w.(t)] is summed apart from the state, so it does not wait on
+   the previous round. *)
 let compress w h block off =
   for t = 0 to 15 do
     w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask
   done;
   for t = 16 to 63 do
     let x = w.(t - 15) and y = w.(t - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    let dx = double x and dy = double y in
+    let s0 = ((dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3)) land mask in
+    let s1 = ((dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10)) land mask in
     w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
   done;
   let a = ref h.(0)
@@ -50,18 +58,19 @@ let compress w h block off =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for t = 0 to 63 do
-    let e' = !e and a' = !a in
-    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = (e' land !f) lxor ((e' lxor mask) land !g) in
-    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
-    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
+    let e' = !e and a' = !a and b' = !b in
+    let de = double e' and da = double a' in
+    let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land mask in
+    let ch = !g lxor (e' land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + (k.(t) + w.(t)) in
+    let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land mask in
+    let maj = (a' land b') lor (!c land (a' lor b')) in
     hh := !g;
     g := !f;
     f := e';
     e := (!d + t1) land mask;
     d := !c;
-    c := !b;
+    c := b';
     b := a';
     a := (t1 + s0 + maj) land mask
   done;
@@ -74,12 +83,21 @@ let compress w h block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-(* Whole blocks are compressed in place; only the remainder is copied, into
+type midstate = int array
+
+let midstate block =
+  if String.length block <> 64 then invalid_arg "Sha256.midstate: need 64 bytes";
+  let h = Array.copy iv in
+  compress (Domain.DLS.get scratch).w h (Bytes.unsafe_of_string block) 0;
+  h
+
+(* Hashes [msg] on from chaining state [h0], which [prefix] bytes left.
+   Whole blocks are compressed in place; only the remainder is copied, into
    one or two scratch blocks that carry the padding: 0x80, zeros, then the
-   bit length as a big-endian 64-bit word. *)
-let digest_bytes msg =
+   bit length of prefix and message as a big-endian 64-bit word. *)
+let digest_from h0 ~prefix msg =
   let { w; h; tail } = Domain.DLS.get scratch in
-  Array.blit iv 0 h 0 8;
+  Array.blit h0 0 h 0 8;
   let len = Bytes.length msg in
   let full = len / 64 * 64 in
   for b = 0 to (len / 64) - 1 do
@@ -90,7 +108,7 @@ let digest_bytes msg =
   Bytes.blit msg full tail 0 rem;
   Bytes.set tail rem '\x80';
   Bytes.fill tail (rem + 1) (tail_len - rem - 9) '\000';
-  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (8 * len));
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (8 * (prefix + len)));
   compress w h tail 0;
   if tail_len = 128 then compress w h tail 64;
   let out = Bytes.create 32 in
@@ -99,7 +117,11 @@ let digest_bytes msg =
   done;
   Bytes.unsafe_to_string out
 
-(* [digest_bytes] only reads its argument, so sharing the string is safe. *)
+let digest_bytes msg = digest_from iv ~prefix:0 msg
+
+(* [digest_from] only reads its message, so sharing the string is safe. *)
+let resume m msg = digest_from m ~prefix:64 (Bytes.unsafe_of_string msg)
+
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
 let hex_digits = "0123456789abcdef"

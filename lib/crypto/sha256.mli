@@ -15,6 +15,18 @@ val digest_string : string -> digest
 
 val digest_bytes : bytes -> digest
 
+type midstate
+(** The chaining state after one 64-byte block: the resumable point of a
+    digest whose messages share that block as their prefix. *)
+
+val midstate : string -> midstate
+(** [midstate block] compresses the 64-byte [block] from the initial hash.
+    @raise Invalid_argument if [block] is not 64 bytes long. *)
+
+val resume : midstate -> string -> digest
+(** [resume (midstate block) msg] is [digest_string (block ^ msg)]: it
+    hashes [msg] only, and its padding counts the 64-byte prefix. *)
+
 val to_hex : digest -> string
 (** Lowercase hexadecimal rendering (64 characters). *)
 

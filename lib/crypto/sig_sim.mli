@@ -18,6 +18,11 @@ val secret_of : seed:int -> node:int -> string
 (** The secret key of [node] in the key domain [seed]; [keygen] and [verify]
     derive it the same way. *)
 
+val key_of : seed:int -> node:int -> Hmac.prepared
+(** [Hmac.prepare (secret_of ~seed ~node)], taken from this domain's key
+    table: the first call for a node under a seed prepares the key, later
+    ones reuse it, and a call under another seed empties the table. *)
+
 val keygen : seed:int -> node:int -> keypair
 (** Deterministic keypair for [node] in the key domain [seed]. *)
 
