@@ -315,6 +315,33 @@ let check_telemetry (name, config, expected) () =
     Alcotest.fail
       (Printf.sprintf "%s telemetry fingerprint changed: pinned %s, got %s" name expected actual)
 
+(* Boundary pins: a pbft n = 64 run cut off while its prepare broadcasts
+   are still in flight, once by simulated time and once by the event cap.
+   The run's event count and the number of events still queued at the end
+   (the [queue.pending_end] gauge) must not depend on how the event queue
+   stores pending deliveries. *)
+let boundary_config ?max_time_ms ?max_events () =
+  Core.Config.make "pbft" ~n:64 ~seed:1 ?max_time_ms ?max_events
+    ~delay:(Net.Delay_model.Normal { mu = 250.; sigma = 50. })
+    ~telemetry:{ Core.Config.default_telemetry with metrics = true }
+
+let pinned_boundaries =
+  [
+    ("pbft n=64 max_time_ms", (fun () -> boundary_config ~max_time_ms:400. ()), 502, 3722);
+    ("pbft n=64 max_events", (fun () -> boundary_config ~max_events:3000 ()), 3000, 4680);
+  ]
+
+let check_boundary (_, config, events, pending) () =
+  let result = Core.Controller.run (config ()) in
+  let pending_end =
+    match List.assoc_opt "queue.pending_end" (Obs.Metrics.snapshot (Option.get result.metrics)) with
+    | Some (Obs.Metrics.Gauge_v v) -> int_of_float v
+    | _ -> Alcotest.fail "queue.pending_end gauge missing"
+  in
+  Alcotest.(check (pair int int))
+    "events_processed, queue.pending_end" (events, pending)
+    (result.Core.Controller.events_processed, pending_end)
+
 let () =
   Alcotest.run "golden"
     [
@@ -348,4 +375,8 @@ let () =
         List.map
           (fun ((name, _, _) as pin) -> Alcotest.test_case name `Quick (check_credentials pin))
           pinned_credentials );
+      ( "fingerprints boundary",
+        List.map
+          (fun ((name, _, _, _) as pin) -> Alcotest.test_case name `Quick (check_boundary pin))
+          pinned_boundaries );
     ]
