@@ -25,6 +25,19 @@ let schedule q ~at ev =
          (Time.to_string (now q)));
   Pqueue.push q.queue ~priority:(Time.to_ms at) ev
 
+let reserve_seq q = Pqueue.reserve_seq q.queue
+
+let next_before q other = Pqueue.min_before q.queue other
+
+let[@inline] advance_to q at =
+  if at > now_ms q then begin
+    Array.unsafe_set q.clock 0 at;
+    q.clock_t <- Time.unsafe_of_ms at
+  end;
+  q.popped <- q.popped + 1
+
+let advance q lane i = advance_to q (Array.get lane i)
+
 let schedule_after q ~delay_ms ev =
   let delay_ms = if delay_ms < 0. then 0. else delay_ms in
   schedule q ~at:(Time.add_ms (now q) delay_ms) ev
@@ -34,11 +47,7 @@ let is_empty q = Pqueue.is_empty q.queue
 let next_exn q =
   let at = Pqueue.min_priority q.queue in
   let ev = Pqueue.pop_exn q.queue in
-  if at > now_ms q then begin
-    Array.unsafe_set q.clock 0 at;
-    q.clock_t <- Time.unsafe_of_ms at
-  end;
-  q.popped <- q.popped + 1;
+  advance_to q at;
   ev
 
 let next q =

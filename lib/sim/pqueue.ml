@@ -101,7 +101,9 @@ let sift_down_from q ~from =
     let first = (4 * !hole) + 1 in
     if first >= size then sinking := false
     else begin
-      let last = Stdlib.min (first + 3) (size - 1) in
+      (* Not [Stdlib.min]: it is polymorphic, so every call would reach the
+         C comparison. *)
+      let last = if first + 3 < size then first + 3 else size - 1 in
       let best = ref first in
       for c = first + 1 to last do
         if before q c !best then best := c
@@ -119,16 +121,42 @@ let sift_down_from q ~from =
   Array.unsafe_set q.seq !hole s;
   Array.unsafe_set q.vals !hole v
 
-let push q ~priority value =
+let[@inline] insert q priority seq value =
   if Float.is_nan priority then invalid_arg "Pqueue.push: NaN priority";
   if q.size = Array.length q.prio then grow q;
   let i = q.size in
   Array.unsafe_set q.prio i priority;
-  Array.unsafe_set q.seq i q.next_seq;
+  Array.unsafe_set q.seq i seq;
   Array.unsafe_set q.vals i value;
-  q.next_seq <- q.next_seq + 1;
   q.size <- i + 1;
   sift_up q i
+
+let reserve_seq q =
+  let s = q.next_seq in
+  q.next_seq <- s + 1;
+  s
+
+let push q ~priority value = insert q priority (reserve_seq q) value
+
+(* The priority is read here, from the caller's lane: a float passed to a
+   function of another module would be boxed. *)
+let push_keyed q lane i ~seq value = insert q (Array.get lane i) seq value
+
+(* The new key goes into the root, whose entry then sinks to its place. *)
+let rekey_min q lane i ~seq =
+  if q.size = 0 then invalid_arg "Pqueue.rekey_min: empty queue";
+  Array.unsafe_set q.prio 0 (Array.get lane i);
+  Array.unsafe_set q.seq 0 seq;
+  sift_down_from q ~from:0
+
+let min_before a b =
+  if a.size = 0 || b.size = 0 then invalid_arg "Pqueue.min_before: empty queue";
+  let pa = Array.unsafe_get a.prio 0 and pb = Array.unsafe_get b.prio 0 in
+  pa < pb || (pa = pb && Array.unsafe_get a.seq 0 < Array.unsafe_get b.seq 0)
+
+let min_exn q =
+  if q.size = 0 then invalid_arg "Pqueue.min_exn: empty queue";
+  Array.unsafe_get q.vals 0
 
 let min_priority q =
   if q.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
