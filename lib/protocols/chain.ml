@@ -45,8 +45,11 @@ let add store b = if not (Hashtbl.mem store.blocks b.digest) then Hashtbl.replac
 
 let find store digest = Hashtbl.find_opt store.blocks digest
 
+(* The parent test comes before the store lookup: a restarted replica
+   recalls its last committed digest but not the block, and catch-up sends
+   only the blocks after it. *)
 let rec extends store b ~ancestor =
-  if String.equal b.digest ancestor then true
+  if String.equal b.digest ancestor || String.equal b.parent ancestor then true
   else if String.equal b.digest genesis.digest then false
   else
     match find store b.parent with

@@ -588,6 +588,53 @@ let test_late_delivery_to_crashed_replica () =
        (fun (e : Core.Trace.entry) -> e.kind = Core.Trace.Lost && e.peer = 3)
        (Core.Trace.entries (Option.get traced.trace)))
 
+(* Chained restart: a restarted replica recalls its last committed digest
+   but not the block, and catch-up sends only the blocks after it, so the
+   commit rule must accept a block whose parent is that digest.  Before
+   that, the replica kept voting and never decided again, and both runs
+   timed out at 600 s. *)
+let chained_restart_run protocol ~seed ~chaos =
+  let chaos =
+    match Bftsim_attack.Fault_schedule.of_string chaos with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  Core.Controller.run (Core.Config.make protocol ~n:7 ~seed ~decisions_target:30 ~chaos)
+
+let test_chained_restart_redecides () =
+  List.iter
+    (fun (protocol, time_ms) ->
+      let r = chained_restart_run protocol ~seed:1 ~chaos:"crash:2@5000;restart:2@20000" in
+      Alcotest.(check bool) (protocol ^ " reaches target") true
+        (r.outcome = Core.Controller.Reached_target);
+      Alcotest.(check (float 0.5)) (protocol ^ " time to target") time_ms r.time_ms;
+      Alcotest.(check bool) (protocol ^ " no violations") true (r.violations = []))
+    [ ("hotstuff-ns", 27243.); ("librabft", 26659.) ]
+
+(* Seeds 1-60: crash node 37s mod 6 at 1000 + (731s mod 8000) ms and restart
+   it 1000 + (389s mod 9000) ms later.  librabft seeds 21 and 44 still time
+   out: a second, librabft-only cause, not located yet. *)
+let test_chained_restart_sweep () =
+  List.iter
+    (fun (protocol, expected_misses) ->
+      let misses =
+        List.filter
+          (fun s ->
+            let crash_ms = 1000 + (731 * s mod 8000) in
+            let chaos =
+              Printf.sprintf "crash:%d@%d;restart:%d@%d" (37 * s mod 6) crash_ms (37 * s mod 6)
+                (crash_ms + 1000 + (389 * s mod 9000))
+            in
+            let r = chained_restart_run protocol ~seed:s ~chaos in
+            if r.violations <> [] then
+              Alcotest.failf "%s seed %d: %s" protocol s
+                (String.concat "; " (List.map Core.Invariant.describe_violation r.violations));
+            r.outcome <> Core.Controller.Reached_target)
+          (List.init 60 succ)
+      in
+      Alcotest.(check (list int)) (protocol ^ " seeds missing the target") expected_misses misses)
+    [ ("hotstuff-ns", []); ("librabft", [ 21; 44 ]) ]
+
 let test_stall_ms_override () =
   (* The absolute stall threshold arms the liveness watchdog even without
      the [watchdog] multiplier, and wins over it when both are set. *)
@@ -889,6 +936,8 @@ let () =
           Alcotest.test_case "late delivery to a crashed replica is lost" `Quick
             test_late_delivery_to_crashed_replica;
           Alcotest.test_case "stall_ms override" `Quick test_stall_ms_override;
+          Alcotest.test_case "chained restart re-decides" `Quick test_chained_restart_redecides;
+          Alcotest.test_case "chained restart sweep" `Quick test_chained_restart_sweep;
           Alcotest.test_case "validity monitor clean on unanimous run" `Quick
             test_chaos_validity_monitor_clean;
           Alcotest.test_case "invariant monitors" `Quick test_invariant_monitors;
