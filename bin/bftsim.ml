@@ -513,29 +513,26 @@ let validate_cmd =
     (Cmd.info "validate" ~doc:"Cross-validate a configuration (determinism and trace replay)")
     term
 
-(* --- conform --- *)
+(* --- conform and twins: scenario campaigns --- *)
 
-let conform_cmd =
-  let module Conf = Bftsim_conformance in
-  let budget_arg =
-    Arg.(value & opt int 32
-         & info [ "budget" ] ~docv:"SEEDS"
-             ~doc:"Number of random scenarios to generate and check.")
-  in
-  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"Fuzzing seed (scenario batch is a pure function of it).") in
-  let protocols_arg =
-    Arg.(value & opt (some string) None
-         & info [ "protocols" ] ~docv:"NAMES"
-             ~doc:"Comma-separated protocol names to fuzz (default: all registered).")
-  in
-  let families_arg =
-    Arg.(value & opt (some string) None
-         & info [ "families" ] ~docv:"LIST"
-             ~doc:"Comma-separated attacker families: none, failstop, partition, delay, chaos, \
-                   twins (default: all).")
-  in
+module Conf = Bftsim_conformance
+
+(* What the two campaign commands share: how each scenario is checked,
+   where counterexamples go, the journal and the supervision policy. *)
+type campaign = {
+  jobs : int option;
+  determinism : bool;
+  shrink : bool;
+  shrink_budget : int;
+  out : string;
+  journal : string option;
+  resume : bool;
+  policy : int -> Core.Supervisor.policy;
+}
+
+let campaign_term ~out =
   let out_arg =
-    Arg.(value & opt string "conform-out"
+    Arg.(value & opt string out
          & info [ "out" ] ~docv:"DIR" ~doc:"Directory for shrunk counterexample bundles.")
   in
   let jobs_arg =
@@ -556,29 +553,79 @@ let conform_cmd =
          & info [ "shrink-budget" ] ~docv:"INT"
              ~doc:"Max harness re-evaluations the shrinker may spend per counterexample.")
   in
-  let action budget seed protocols families out jobs no_det no_shrink shrink_budget journal
-      resume policy verbose =
+  let make out jobs no_det no_shrink shrink_budget journal resume policy =
+    { jobs; determinism = not no_det; shrink = not no_shrink; shrink_budget; out; journal; resume; policy }
+  in
+  Term.(
+    const make $ out_arg $ jobs_arg $ no_det_arg $ no_shrink_arg $ shrink_budget_arg $ journal_arg
+    $ resume_arg $ policy_term)
+
+(* A comma-separated list, each item checked by [parse]; [None] stays
+   [None] (the command's default). *)
+let parse_list parse label = function
+  | None -> Ok None
+  | Some s ->
+    let items = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
+    let rec go acc = function
+      | [] -> Ok (Some (List.rev acc))
+      | x :: rest -> (
+        match parse x with
+        | Some v -> go (v :: acc) rest
+        | None -> Error (Printf.sprintf "unknown %s %S" label x))
+    in
+    go [] items
+
+let protocol_names =
+  parse_list (fun name -> Option.map (fun _ -> name) (Protocols.Registry.find name)) "protocol"
+
+(* Check [scenarios] through the harness under the campaign's journal,
+   print the report and pick the exit code; [failed] picks it when some
+   scenario failed an oracle. *)
+let run_campaign c ?mode ~name ~failed ~budget ~seed scenarios =
+  let fingerprint = Conf.Harness.campaign_cell ?mode ~budget ~seed scenarios in
+  match open_campaign_journal ~fingerprint ~journal:c.journal ~resume:c.resume with
+  | Error e ->
+    Format.eprintf "error: %s@." e;
+    Exit_code.crash
+  | Ok (journal, resumed) ->
+    let report =
+      Conf.Harness.fuzz_scenarios ?mode ?jobs:c.jobs ~determinism:c.determinism ~shrink:c.shrink
+        ~shrink_budget:c.shrink_budget ~bundle_dir:c.out ~policy:(c.policy seed) ?journal ~resumed
+        ~seed scenarios
+    in
+    Option.iter Core.Journal.close journal;
+    if report.Conf.Harness.resumed > 0 then
+      Format.eprintf "resumed: %d of %d check(s) already journaled as passed@."
+        report.Conf.Harness.resumed report.Conf.Harness.scenarios;
+    Format.printf "%a@." Conf.Harness.pp_report report;
+    if Conf.Harness.ok report then begin
+      Format.printf "%s OK: %d scenario(s), all oracles hold@." name report.Conf.Harness.scenarios;
+      Exit_code.ok
+    end
+    else if report.Conf.Harness.failures <> [] then failed report
+    else Exit_code.crash
+
+let conform_cmd =
+  let budget_arg =
+    Arg.(value & opt int 32
+         & info [ "budget" ] ~docv:"SEEDS"
+             ~doc:"Number of random scenarios to generate and check.")
+  in
+  let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"Fuzzing seed (scenario batch is a pure function of it).") in
+  let protocols_arg =
+    Arg.(value & opt (some string) None
+         & info [ "protocols" ] ~docv:"NAMES"
+             ~doc:"Comma-separated protocol names to fuzz (default: all registered).")
+  in
+  let families_arg =
+    Arg.(value & opt (some string) None
+         & info [ "families" ] ~docv:"LIST"
+             ~doc:"Comma-separated attacker families: none, failstop, partition, delay, chaos, \
+                   twins (default: all).")
+  in
+  let action budget seed protocols families campaign verbose =
     setup_logs verbose;
-    let parse_csv parse label = function
-      | None -> Ok None
-      | Some s ->
-        let items = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-        let rec go acc = function
-          | [] -> Ok (Some (List.rev acc))
-          | x :: rest -> (
-            match parse x with
-            | Some v -> go (v :: acc) rest
-            | None -> Error (Printf.sprintf "unknown %s %S" label x))
-        in
-        go [] items
-    in
-    let protocols_r =
-      parse_csv
-        (fun name -> Option.map (fun _ -> name) (Protocols.Registry.find name))
-        "protocol" protocols
-    in
-    let families_r = parse_csv Conf.Scenario.family_of_string "family" families in
-    match (protocols_r, families_r) with
+    match (protocol_names protocols, parse_list Conf.Scenario.family_of_string "family" families) with
     | Error e, _ | _, Error e ->
       Format.eprintf "error: %s@." e;
       Exit_code.crash
@@ -588,39 +635,15 @@ let conform_cmd =
         Format.printf "MUTATION ACTIVE: %s (expect failures)@."
           (Protocols.Quorum.mutation_to_string m)
       | None -> ());
-      let policy = policy seed in
-      let fingerprint =
-        Conf.Harness.campaign_cell ~budget ~seed
-          (Conf.Scenario.sample ?protocols ?families ~budget ~seed ())
-      in
-      (match open_campaign_journal ~fingerprint ~journal ~resume with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        Exit_code.crash
-      | Ok (journal_t, resumed) ->
-        let report =
-          Conf.Harness.fuzz ?protocols ?families ?jobs ~determinism:(not no_det)
-            ~shrink:(not no_shrink) ~shrink_budget ~bundle_dir:out ~policy ?journal:journal_t
-            ~resumed ~budget ~seed ()
-        in
-        Option.iter Core.Journal.close journal_t;
-        if report.Conf.Harness.resumed > 0 then
-          Format.eprintf "resumed: %d of %d check(s) already journaled as passed@."
-            report.Conf.Harness.resumed report.Conf.Harness.scenarios;
-        Format.printf "%a@." Conf.Harness.pp_report report;
-        if Conf.Harness.ok report then begin
-          Format.printf "conformance OK: %d scenario(s), all oracles hold@."
-            report.Conf.Harness.scenarios;
-          Exit_code.ok
-        end
-        else if report.Conf.Harness.failures <> [] then Exit_code.safety
-        else Exit_code.crash)
+      run_campaign campaign ~name:"conformance"
+        ~failed:(fun _ -> Exit_code.safety)
+        ~budget ~seed
+        (Conf.Scenario.sample ?protocols ?families ~budget ~seed ())
   in
   let term =
     Term.(
-      const action $ budget_arg $ seed_arg $ protocols_arg $ families_arg $ out_arg $ jobs_arg
-      $ no_det_arg $ no_shrink_arg $ shrink_budget_arg $ journal_arg $ resume_arg $ policy_term
-      $ verbose_arg)
+      const action $ budget_arg $ seed_arg $ protocols_arg $ families_arg
+      $ campaign_term ~out:"conform-out" $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "conform"
@@ -630,10 +653,7 @@ let conform_cmd =
           shrink and persist any counterexample")
     term
 
-(* --- twins --- *)
-
 let twins_cmd =
-  let module Conf = Bftsim_conformance in
   let module Twins = Bftsim_twins in
   let budget_arg =
     Arg.(value & opt int 128
@@ -671,46 +691,19 @@ let twins_cmd =
              ~doc:"Print enumeration statistics (raw, unique, emitted schedule counts) and \
                    exit without running anything.")
   in
-  let out_arg =
-    Arg.(value & opt string "twins-out"
-         & info [ "out" ] ~docv:"DIR" ~doc:"Directory for shrunk counterexample bundles.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"INT"
-             ~doc:"Domains to fan scenario checks across (default BFTSIM_JOBS, else cores - 1).")
-  in
-  let no_det_arg =
-    Arg.(value & flag
-         & info [ "no-determinism" ]
-             ~doc:"Skip the per-scenario determinism replay (3x faster, safety oracles only).")
-  in
-  let no_shrink_arg =
-    Arg.(value & flag & info [ "no-shrink" ] ~doc:"Keep failing configs as generated, do not minimize.")
-  in
-  let shrink_budget_arg =
-    Arg.(value & opt int 48
-         & info [ "shrink-budget" ] ~docv:"INT"
-             ~doc:"Max harness re-evaluations the shrinker may spend per counterexample.")
-  in
-  let action budget seed protocols n rounds round_ms enumerate_only out jobs no_det no_shrink
-      shrink_budget journal resume policy verbose =
-    setup_logs verbose;
-    let protocols_r =
-      match protocols with
-      | None -> Ok None
-      | Some s ->
-        let items = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-        let rec go acc = function
-          | [] -> Ok (Some (List.rev acc))
-          | x :: rest -> (
-            match Protocols.Registry.find x with
-            | Some _ -> go (x :: acc) rest
-            | None -> Error (Printf.sprintf "unknown protocol %S" x))
-        in
-        go [] items
+  (* Liveness-only findings (a stalled pacemaker) exit 3; anything touching
+     a safety oracle exits 2. *)
+  let failed report =
+    let liveness_only =
+      List.for_all
+        (fun f -> List.for_all (fun v -> v.Conf.Oracle.oracle = "liveness") f.Conf.Harness.verdicts)
+        report.Conf.Harness.failures
     in
-    match protocols_r with
+    if liveness_only then Exit_code.liveness else Exit_code.safety
+  in
+  let action budget seed protocols n rounds round_ms enumerate_only campaign verbose =
+    setup_logs verbose;
+    match protocol_names protocols with
     | Error e ->
       Format.eprintf "error: %s@." e;
       Exit_code.crash
@@ -733,51 +726,13 @@ let twins_cmd =
           Format.printf "checking %d scenario(s) across %d protocol(s)@."
             (List.length scenarios)
             (List.length scenarios / stats.Twins.Enumerate.emitted);
-          let policy = policy seed in
-          let fingerprint =
-            Conf.Harness.campaign_cell ~mode:"twins" ~budget ~seed scenarios
-          in
-          match open_campaign_journal ~fingerprint ~journal ~resume with
-          | Error e ->
-            Format.eprintf "error: %s@." e;
-            Exit_code.crash
-          | Ok (journal_t, resumed) ->
-            let report =
-              Conf.Harness.fuzz_scenarios ~mode:"twins" ?jobs ~determinism:(not no_det)
-                ~shrink:(not no_shrink) ~shrink_budget ~bundle_dir:out ~policy
-                ?journal:journal_t ~resumed ~seed scenarios
-            in
-            Option.iter Core.Journal.close journal_t;
-            if report.Conf.Harness.resumed > 0 then
-              Format.eprintf "resumed: %d of %d check(s) already journaled as passed@."
-                report.Conf.Harness.resumed report.Conf.Harness.scenarios;
-            Format.printf "%a@." Conf.Harness.pp_report report;
-            if Conf.Harness.ok report then begin
-              Format.printf "twins OK: %d scenario(s), all oracles hold@."
-                report.Conf.Harness.scenarios;
-              Exit_code.ok
-            end
-            else if report.Conf.Harness.failures <> [] then begin
-              (* Liveness-only findings (a stalled pacemaker) exit 3;
-                 anything touching a safety oracle exits 2. *)
-              let liveness_only =
-                List.for_all
-                  (fun f ->
-                    List.for_all
-                      (fun v -> v.Conf.Oracle.oracle = "liveness")
-                      f.Conf.Harness.verdicts)
-                  report.Conf.Harness.failures
-              in
-              if liveness_only then Exit_code.liveness else Exit_code.safety
-            end
-            else Exit_code.crash
+          run_campaign campaign ~mode:"twins" ~name:"twins" ~failed ~budget ~seed scenarios
         end)
   in
   let term =
     Term.(
       const action $ budget_arg $ seed_arg $ protocols_arg $ n_arg $ rounds_arg $ round_ms_arg
-      $ enumerate_only_arg $ out_arg $ jobs_arg $ no_det_arg $ no_shrink_arg $ shrink_budget_arg
-      $ journal_arg $ resume_arg $ policy_term $ verbose_arg)
+      $ enumerate_only_arg $ campaign_term ~out:"twins-out" $ verbose_arg)
   in
   Cmd.v
     (Cmd.info "twins"

@@ -11,10 +11,11 @@
    3. turbulence — 15 s of 10% loss, 500 ms delay spikes and 5%
      duplication, then a GST shift to a fast stable delay model.
 
-   Every schedule is plain data: the same value drives the attacker's
-   message verdicts, the controller's timer suppression and watchdog, and
-   the online invariant monitors — and because all chaos randomness comes
-   from the seeded attacker stream, each run replays deterministically.
+   Every schedule is plain data: the same value drives the wire's message
+   verdicts and loss windows, the controller's timer suppression and
+   watchdog, and the online invariant monitors — and because all chaos
+   randomness comes from the wire's seeded loss stream, each run replays
+   deterministically.
 
    Run with: dune exec examples/chaos_study.exe *)
 

@@ -16,7 +16,6 @@ type env = {
   corrupt : int -> bool;
   is_corrupted : int -> bool;
   corrupted : unit -> int list;
-  override_delay : Delay_model.t -> unit;
 }
 
 type t = {

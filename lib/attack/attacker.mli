@@ -42,11 +42,6 @@ type env = {
           otherwise marks it and returns [true]. *)
   is_corrupted : int -> bool;
   corrupted : unit -> int list;  (** Currently corrupted nodes, ascending. *)
-  override_delay : Delay_model.t -> unit;
-      (** Swap the network's delay distribution mid-run — the attacker-side
-          face of {!Bftsim_net.Network.override_delay}, used by timed fault
-          schedules to model a network that stabilizes (GST) or degrades at
-          a known instant. *)
 }
 (** Capabilities the controller grants the attacker. *)
 
@@ -79,5 +74,5 @@ val compose : t list -> t
     [Drop] wins, and later layers never see a dropped message.  Delay
     rewrites accumulate left to right.  [compose \[\]] is {!passthrough}.
 
-    This is what makes fault schedules stack with protocol-specific
-    attackers, e.g. a network partition plus an equivocating leader. *)
+    This is what makes the Twins partition schedule stack with a scenario
+    attacker. *)

@@ -134,7 +134,7 @@ let has_restart t ~node = List.mem node (restarts t)
 
 (* The evaluators fold over the normalized plan, so the last step at or
    before the query time wins — callers pass normalized schedules (the
-   compiled attacker and the controller both normalize once up front). *)
+   run's lifecycle normalizes once up front). *)
 
 let crashed_at t ~node ~at_ms =
   List.fold_left
@@ -167,79 +167,57 @@ let active_groups t ~at_ms =
       else match s.action with Partition groups -> Some groups | Heal -> None | _ -> acc)
     None t
 
-let separated t ~src ~dst ~at_ms =
-  match active_groups t ~at_ms with
-  | None -> false
-  | Some groups ->
-    (* Unlisted nodes share the implicit residual group (-1). *)
-    let side node =
-      let rec find k = function
-        | [] -> -1
-        | group :: rest -> if List.mem node group then k else find (k + 1) rest
-      in
-      find 0 groups
+(* Unlisted nodes share the implicit residual group (-1). *)
+let splits groups ~src ~dst =
+  let side node =
+    let rec find k = function
+      | [] -> -1
+      | group :: rest -> if List.mem node group then k else find (k + 1) rest
     in
-    side src <> side dst
+    find 0 groups
+  in
+  side src <> side dst
+
+let separated t ~src ~dst ~at_ms =
+  match active_groups t ~at_ms with None -> false | Some groups -> splits groups ~src ~dst
 
 let step_times t = List.sort Float.compare (List.map (fun s -> s.at_ms) t)
 
-let to_attacker schedule =
-  let t = normalize schedule in
-  let on_start (env : Attacker.env) =
-    (* One attacker timer per step: Gst_shift needs the side effect at its
-       instant, and the timers keep the event queue alive up to the last
-       scheduled fault, so a recovery can still be observed even if every
-       message in flight was dropped. *)
+let admit t (msg : Message.t) ~at_ms =
+  let src = msg.Message.src and dst = msg.Message.dst in
+  if crashed_at t ~node:src ~at_ms then false
+  else if src = dst then
+    (* Self-addressed messages are local deliveries: they cross no wire,
+       so partitions and network bursts cannot touch them. *)
+    true
+  else if separated t ~src ~dst ~at_ms then false
+  else begin
     List.iter
-      (fun s -> ignore (env.Attacker.set_timer ~delay_ms:s.at_ms ~tag:"chaos" (Chaos_step s.action)))
-      t
-  in
-  let attack (env : Attacker.env) (msg : Message.t) =
-    let now = Time.to_ms (env.Attacker.now ()) in
-    if crashed_at t ~node:msg.Message.src ~at_ms:now then Attacker.Drop
-    else if msg.Message.src = msg.Message.dst then
-      (* Self-addressed messages are local deliveries: they cross no wire,
-         so partitions and network bursts cannot touch them. *)
-      Attacker.Deliver
-    else if separated t ~src:msg.Message.src ~dst:msg.Message.dst ~at_ms:now then Attacker.Drop
-    else begin
-      let lost = ref false in
-      List.iter
-        (fun s ->
-          if s.at_ms <= now then
-            match s.action with
-            | Delay_spike { extra_ms; until_ms } when now < until_ms ->
-              msg.Message.delay_ms <- msg.Message.delay_ms +. extra_ms
-            | Loss_burst { p; until_ms } when now < until_ms ->
-              if Rng.float env.Attacker.rng 1. < p then lost := true
-            | _ -> ())
-        t;
-      if !lost then Attacker.Drop
-      else begin
-        List.iter
-          (fun s ->
-            if s.at_ms <= now then
-              match s.action with
-              | Dup_burst { p; until_ms } when now < until_ms ->
-                if Rng.float env.Attacker.rng 1. < p then
-                  env.Attacker.inject ~src:msg.Message.src ~dst:msg.Message.dst
-                    ~delay_ms:(msg.Message.delay_ms +. 1.) ~tag:msg.Message.tag
-                    ~size:msg.Message.size msg.Message.payload
-              | _ -> ())
-          t;
-        Attacker.Deliver
-      end
-    end
-  in
-  let on_time_event (env : Attacker.env) (timer : Timer.t) =
-    match timer.Timer.payload with
-    | Chaos_step (Gst_shift model) ->
-      Simlog.info "chaos: delay model shifts to %s" (Delay_model.describe model);
-      env.Attacker.override_delay model
-    | Chaos_step action -> Simlog.info "chaos: %s" (describe_action action)
-    | _ -> ()
-  in
-  { Attacker.name = Printf.sprintf "chaos[%d steps]" (List.length t); on_start; attack; on_time_event }
+      (fun s ->
+        match s.action with
+        | Delay_spike { extra_ms; until_ms } when s.at_ms <= at_ms && at_ms < until_ms ->
+          msg.Message.delay_ms <- msg.Message.delay_ms +. extra_ms
+        | _ -> ())
+      t;
+    true
+  end
+
+let loss_windows t =
+  List.exists (fun s -> match s.action with Loss_burst _ | Dup_burst _ -> true | _ -> false) t
+
+(* 1 - (1 - a)(1 - b), written so that [either 0. b = b] exactly. *)
+let either a b = a +. b -. (a *. b)
+
+let loss_model t ~base ~at_ms =
+  List.fold_left
+    (fun (m : Loss_model.t) s ->
+      match s.action with
+      | Loss_burst { p; until_ms } when s.at_ms <= at_ms && at_ms < until_ms ->
+        { m with Loss_model.drop = either m.Loss_model.drop p }
+      | Dup_burst { p; until_ms } when s.at_ms <= at_ms && at_ms < until_ms ->
+        { m with Loss_model.dup = either m.Loss_model.dup p }
+      | _ -> m)
+    base t
 
 let ( let* ) = Result.bind
 

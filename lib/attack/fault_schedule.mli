@@ -1,22 +1,22 @@
-(** Declarative, timed fault schedules — the chaos layer.
+(** Declarative, timed fault schedules — the chaos plan.
 
-    The paper's flexibility claim (§III-A5) is that the abstracted global
-    attacker makes it cheap to express "as many scenarios as you can
-    imagine".  This module turns that into an API: a schedule is a plain
-    list of timestamped fault actions (crash, recover, partition, loss /
-    duplication / delay bursts, a delay-model shift at GST) that
-    {!to_attacker} compiles into an ordinary {!Attacker.t}.  Because the
-    plan is declarative data rather than callback state, the same value
-    drives three consumers:
+    The paper's flexibility claim (§III-A5) is that the simulator makes it
+    cheap to express "as many scenarios as you can imagine".  This module
+    turns that into an API: a schedule is a plain list of timestamped fault
+    actions (crash, recover, partition, loss / duplication / delay windows,
+    a delay-model shift at GST).  The plan is data, not an attacker: the
+    run's lifecycle owns it, and pure evaluators answer every consumer's
+    question about it:
 
-    - the attacker (message verdicts and timed side effects),
-    - the controller (timer suppression for crashed nodes, the liveness
-      watchdog's notion of "the scenario just changed"),
+    - the transport's wire (the send-time verdict {!admit}, the loss and
+      duplication windows {!loss_model}, the down-node check at arrival),
+    - the controller (step alarms, timer suppression for crashed nodes, the
+      liveness watchdog's notion of "the scenario just changed"),
     - the invariant monitors (no decision by a crashed node).
 
-    Schedules compose with hand-written attackers via {!Attacker.compose},
-    and — being pure data evaluated against a seeded RNG — chaos runs stay
-    replayable under [Validator.check_determinism]. *)
+    Being pure data, with every random draw taken from the wire's seeded
+    loss stream, chaos runs stay replayable under
+    [Validator.check_determinism]. *)
 
 open Bftsim_sim
 open Bftsim_net
@@ -41,10 +41,11 @@ type action =
   | Heal  (** Lift the active partition. *)
   | Loss_burst of { p : float; until_ms : float }
       (** Drop each message independently with probability [p] until
-          [until_ms] (drawn from the attacker's seeded RNG stream). *)
+          [until_ms], on top of the configured loss model ({!loss_model}). *)
   | Dup_burst of { p : float; until_ms : float }
       (** Duplicate each delivered message with probability [p] until
-          [until_ms]; the copy arrives 1 ms after the original. *)
+          [until_ms], on top of the configured loss model; the copy arrives
+          λ/2 after the original. *)
   | Delay_spike of { extra_ms : float; until_ms : float }
       (** Add [extra_ms] to every message's delay until [until_ms]. *)
   | Gst_shift of Delay_model.t
@@ -58,8 +59,7 @@ type t = step list
     steps apply in list order). *)
 
 type Timer.payload += Chaos_step of action
-(** The attacker timer each step is armed on; exposed so traces and
-    composed attackers can recognize chaos transitions. *)
+(** The controller alarm each step is armed on. *)
 
 val empty : t
 
@@ -98,22 +98,35 @@ val next_recovery_after : t -> node:int -> at_ms:float -> float option
 (** Earliest [Recover node] or [Restart node] step strictly after [at_ms],
     if any. *)
 
+val splits : int list list -> src:int -> dst:int -> bool
+(** Do the partition [groups] place [src] and [dst] on different sides?
+    Nodes listed in no group form one implicit residual group. *)
+
 val separated : t -> src:int -> dst:int -> at_ms:float -> bool
-(** Does the partition active at [at_ms] (if any) place [src] and [dst] in
-    different groups? *)
+(** Does the partition active at [at_ms] (if any) {!splits} [src] and
+    [dst]? *)
 
 val step_times : t -> float list
 (** Sorted step times — the controller's watchdog treats each as a scenario
     change that resets the stall clock. *)
 
-val to_attacker : t -> Attacker.t
-(** Compiles the plan into an attacker.  Message verdicts are evaluated
-    against the plan at the message's send time: its source's crash state,
-    the partition, bursts.  A destination that is down when a message
-    arrives is not the attacker's call — the arrival instant is only final
-    after the loss model — so the controller's transport drops it at
-    delivery ({!crashed_at} at the actual arrival).  [Gst_shift] steps fire
-    on attacker timers and call [env.override_delay]. *)
+val admit : t -> Message.t -> at_ms:float -> bool
+(** The plan's send-time verdict on a message sent at [at_ms]: [false] when
+    its source is down or a partition separates its endpoints.  Otherwise
+    [true], with every active delay spike added to its [delay_ms].
+    Self-addressed messages always pass.  A destination that is down when
+    the message arrives is not decided here — the arrival instant is only
+    final after the loss model — so the transport drops it at delivery
+    ({!crashed_at} at the actual arrival). *)
+
+val loss_windows : t -> bool
+(** Does the plan have a loss or duplication window? *)
+
+val loss_model : t -> base:Loss_model.t -> at_ms:float -> Loss_model.t
+(** The loss model a message sent at [at_ms] goes through: [base] with the
+    drop and duplication probabilities of every active window combined in,
+    as independent events (drop [1 - (1 - d)(1 - p)], dup likewise).
+    [base] itself when no window is active. *)
 
 val describe : t -> string
 (** Round-trips through {!of_string} exactly, floats included

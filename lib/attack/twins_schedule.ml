@@ -38,20 +38,10 @@ let groups_at t ~at_ms =
   | None | Some [] -> None
   | Some groups -> Some groups
 
-(* Same residual-group convention as {!Fault_schedule.separated}: nodes not
-   listed in any group share an implicit extra block. *)
 let separated t ~src ~dst ~at_ms =
   match groups_at t ~at_ms with
   | None -> false
-  | Some groups ->
-    let side node =
-      let rec find k = function
-        | [] -> -1
-        | group :: rest -> if List.mem node group then k else find (k + 1) rest
-      in
-      find 0 groups
-    in
-    side src <> side dst
+  | Some groups -> Fault_schedule.splits groups ~src ~dst
 
 let leader_at t ~view = if view < 0 then None else List.nth_opt t.leaders view
 

@@ -18,9 +18,8 @@ type t = {
   rounds : int list list list;
       (** [rounds.(r)] is the partition for round [r] as groups of {e physical}
           ids; [[]] means fully connected. Nodes absent from every group share
-          an implicit residual block (same convention as
-          {!Fault_schedule.separated}). After the last round the network is
-          healed. *)
+          an implicit residual block ({!Fault_schedule.splits}). After the
+          last round the network is healed. *)
   leaders : int list;
       (** per-view leader override ({e logical} ids); views beyond the list
           fall back to the protocol's own rotation. [[]] = no override. *)

@@ -195,19 +195,12 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
   let attacker =
     let base = match attacker_override with Some a -> a | None -> build_attacker config in
     let c_twin_drops = Telemetry.counter tel "twins.round_drops" in
-    (* Layering: chaos first (a message a crashed source never sent must not
-       reach anything downstream), then the twins partition schedule, then
-       the scenario attacker. *)
-    let layers =
-      (match Lifecycle.plan life with
-      | [] -> []
-      | plan -> [ Attack.Fault_schedule.to_attacker plan ])
-      @
-      match twins with
-      | None -> []
-      | Some tw -> [ Attack.Twins_schedule.to_attacker ~on_drop:(fun () -> incr c_twin_drops) tw ]
-    in
-    match layers with [] -> base | _ -> Attack.Attacker.compose (layers @ [ base ])
+    (* The twins partition schedule rules before the scenario attacker. *)
+    match twins with
+    | None -> base
+    | Some tw ->
+      Attack.Attacker.compose
+        [ Attack.Twins_schedule.to_attacker ~on_drop:(fun () -> incr c_twin_drops) tw; base ]
   in
   (* Twin instances emulate a Byzantine identity: they are excluded from the
      decision target and from agreement — equivocation between the two
@@ -295,7 +288,6 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           end);
       is_corrupted = (fun node -> node >= 0 && node < n && corrupted.(node));
       corrupted = (fun () -> List.sort compare !corrupted_order);
-      override_delay = Network.override_delay network;
     }
   in
 
@@ -387,6 +379,17 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     Array.mapi (fun p ctx -> if Lifecycle.absent life p then None else Some (P.create ctx)) ctxs
   in
 
+  (* One alarm per chaos step, armed before the attacker's so a step runs
+     ahead of any attacker alarm due at the same instant.  The alarms also
+     keep the queue alive up to the last step, so a recovery is observed
+     even when every message in flight was dropped. *)
+  List.iter
+    (fun s ->
+      ignore
+        (arm_timer ~owner:Timer.attacker_owner ~delay_ms:s.Attack.Fault_schedule.at_ms ~tag:"chaos"
+           (Attack.Fault_schedule.Chaos_step s.Attack.Fault_schedule.action)
+          : Timer.id))
+    (Lifecycle.plan life);
   attacker.Attack.Attacker.on_start attacker_env;
   (* The workload initializes before the nodes start: a leader's first
      proposal request must already find the harness listening. *)
@@ -484,6 +487,14 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     P.on_restart node ctxs.(p);
     handled p
   in
+  let chaos_step = function
+    | Attack.Fault_schedule.Gst_shift model ->
+      Simlog.info "chaos: delay model shifts to %s" (Delay_model.describe model);
+      Network.override_delay network model
+    | action -> (
+      Simlog.info "chaos: %s" (Attack.Fault_schedule.describe_action action);
+      match action with Attack.Fault_schedule.Restart p -> restart p | _ -> ())
+  in
   let controller_alarm (timer : Timer.t) =
     match timer.Timer.payload with
     | Sample_views ->
@@ -494,10 +505,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
         Telemetry.alarm tel Telemetry.Fired timer;
         match payload with
         | Workload_fire f -> f ()
-        | Attack.Fault_schedule.Chaos_step (Attack.Fault_schedule.Restart p) when p >= 0 && p < pn ->
-          (* Let the chaos attacker log the transition first. *)
-          attacker.Attack.Attacker.on_time_event attacker_env timer;
-          restart p
+        | Attack.Fault_schedule.Chaos_step action -> chaos_step action
         | _ -> attacker.Attack.Attacker.on_time_event attacker_env timer
       end
       else Telemetry.alarm tel Telemetry.Cancelled timer

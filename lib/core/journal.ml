@@ -147,30 +147,15 @@ let event_to_json = function
 
 let ( let* ) r f = Result.bind r f
 
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "journal: missing field %S" name)
+let field = Json.field ~what:"journal"
 
-let int_field name json =
-  let* v = field name json in
-  match v with Json.Int i -> Ok i | _ -> Error (Printf.sprintf "journal: %S is not an int" name)
+let int_field = Json.int_field ~what:"journal"
 
-let float_field name json =
-  let* v = field name json in
-  match Json.to_number v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "journal: %S is not a number" name)
+let float_field = Json.number_field ~what:"journal"
 
-let string_field name json =
-  let* v = field name json in
-  match v with
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "journal: %S is not a string" name)
+let string_field = Json.string_field ~what:"journal"
 
-let bool_field name json =
-  let* v = field name json in
-  match v with Json.Bool b -> Ok b | _ -> Error (Printf.sprintf "journal: %S is not a bool" name)
+let bool_field = Json.bool_field ~what:"journal"
 
 let digest_of_json json =
   let* rep = int_field "rep" json in

@@ -2,8 +2,8 @@
     each node's incarnation, what becomes of a down node's alarm, and the
     write-ahead log that survives a restart.  It reads the config-crashed
     set and the chaos plan's crash, recover and restart steps once; the
-    controller, the transport's down-node stage and the invariant monitor
-    all ask it. *)
+    controller, the transport's wire and down-node stage and the invariant
+    monitor all ask it. *)
 
 type t
 

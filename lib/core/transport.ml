@@ -252,17 +252,29 @@ let create e =
     deliver_at msg
   in
   (* Stochastic per-link faults run after the adversary: the attacker models
-     intent, this models the wire itself.  Self-addressed messages are local
-     and never lossy. *)
+     intent, this models the wire itself.  The chaos plan's loss and dup
+     windows raise the model's probabilities while they are open.
+     Self-addressed messages are local and never lossy. *)
+  let plan = Lifecycle.plan e.lifecycle in
+  let windows = Attack.Fault_schedule.loss_windows plan in
   let transmit =
-    if Loss_model.is_none cfg.Config.loss then enqueue
+    if Loss_model.is_none cfg.Config.loss && not windows then enqueue
     else begin
       let rng = Rng.split e.rng and state = Loss_model.state cfg.Config.loss in
+      let sample =
+        if not windows then Loss_model.sample state rng
+        else fun ~src ~dst ->
+          let model =
+            Attack.Fault_schedule.loss_model plan ~base:cfg.Config.loss
+              ~at_ms:(Time.to_ms (e.now ()))
+          in
+          Loss_model.sample ~model state rng ~src ~dst
+      in
       let c_lost = counter "net.loss_dropped" and c_dup = counter "net.dup_created" in
       fun (msg : Message.t) ->
         if msg.Message.src = msg.Message.dst then enqueue msg
         else
-          let v = Loss_model.sample state rng ~src:msg.Message.src ~dst:msg.Message.dst in
+          let v = sample ~src:msg.Message.src ~dst:msg.Message.dst in
           if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg
           else begin
             msg.Message.delay_ms <- msg.Message.delay_ms +. v.Loss_model.reorder_extra_ms;
@@ -287,6 +299,7 @@ let create e =
   (* WAL writes occupy the same sequential CPU as signing, so the queueing
      delay behind a persist reaches the wire even when signing is free. *)
   let charge_cpu = sign_ms > 0. || cfg.Config.wal_ms > 0. in
+  let chaos = plan <> [] in
   let send ~src ~dst ~tag ~size payload =
     if not (Lifecycle.absent e.lifecycle src) then begin
       let id = e.next_id () in
@@ -300,9 +313,10 @@ let create e =
       end;
       let msg = Message.make ~id ~src ~dst ~sent_at:(e.now ()) ~tag ~size payload in
       Network.assign_delay e.network msg;
-      (* The recorded delay is end-to-end (sample + CPU + attacker), so in
-         replay mode it is applied last, after the attacker's verdict and
-         draws; the link sequence advances for every send, dropped or not. *)
+      (* The recorded delay is end-to-end (sample + CPU + chaos spike +
+         attacker), so in replay mode it is applied last, after the plan's
+         and the attacker's verdicts and draws; the link sequence advances
+         for every send, dropped or not. *)
       let replay_delay =
         match e.delay_override with
         | None -> None
@@ -314,11 +328,16 @@ let create e =
         let finish = Cost_model.charge e.cpus.(src) ~now_ms:now ~cost_ms:sign_ms in
         msg.Message.delay_ms <- msg.Message.delay_ms +. (finish -. now)
       end;
-      match e.attack msg with
-      | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
-      | Attack.Attacker.Deliver ->
-        (match replay_delay with Some d -> msg.Message.delay_ms <- d | None -> ());
-        transmit msg
+      (* The chaos plan rules first: a message a down source never sent must
+         not reach the attacker. *)
+      if chaos && not (Attack.Fault_schedule.admit plan msg ~at_ms:(Time.to_ms (e.now ()))) then
+        discard c_dropped Telemetry.Dropped msg
+      else
+        match e.attack msg with
+        | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
+        | Attack.Attacker.Deliver ->
+          (match replay_delay with Some d -> msg.Message.delay_ms <- d | None -> ());
+          transmit msg
     end
   in
   let wire =

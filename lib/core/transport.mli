@@ -29,7 +29,9 @@ type env = {
   network : Network.t;
   rng : Rng.t;  (** Root stream; {!create} splits the stage streams off it. *)
   now : unit -> Time.t;
-  lifecycle : Lifecycle.t;  (** Which nodes never run, and which are down when. *)
+  lifecycle : Lifecycle.t;
+      (** Which nodes never run, which are down when, and the chaos plan
+          the wire asks for its send-time verdict and loss windows. *)
   cpus : Cost_model.cpu array;  (** Per-node sequential CPUs; a send waits for signing. *)
   attack : Message.t -> Bftsim_attack.Attacker.verdict;
   delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
@@ -41,8 +43,8 @@ type env = {
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)
 }
 (** What the controller hands the stack: configuration, clock, the node
-    lifecycle, the event queue, the attacker verdict, timers and the run's
-    telemetry. *)
+    lifecycle and chaos plan, the event queue, the attacker verdict, timers
+    and the run's telemetry. *)
 
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;

@@ -83,8 +83,8 @@ type verdict = { deliver : bool; duplicate : bool; reorder_extra_ms : float }
 (* Draw order is part of the determinism contract: burst-state transition,
    then drop, then (if delivered) duplication, then reordering.  Changing it
    changes every lossy fingerprint. *)
-let sample st rng ~src ~dst =
-  let model = st.model in
+let sample ?model st rng ~src ~dst =
+  let model = match model with Some m -> m | None -> st.model in
   let dropped =
     let burst_dropped =
       match model.burst with

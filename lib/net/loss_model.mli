@@ -58,7 +58,8 @@ type verdict = {
   reorder_extra_ms : float;  (** meaningful only when [deliver] *)
 }
 
-val sample : state -> Bftsim_sim.Rng.t -> src:int -> dst:int -> verdict
-(** One per-message draw for link [src -> dst].  Draw order (burst
+val sample : ?model:t -> state -> Bftsim_sim.Rng.t -> src:int -> dst:int -> verdict
+(** One per-message draw for link [src -> dst], under [model] (default: the
+    state's own; its burst chains are used either way).  Draw order (burst
     transition, drop, dup, reorder) is fixed: it is part of the
     lossy-fingerprint determinism contract. *)

@@ -293,3 +293,22 @@ let to_list = function List xs -> Some xs | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 
 let to_number = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
+
+let field ~what name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing field %S" what name)
+
+let typed_field ~kind convert ~what name json =
+  Result.bind (field ~what name json) (fun v ->
+      match convert v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "%s: %S is not %s" what name kind))
+
+let int_field = typed_field ~kind:"an int" (function Int i -> Some i | _ -> None)
+
+let number_field = typed_field ~kind:"a number" to_number
+
+let string_field = typed_field ~kind:"a string" to_string_opt
+
+let bool_field = typed_field ~kind:"a bool" (function Bool b -> Some b | _ -> None)

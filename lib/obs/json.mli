@@ -33,3 +33,20 @@ val to_string_opt : t -> string option
 
 val to_number : t -> float option
 (** [Int] and [Float] both coerce to float. *)
+
+(** {1 Field readers}
+
+    For decoders of persisted records: [what] names the record kind and
+    prefixes every error, e.g. ["journal: missing field \"rep\""] or
+    ["load point: \"rate\" is not a number"]. *)
+
+val field : what:string -> string -> t -> (t, string) result
+
+val int_field : what:string -> string -> t -> (int, string) result
+
+val number_field : what:string -> string -> t -> (float, string) result
+(** Accepts [Int] and [Float], like {!to_number}. *)
+
+val string_field : what:string -> string -> t -> (string, string) result
+
+val bool_field : what:string -> string -> t -> (bool, string) result

@@ -379,28 +379,13 @@ let point_to_json p =
 
 let ( let* ) r f = Result.bind r f
 
-let j_field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "load point: missing field %S" name)
+let j_field = Json.field ~what:"load point"
 
-let j_num name json =
-  let* v = j_field name json in
-  match Json.to_number v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "load point: %S is not a number" name)
+let j_num = Json.number_field ~what:"load point"
 
-let j_int name json =
-  let* v = j_field name json in
-  match v with
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "load point: %S is not an int" name)
+let j_int = Json.int_field ~what:"load point"
 
-let j_string name json =
-  let* v = j_field name json in
-  match v with
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "load point: %S is not a string" name)
+let j_string = Json.string_field ~what:"load point"
 
 let point_of_json json =
   let* rate = j_num "rate" json in

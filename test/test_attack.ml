@@ -6,7 +6,7 @@ open Bftsim_net
 open Bftsim_attack
 
 (* A self-contained attacker environment over mutable test state. *)
-let make_env ?(n = 8) ?(f = 2) ?(now = 0.) ?(on_override = fun _ -> ()) () =
+let make_env ?(n = 8) ?(f = 2) ?(now = 0.) () =
   let corrupted = Hashtbl.create 8 in
   let injected = ref [] in
   let timers = ref [] in
@@ -36,7 +36,6 @@ let make_env ?(n = 8) ?(f = 2) ?(now = 0.) ?(on_override = fun _ -> ()) () =
       is_corrupted = Hashtbl.mem corrupted;
       corrupted =
         (fun () -> Hashtbl.fold (fun k () acc -> k :: acc) corrupted [] |> List.sort compare);
-      override_delay = on_override;
     }
   in
   (env, now_ref, injected, timers)
@@ -207,30 +206,26 @@ let test_schedule_crash_windows () =
   Alcotest.(check (option (float 1e-9))) "next recovery" (Some 5000.)
     (Fault_schedule.next_recovery_after plan ~node:2 ~at_ms:1000.)
 
+(* The plan's send-time verdict, as the transport's wire asks it. *)
 let test_schedule_crash_verdicts () =
-  let env, now_ref, _, _ = make_env () in
-  let attacker =
-    Fault_schedule.to_attacker (Fault_schedule.crash_and_recover ~nodes:[ 1 ] ~crash_ms:1000. ~recover_ms:5000.)
+  let plan =
+    Fault_schedule.normalize
+      (Fault_schedule.crash_and_recover ~nodes:[ 1 ] ~crash_ms:1000. ~recover_ms:5000.)
   in
-  Alcotest.(check bool) "sender up: delivered" true
-    (is_deliver (attacker.attack env (msg ~src:1 ())));
-  now_ref := 2000.;
-  Alcotest.(check bool) "sender down: dropped" false
-    (is_deliver (attacker.attack env (msg ~src:1 ~sent_at:2000. ())));
-  (* The verdict is a send-time one: whether the receiver is down when the
-     message arrives is decided on arrival, by the controller's transport
-     (the arrival instant is only final after the loss model). *)
-  now_ref := 500.;
+  let admit m = Fault_schedule.admit plan m ~at_ms:(Time.to_ms m.Message.sent_at) in
+  Alcotest.(check bool) "sender up: delivered" true (admit (msg ~src:1 ()));
+  Alcotest.(check bool) "sender down: dropped" false (admit (msg ~src:1 ~sent_at:2000. ()));
+  Alcotest.(check bool) "down sender's self-delivery dropped too" false
+    (admit (msg ~src:1 ~dst:1 ~sent_at:2000. ()));
+  (* Whether the receiver is down when the message arrives is decided on
+     arrival, by the transport's down-node stage (the arrival instant is
+     only final after the loss model). *)
   let m = msg ~src:0 ~dst:1 ~sent_at:500. () in
   m.Message.delay_ms <- 1000.;
-  Alcotest.(check bool) "receiver down at arrival: left to the transport" true
-    (is_deliver (attacker.attack env m));
-  now_ref := 6000.;
-  Alcotest.(check bool) "recovered sender: delivered" true
-    (is_deliver (attacker.attack env (msg ~src:1 ~sent_at:6000. ())))
+  Alcotest.(check bool) "receiver down at arrival: left to the transport" true (admit m);
+  Alcotest.(check bool) "recovered sender: delivered" true (admit (msg ~src:1 ~sent_at:6000. ()))
 
 let test_schedule_partition_heal () =
-  let env, now_ref, _, _ = make_env () in
   let plan =
     [
       { Fault_schedule.at_ms = 1000.; action = Fault_schedule.Partition [ [ 0; 1 ]; [ 2; 3 ] ] };
@@ -246,62 +241,67 @@ let test_schedule_partition_heal () =
   Alcotest.(check bool) "listed vs unlisted separated" true
     (Fault_schedule.separated plan ~src:0 ~dst:6 ~at_ms:2000.);
   Alcotest.(check bool) "healed" false (Fault_schedule.separated plan ~src:0 ~dst:2 ~at_ms:4000.);
-  let attacker = Fault_schedule.to_attacker plan in
-  now_ref := 2000.;
-  Alcotest.(check bool) "attacker drops cross traffic" false
-    (is_deliver (attacker.attack env (msg ~src:0 ~dst:2 ~sent_at:2000. ())))
+  Alcotest.(check bool) "verdict drops cross traffic" false
+    (Fault_schedule.admit plan (msg ~src:0 ~dst:2 ~sent_at:2000. ()) ~at_ms:2000.);
+  Alcotest.(check bool) "self-addressed crosses no partition" true
+    (Fault_schedule.admit plan (msg ~src:0 ~dst:0 ~sent_at:2000. ()) ~at_ms:2000.);
+  Alcotest.(check bool) "verdict delivers after the heal" true
+    (Fault_schedule.admit plan (msg ~src:0 ~dst:2 ~sent_at:4000. ()) ~at_ms:4000.)
 
+(* Loss and dup windows are overrides of the wire's loss model; spikes are
+   part of the send-time verdict. *)
 let test_schedule_bursts () =
-  let env, now_ref, injected, _ = make_env () in
-  now_ref := 1000.;
-  let certain_loss =
-    Fault_schedule.to_attacker
-      [ { Fault_schedule.at_ms = 0.; action = Fault_schedule.Loss_burst { p = 1.; until_ms = 2000. } } ]
+  let window action = [ { Fault_schedule.at_ms = 0.; action } ] in
+  let model plan ?(base = Loss_model.none) at_ms = Fault_schedule.loss_model plan ~base ~at_ms in
+  let draw m =
+    Loss_model.sample ~model:m (Loss_model.state Loss_model.none) (Rng.create 1) ~src:0 ~dst:1
   in
-  Alcotest.(check bool) "p=1 loss drops" false
-    (is_deliver (certain_loss.attack env (msg ~sent_at:1000. ())));
-  now_ref := 3000.;
-  Alcotest.(check bool) "loss window over" true
-    (is_deliver (certain_loss.attack env (msg ~sent_at:3000. ())));
-  let no_loss =
-    Fault_schedule.to_attacker
-      [ { Fault_schedule.at_ms = 0.; action = Fault_schedule.Loss_burst { p = 0.; until_ms = 2000. } } ]
-  in
-  now_ref := 1000.;
-  Alcotest.(check bool) "p=0 loss is harmless" true
-    (is_deliver (no_loss.attack env (msg ~sent_at:1000. ())));
-  let spike =
-    Fault_schedule.to_attacker
-      [ { Fault_schedule.at_ms = 0.; action = Fault_schedule.Delay_spike { extra_ms = 300.; until_ms = 2000. } } ]
-  in
+  let certain_loss = window (Fault_schedule.Loss_burst { p = 1.; until_ms = 2000. }) in
+  Alcotest.(check bool) "a loss window is a loss window" true
+    (Fault_schedule.loss_windows certain_loss);
+  Alcotest.(check bool) "p=1 loss drops" false (draw (model certain_loss 1000.)).Loss_model.deliver;
+  Alcotest.(check bool) "loss window over: the base model itself" true
+    (model certain_loss 3000. == Loss_model.none);
+  let no_loss = window (Fault_schedule.Loss_burst { p = 0.; until_ms = 2000. }) in
+  Alcotest.(check bool) "p=0 loss is harmless" true (draw (model no_loss 1000.)).Loss_model.deliver;
+  let base = Loss_model.make ~drop:0.1 ~dup:0.5 () in
+  let combined = model (window (Fault_schedule.Loss_burst { p = 0.2; until_ms = 2000. })) ~base 1000. in
+  Alcotest.(check (float 1e-12)) "drops combine as independent events" 0.28
+    combined.Loss_model.drop;
+  Alcotest.(check (float 0.)) "dup untouched by a loss window" 0.5 combined.Loss_model.dup;
+  Alcotest.(check (float 0.)) "a window over a lossless base is exact" 0.05
+    (model (window (Fault_schedule.Loss_burst { p = 0.05; until_ms = 2000. })) 1000.)
+      .Loss_model.drop;
+  let spike = window (Fault_schedule.Delay_spike { extra_ms = 300.; until_ms = 2000. }) in
+  Alcotest.(check bool) "a spike is no loss window" false (Fault_schedule.loss_windows spike);
   let m = msg ~sent_at:1000. () in
   m.Message.delay_ms <- 100.;
-  Alcotest.(check bool) "spiked but delivered" true (is_deliver (spike.attack env m));
+  Alcotest.(check bool) "spiked but delivered" true (Fault_schedule.admit spike m ~at_ms:1000.);
   Alcotest.(check (float 1e-9)) "spike added" 400. m.Message.delay_ms;
-  let dup =
-    Fault_schedule.to_attacker
-      [ { Fault_schedule.at_ms = 0.; action = Fault_schedule.Dup_burst { p = 1.; until_ms = 2000. } } ]
-  in
-  Alcotest.(check bool) "original delivered" true
-    (is_deliver (dup.attack env (msg ~sent_at:1000. ())));
-  Alcotest.(check int) "copy injected" 1 (List.length !injected)
+  let dup = window (Fault_schedule.Dup_burst { p = 1.; until_ms = 2000. }) in
+  let v = draw (model dup 1000.) in
+  Alcotest.(check bool) "original delivered" true v.Loss_model.deliver;
+  Alcotest.(check bool) "copy made" true v.Loss_model.duplicate
 
+(* GST steps fire on controller alarms: every message sent after the step
+   takes the new delay model's delay. *)
 let test_schedule_gst_shift () =
-  let shifted = ref [] in
-  let env, _, _, timers =
-    make_env ~on_override:(fun model -> shifted := model :: !shifted) ()
+  let module Core = Bftsim_core in
+  let chaos =
+    [ { Fault_schedule.at_ms = 300.; action = Fault_schedule.Gst_shift (Delay_model.Constant 70.) } ]
   in
-  let model = Delay_model.normal ~mu:100. ~sigma:10. in
-  let attacker =
-    Fault_schedule.to_attacker
-      [ { Fault_schedule.at_ms = 15_000.; action = Fault_schedule.Gst_shift model } ]
+  let config =
+    Core.Config.make "pbft" ~n:4 ~chaos ~record_trace:true ~delay:(Delay_model.Constant 20.)
+      ~decisions_target:20
   in
-  attacker.on_start env;
-  Alcotest.(check int) "one chaos timer armed" 1 (List.length !timers);
-  let delay_ms, tag, payload = List.hd !timers in
-  attacker.on_time_event env
-    { Timer.id = 1; owner = Timer.attacker_owner; deadline = Time.of_ms delay_ms; tag; payload };
-  Alcotest.(check int) "delay model overridden once" 1 (List.length !shifted)
+  let r = Core.Controller.run config in
+  let delays =
+    List.concat_map
+      (fun ((src, dst, _), ds) -> if src = dst then [] else List.filter_map Fun.id ds)
+      (Core.Trace.delays (Option.get r.Core.Controller.trace))
+  in
+  Alcotest.(check (list (float 1e-9))) "delay model overridden at the step" [ 20.; 70. ]
+    (List.sort_uniq compare delays)
 
 let test_schedule_validate () =
   let rejected plan =
@@ -364,18 +364,31 @@ let test_schedule_restart () =
 
 (* Corruption and chaos crashes are different faults: a chaos [Recover]
    restarts a crashed node, but an adaptively corrupted node stays silenced
-   by [drop_from_corrupted] forever. *)
+   by [drop_from_corrupted] forever — the wire asks the plan first and the
+   attacker after it. *)
 let test_corruption_survives_recovery () =
-  let env, now_ref, _, _ = make_env () in
-  ignore (env.Attacker.corrupt 3);
-  let chaos = Fault_schedule.to_attacker (Fault_schedule.crash_and_recover ~nodes:[ 3 ] ~crash_ms:0. ~recover_ms:1000.) in
-  let silencer = { Attacker.passthrough with Attacker.attack = Attacker.drop_from_corrupted } in
-  let composed = Attacker.compose [ chaos; silencer ] in
-  now_ref := 2000.;
-  Alcotest.(check bool) "chaos alone would deliver after recovery" true
-    (is_deliver (chaos.attack env (msg ~src:3 ~sent_at:2000. ())));
-  Alcotest.(check bool) "composed attacker still drops: corruption is permanent" false
-    (is_deliver (composed.attack env (msg ~src:3 ~sent_at:2000. ())))
+  let module Core = Bftsim_core in
+  let plan = Fault_schedule.crash_and_recover ~nodes:[ 3 ] ~crash_ms:0. ~recover_ms:1000. in
+  Alcotest.(check bool) "the plan alone delivers after recovery" true
+    (Fault_schedule.admit plan (msg ~src:3 ~sent_at:2000. ()) ~at_ms:2000.);
+  let silencer =
+    {
+      Attacker.passthrough with
+      Attacker.on_start = (fun env -> ignore (env.Attacker.corrupt 3 : bool));
+      attack = Attacker.drop_from_corrupted;
+    }
+  in
+  let config = Core.Config.make "pbft" ~n:4 ~chaos:plan ~record_trace:true ~decisions_target:3 in
+  let r = Core.Controller.run ~attacker:silencer config in
+  let entries = Core.Trace.entries (Option.get r.Core.Controller.trace) in
+  Alcotest.(check bool) "node 3 sends after its recovery" true
+    (List.exists
+       (fun (e : Core.Trace.entry) -> e.kind = Core.Trace.Send && e.node = 3 && e.at_ms >= 1000.)
+       entries);
+  Alcotest.(check bool) "none of them is delivered: corruption is permanent" false
+    (List.exists
+       (fun (e : Core.Trace.entry) -> e.kind = Core.Trace.Deliver && e.peer = 3 && e.node <> 3)
+       entries)
 
 (* --- ADD+ attacks (unit level; end-to-end covered in test_integration) --- *)
 

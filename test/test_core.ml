@@ -427,7 +427,7 @@ let test_watchdog_waits_for_scheduled_relief () =
 let test_chaos_determinism () =
   (* Acceptance: a non-trivial fault schedule (crashes, recoveries, a loss
      burst, a delay spike and a GST shift) must leave the run replayable —
-     all chaos randomness is drawn from the seeded attacker stream. *)
+     all chaos randomness is drawn from the wire's seeded loss stream. *)
   let chaos =
     match
       Bftsim_attack.Fault_schedule.of_string
@@ -634,6 +634,33 @@ let test_chained_restart_sweep () =
       in
       Alcotest.(check (list int)) (protocol ^ " seeds missing the target") expected_misses misses)
     [ ("hotstuff-ns", []); ("librabft", [ 21; 44 ]) ]
+
+(* Chaos loss and dup windows ride the wire's loss model: a plan whose
+   windows cover the whole run is the same run as the base model, draw for
+   draw.  Only the two step alarms tell them apart. *)
+let test_chaos_windows_are_the_loss_model () =
+  List.iter
+    (fun protocol ->
+      let run ?chaos ?loss () =
+        Core.Controller.run
+          (with_metrics (Core.Config.make protocol ?chaos ?loss ~n:7 ~seed:42 ~record_trace:true))
+      in
+      let windows =
+        run
+          ~chaos:
+            (Result.get_ok (Bftsim_attack.Fault_schedule.of_string "loss:0.05@0-1e9;dup:0.02@0-1e9"))
+          ()
+      and base = run ~loss:(Net.Loss_model.make ~drop:0.05 ~dup:0.02 ()) () in
+      let rows (r : Core.Controller.result) = Core.Trace.entries (Option.get r.trace) in
+      Alcotest.(check bool) (protocol ^ " decisions") true (windows.decisions = base.decisions);
+      Alcotest.(check bool) (protocol ^ " trace rows") true (rows windows = rows base);
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (protocol ^ " " ^ name) (counter_of base name) (counter_of windows name))
+        [ "net.loss_dropped"; "net.dup_created" ];
+      Alcotest.(check bool) (protocol ^ " the windows drew") true
+        (counter_of windows "net.loss_dropped" > 0 && counter_of windows "net.dup_created" > 0))
+    [ "pbft"; "hotstuff-ns" ]
 
 let test_stall_ms_override () =
   (* The absolute stall threshold arms the liveness watchdog even without
@@ -936,6 +963,8 @@ let () =
           Alcotest.test_case "late delivery to a crashed replica is lost" `Quick
             test_late_delivery_to_crashed_replica;
           Alcotest.test_case "stall_ms override" `Quick test_stall_ms_override;
+          Alcotest.test_case "loss and dup windows are the loss model" `Quick
+            test_chaos_windows_are_the_loss_model;
           Alcotest.test_case "chained restart re-decides" `Quick test_chained_restart_redecides;
           Alcotest.test_case "chained restart sweep" `Quick test_chained_restart_sweep;
           Alcotest.test_case "validity monitor clean on unanimous run" `Quick
