@@ -22,20 +22,33 @@ module Exit_code = struct
   let liveness = 3
 end
 
-(* Campaign journal plumbing shared by sweep and conform: --journal FILE
-   opens (or truncates) a journal; --resume additionally loads it first
-   and verifies it belongs to this campaign.  --resume against a journal
-   that does not exist yet is a fresh start, so scripted campaigns can
-   pass both flags unconditionally. *)
-let open_campaign_journal ~fingerprint ~journal ~resume =
-  match (journal, resume) with
-  | None, false -> Ok (None, [])
-  | None, true -> Error "--resume requires --journal FILE"
-  | Some path, false -> Ok (Some (Core.Journal.create ~fingerprint path), [])
-  | Some path, true ->
-    if Sys.file_exists path then
+(* Campaign journal plumbing shared by sweep, load, conform and twins:
+   --journal FILE opens (or truncates) a journal; --resume additionally
+   loads it first and verifies it belongs to this campaign.  --resume
+   against a journal that does not exist yet is a fresh start, so scripted
+   campaigns can pass both flags unconditionally.  [run] gets the open
+   journal and its events; when [resumed] counts skipped items, [note]
+   words the progress line, which goes to stderr: stdout must stay
+   byte-diffable between resumed and uninterrupted campaigns. *)
+let run_journaled ~fingerprint ~journal ~resume ~resumed ~note run finish =
+  let opened =
+    match (journal, resume) with
+    | None, false -> Ok (None, [])
+    | None, true -> Error "--resume requires --journal FILE"
+    | Some path, true when Sys.file_exists path ->
       Result.map (fun (t, events) -> (Some t, events)) (Core.Journal.resume ~fingerprint path)
-    else Ok (Some (Core.Journal.create ~fingerprint path), [])
+    | Some path, _ -> Ok (Some (Core.Journal.create ~fingerprint path), [])
+  in
+  match opened with
+  | Error e ->
+    Format.eprintf "error: %s@." e;
+    Exit_code.crash
+  | Ok (journal, events) ->
+    let r = run journal events in
+    Option.iter Core.Journal.close journal;
+    let k = resumed r in
+    if k > 0 then Format.eprintf "resumed: %s@." (note k);
+    finish r
 
 let read_config_file path =
   let ic = open_in path in
@@ -261,20 +274,14 @@ let sweep_cmd =
       in
       let reps = if reps > 0 then Some reps else None in
       let reps_n = match reps with Some r -> r | None -> Core.Runner.default_reps () in
-      let fingerprint = Core.Journal.fingerprint ~mode:"sweep" ~reps:reps_n [ config ] in
-      (match open_campaign_journal ~fingerprint ~journal ~resume with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        Exit_code.crash
-      | Ok (journal_t, resumed) ->
-        let summary = Core.Runner.run_many ?reps ?jobs ?journal:journal_t ~resumed config in
-        Option.iter Core.Journal.close journal_t;
-        (* Progress notes go to stderr: stdout must stay byte-diffable
-           between resumed and uninterrupted campaigns. *)
-        if summary.Core.Runner.resumed > 0 then
-          Format.eprintf "resumed: %d of %d replication(s) journaled, %d run now@."
-            summary.Core.Runner.resumed reps_n
-            (reps_n - summary.Core.Runner.resumed);
+      run_journaled
+        ~fingerprint:(Core.Journal.fingerprint ~mode:"sweep" ~reps:reps_n [ config ])
+        ~journal ~resume
+        ~resumed:(fun s -> s.Core.Runner.resumed)
+        ~note:(fun k ->
+          Printf.sprintf "%d of %d replication(s) journaled, %d run now" k reps_n (reps_n - k))
+        (fun journal resumed -> Core.Runner.run_many ?reps ?jobs ?journal ~resumed config)
+      @@ fun summary ->
         Format.printf "%s@." (Core.Config.describe config);
         Format.printf "%a@." Core.Runner.pp_summary summary;
         (* The merged registry is deterministic in the seed sequence, so this
@@ -303,7 +310,7 @@ let sweep_cmd =
         if summary.Core.Runner.safety_violations > 0 then Exit_code.safety
         else if crashed then Exit_code.crash
         else if summary.Core.Runner.failures <> [] then Exit_code.liveness
-        else Exit_code.ok)
+        else Exit_code.ok
   in
   let term =
     Term.(
@@ -413,20 +420,13 @@ let load_cmd =
         else config
       in
       let driver = Wl.Driver.make ~arrival ~policy ~mempool_capacity:mempool ~clients ~keys () in
-      let fingerprint = Wl.Driver.fingerprint driver config ~rates in
-      (match open_campaign_journal ~fingerprint ~journal ~resume with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        Exit_code.crash
-      | Ok (journal_t, resumed) ->
-        let curve = Wl.Driver.sweep ?jobs ?journal:journal_t ~resumed driver config ~rates in
-        Option.iter Core.Journal.close journal_t;
-        (* Progress notes go to stderr: stdout must stay byte-diffable
-           between resumed and uninterrupted sweeps and across --jobs. *)
-        if curve.Wl.Driver.resumed > 0 then
-          Format.eprintf "resumed: %d of %d point(s) journaled, %d run now@."
-            curve.Wl.Driver.resumed (List.length rates)
-            (List.length rates - curve.Wl.Driver.resumed);
+      let points = List.length rates in
+      run_journaled ~fingerprint:(Wl.Driver.fingerprint driver config ~rates) ~journal ~resume
+        ~resumed:(fun c -> c.Wl.Driver.resumed)
+        ~note:(fun k ->
+          Printf.sprintf "%d of %d point(s) journaled, %d run now" k points (points - k))
+        (fun journal resumed -> Wl.Driver.sweep ?jobs ?journal ~resumed driver config ~rates)
+      @@ fun curve ->
         Format.printf "%s@." (Core.Config.describe config);
         Format.printf "workload: %s, %d height(s) per point@." (Wl.Driver.describe driver)
           heights;
@@ -453,7 +453,7 @@ let load_cmd =
             (fun (p : Wl.Driver.point) -> p.Wl.Driver.outcome = "event-cap")
             curve.Wl.Driver.points
         then Exit_code.crash
-        else Exit_code.ok)
+        else Exit_code.ok
   in
   let term =
     Term.(
@@ -581,22 +581,17 @@ let protocol_names =
 (* Check [scenarios] through the harness under the campaign's journal,
    print the report and pick the exit code; [failed] picks it when some
    scenario failed an oracle. *)
-let run_campaign c ?mode ~name ~failed ~budget ~seed scenarios =
-  let fingerprint = Conf.Harness.campaign_cell ?mode ~budget ~seed scenarios in
-  match open_campaign_journal ~fingerprint ~journal:c.journal ~resume:c.resume with
-  | Error e ->
-    Format.eprintf "error: %s@." e;
-    Exit_code.crash
-  | Ok (journal, resumed) ->
-    let report =
+let run_campaign c ?mode ~name ~failed ~seed scenarios =
+  let total = List.length scenarios in
+  run_journaled ~fingerprint:(Conf.Harness.campaign_cell ?mode scenarios) ~journal:c.journal
+    ~resume:c.resume
+    ~resumed:(fun r -> r.Conf.Harness.resumed)
+    ~note:(fun k -> Printf.sprintf "%d of %d check(s) already journaled as passed" k total)
+    (fun journal resumed ->
       Conf.Harness.fuzz_scenarios ?mode ?jobs:c.jobs ~determinism:c.determinism ~shrink:c.shrink
         ~shrink_budget:c.shrink_budget ~bundle_dir:c.out ~policy:(c.policy seed) ?journal ~resumed
-        ~seed scenarios
-    in
-    Option.iter Core.Journal.close journal;
-    if report.Conf.Harness.resumed > 0 then
-      Format.eprintf "resumed: %d of %d check(s) already journaled as passed@."
-        report.Conf.Harness.resumed report.Conf.Harness.scenarios;
+        ~seed scenarios)
+  @@ fun report ->
     Format.printf "%a@." Conf.Harness.pp_report report;
     if Conf.Harness.ok report then begin
       Format.printf "%s OK: %d scenario(s), all oracles hold@." name report.Conf.Harness.scenarios;
@@ -637,7 +632,7 @@ let conform_cmd =
       | None -> ());
       run_campaign campaign ~name:"conformance"
         ~failed:(fun _ -> Exit_code.safety)
-        ~budget ~seed
+        ~seed
         (Conf.Scenario.sample ?protocols ?families ~budget ~seed ())
   in
   let term =
@@ -726,7 +721,7 @@ let twins_cmd =
           Format.printf "checking %d scenario(s) across %d protocol(s)@."
             (List.length scenarios)
             (List.length scenarios / stats.Twins.Enumerate.emitted);
-          run_campaign campaign ~mode:"twins" ~name:"twins" ~failed ~budget ~seed scenarios
+          run_campaign campaign ~mode:"twins" ~name:"twins" ~failed ~seed scenarios
         end)
   in
   let term =

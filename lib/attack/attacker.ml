@@ -46,28 +46,3 @@ let delay_all ~extra_ms =
         Deliver);
     on_time_event = (fun _ _ -> ());
   }
-
-let compose = function
-  | [] -> passthrough
-  | [ single ] -> single
-  | attackers ->
-    {
-      name =
-        Printf.sprintf "compose(%s)" (String.concat "+" (List.map (fun a -> a.name) attackers));
-      on_start = (fun env -> List.iter (fun a -> a.on_start env) attackers);
-      attack =
-        (fun env msg ->
-          (* Any Drop wins: once one layer suppresses the message the later
-             layers must not see it (they could otherwise mutate its delay
-             or inject reactions to a message that never existed). *)
-          let rec rule = function
-            | [] -> Deliver
-            | a :: rest -> ( match a.attack env msg with Drop -> Drop | Deliver -> rule rest)
-          in
-          rule attackers);
-      on_time_event =
-        (fun env timer ->
-          (* Timer payloads are attacker-specific extensible variants; each
-             layer pattern-matches its own and ignores the rest. *)
-          List.iter (fun a -> a.on_time_event env timer) attackers);
-    }

@@ -66,13 +66,3 @@ val drop_from_corrupted : env -> Message.t -> verdict
 val delay_all : extra_ms:float -> t
 (** Adds a fixed extra delay to every message — a crude WAN degradation used
     in tests and examples. *)
-
-val compose : t list -> t
-(** Stacks attackers into one: [on_start] and [on_time_event] fan out to
-    every layer (each ignores timer payloads it does not recognize), and a
-    message is delivered only if {e every} layer rules [Deliver] — any
-    [Drop] wins, and later layers never see a dropped message.  Delay
-    rewrites accumulate left to right.  [compose \[\]] is {!passthrough}.
-
-    This is what makes the Twins partition schedule stack with a scenario
-    attacker. *)

@@ -1,5 +1,3 @@
-open Bftsim_sim
-open Bftsim_net
 
 type t = {
   ids : int list;
@@ -106,27 +104,6 @@ let validate ~n t =
         fail "Twins: leader %d for view %d out of range 0..%d (leaders are logical ids)" leader v
           (n - 1))
     t.leaders
-
-let to_attacker ?(on_drop = fun () -> ()) t =
-  {
-    Attacker.name =
-      Printf.sprintf "twins[%d twin(s),%d round(s)]" (List.length t.ids) (List.length t.rounds);
-    on_start = (fun _ -> ());
-    attack =
-      (fun env (msg : Message.t) ->
-        (* Self-addressed messages are local deliveries; everything else is
-           routed through the round's partition, the round being the one the
-           message was *sent* in (the Twins paper's network rule). *)
-        if msg.Message.src = msg.Message.dst then Attacker.Deliver
-        else
-          let now = Time.to_ms (env.Attacker.now ()) in
-          if separated t ~src:msg.Message.src ~dst:msg.Message.dst ~at_ms:now then begin
-            on_drop ();
-            Attacker.Drop
-          end
-          else Attacker.Deliver);
-    on_time_event = (fun _ _ -> ());
-  }
 
 (* --- config-file syntax ---------------------------------------------- *)
 

@@ -78,11 +78,6 @@ val validate : n:int -> t -> unit
     duration, out-of-range physical ids or double placement in a round,
     out-of-range leaders. *)
 
-val to_attacker : ?on_drop:(unit -> unit) -> t -> Attacker.t
-(** Compile the partition schedule to a network attacker. Messages crossing
-    the round's partition (by send time) are dropped; self-addressed
-    messages always pass. [on_drop] is invoked once per dropped message. *)
-
 (** {2 Config-file syntax}
 
     [ids] and [leaders] render as comma-separated ints ("0" or "0,2");

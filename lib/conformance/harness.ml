@@ -59,8 +59,7 @@ let run_scenario ?determinism ?cancel (scenario : Scenario.t) =
 let bundle_name idx (config : Config.t) =
   Printf.sprintf "%03d-%s-n%d-seed%d" idx config.Config.protocol config.Config.n config.Config.seed
 
-let campaign_cell ?(mode = "conform") ~budget ~seed scenarios =
-  ignore (budget, seed);
+let campaign_cell ?(mode = "conform") scenarios =
   Journal.fingerprint ~mode ~reps:1
     (List.map (fun (s : Scenario.t) -> s.Scenario.config) scenarios)
 
@@ -71,60 +70,34 @@ let campaign_cell ?(mode = "conform") ~budget ~seed scenarios =
 type checked = Passed | Failed of (Oracle.verdict list * Controller.result) | Crashed of string
 
 let fuzz_scenarios ?mode ?jobs ?(determinism = true) ?(shrink = true) ?(shrink_budget = 48)
-    ?bundle_dir ?policy ?journal ?(resumed = []) ~seed scenarios =
-  let cell = campaign_cell ?mode ~budget:(List.length scenarios) ~seed scenarios in
-  let already_passed = Journal.checks resumed ~cell in
-  let supervisor =
-    let policy = match policy with Some p -> p | None -> { Supervisor.default_policy with seed } in
-    let on_failure =
-      Option.map
-        (fun j ~key ~attempt ~wall_ms kind ->
-          let kind_s, detail, backtrace =
-            match kind with
-            | Supervisor.Crash { exn; backtrace } -> ("crash", exn, backtrace)
-            | Supervisor.Deadline -> ("deadline", "wall-clock deadline exceeded", "")
-          in
-          let rep =
-            try Scanf.sscanf key "scenario%d" Fun.id
-            with Scanf.Scan_failure _ | End_of_file -> -1
-          in
-          Journal.append j
-            (Journal.Failure { cell; rep; attempt; wall_ms; kind = kind_s; detail; backtrace }))
-        journal
-    in
-    Supervisor.create ~policy ?on_failure ()
-  in
+    ?bundle_dir ?policy ?journal ?resumed ~seed scenarios =
+  let policy = match policy with Some p -> p | None -> { Supervisor.default_policy with seed } in
   (* Scenario checks are independent full simulations, so they fan out
      across the domain pool exactly like Runner replications — under
      supervision, so one crashing oracle or hung scenario cannot sink the
      campaign. *)
+  let slots =
+    Runner.campaign_map ?jobs ?journal ?resumed
+      ~supervisor:(Supervisor.create ~policy ())
+      ~cell:(campaign_cell ?mode scenarios) ~key:"scenario"
+      ~encode:(fun (verdicts, _) -> if verdicts = [] then Some Bftsim_obs.Json.Null else None)
+      ~decode:(fun _ -> Ok ())
+      (fun ~cancel s -> run_scenario ~determinism ~cancel s)
+      scenarios
+  in
   let checked =
-    Parallel.map ?jobs
-      (fun (idx, s) ->
-        if List.mem idx already_passed then Passed
-        else
-          let outcome =
-            Supervisor.supervise supervisor
-              ~key:(Printf.sprintf "scenario%d" idx)
-              (fun ~cancel -> run_scenario ~determinism ~cancel s)
-          in
-          match outcome with
-          | Supervisor.Ok ((verdicts, _) as check) ->
-            if verdicts = [] then begin
-              (match journal with
-              | Some j -> Journal.append j (Journal.Check { cell; index = idx })
-              | None -> ());
-              Passed
-            end
-            else Failed check
-          | Supervisor.Crashed { exn; retries; backtrace = _ } ->
-            Crashed (Printf.sprintf "%s (after %d retr%s)" exn retries
-                       (if retries = 1 then "y" else "ies"))
-          | Supervisor.Deadline_exceeded { wall_ms; retries = _ } ->
-            Crashed (Printf.sprintf "wall-clock deadline exceeded after %.0f ms" wall_ms)
-          | Supervisor.Quarantined { failures } ->
-            Crashed (Printf.sprintf "quarantined after %d failure(s)" failures))
-      (List.mapi (fun i s -> (i, s)) scenarios)
+    List.map
+      (function
+        | Runner.Resumed () | Runner.Ran (Supervisor.Ok ([], _)) -> Passed
+        | Runner.Ran (Supervisor.Ok check) -> Failed check
+        | Runner.Ran (Supervisor.Crashed { exn; retries; backtrace = _ }) ->
+          Crashed
+            (Printf.sprintf "%s (after %d retr%s)" exn retries (if retries = 1 then "y" else "ies"))
+        | Runner.Ran (Supervisor.Deadline_exceeded { wall_ms; retries = _ }) ->
+          Crashed (Printf.sprintf "wall-clock deadline exceeded after %.0f ms" wall_ms)
+        | Runner.Ran (Supervisor.Quarantined { failures }) ->
+          Crashed (Printf.sprintf "quarantined after %d failure(s)" failures))
+      slots
   in
   let crashed =
     List.concat
@@ -179,7 +152,7 @@ let fuzz_scenarios ?mode ?jobs ?(determinism = true) ?(shrink = true) ?(shrink_b
     checks = List.length checked;
     failures;
     crashed;
-    resumed = List.length already_passed;
+    resumed = Runner.count_resumed slots;
   }
 
 let fuzz ?protocols ?families ?jobs ?determinism ?shrink ?shrink_budget ?bundle_dir ?policy

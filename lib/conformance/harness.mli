@@ -55,10 +55,9 @@ val run_scenario :
   Scenario.t ->
   Oracle.verdict list * Controller.result
 
-val campaign_cell : ?mode:string -> budget:int -> seed:int -> Scenario.t list -> string
+val campaign_cell : ?mode:string -> Scenario.t list -> string
 (** Journal cell (and campaign fingerprint) of a fuzzing batch: a stable
-    hash over the sampled scenarios' configurations.  The CLI computes it
-    from [Scenario.sample] with the same arguments it passes to {!fuzz}.
+    hash over the scenarios' configurations.
     [mode] (default ["conform"]) namespaces the fingerprint, so a twins
     campaign's journal is never mistaken for a conformance one's. *)
 
@@ -78,7 +77,10 @@ val fuzz_scenarios :
 (** Check an explicitly supplied scenario list through the full
     supervise → judge → shrink → bundle pipeline.  This is the engine
     under {!fuzz}; callers with their own scenario source (the twins
-    enumerator) use it directly.  [mode] namespaces the journal cell. *)
+    enumerator) use it directly.  [mode] namespaces the journal cell.
+    The checks run through [Runner.campaign_map] with key ["scenario"]: a
+    passed check is journaled as a [Done] record with a [null] body, and
+    a failing one is not journaled, so a resume re-runs it. *)
 
 val fuzz :
   ?protocols:string list ->

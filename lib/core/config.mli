@@ -91,8 +91,8 @@ type t = {
       (** If set, sample every node's view at this period (Fig. 9). *)
   chaos : Bftsim_attack.Fault_schedule.t;
       (** Timed fault plan (crashes, recoveries, partitions, bursts, GST
-          shifts); compiled into an attacker and composed with [attack].
-          Kept normalized (sorted by time). *)
+          shifts); the transport wire rules on it before [attack].  Kept
+          normalized (sorted by time). *)
   twins : Bftsim_attack.Twins_schedule.t option;
       (** Twins-style attacker (DESIGN.md §3.14): each listed identity runs a
           duplicate replica sharing its credentials, under a round-indexed

@@ -192,16 +192,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
   let finished = ref None in
   let outcome = ref Queue_drained in
   let view_samples = ref [] in
-  let attacker =
-    let base = match attacker_override with Some a -> a | None -> build_attacker config in
-    let c_twin_drops = Telemetry.counter tel "twins.round_drops" in
-    (* The twins partition schedule rules before the scenario attacker. *)
-    match twins with
-    | None -> base
-    | Some tw ->
-      Attack.Attacker.compose
-        [ Attack.Twins_schedule.to_attacker ~on_drop:(fun () -> incr c_twin_drops) tw; base ]
-  in
+  let attacker = match attacker_override with Some a -> a | None -> build_attacker config in
   (* Twin instances emulate a Byzantine identity: they are excluded from the
      decision target and from agreement — equivocation between the two
      halves is the attack, not the violation.  The violation the oracles

@@ -1,8 +1,8 @@
 (* Append-only JSONL campaign journal (DESIGN.md §3.13).
 
-   One JSON object per line: a header first, then Run / Check / Failure
-   events.  Appends flush before returning so a SIGKILL loses at most the
-   line being written; [load] drops a torn final line for the same reason.
+   One JSON object per line: a header first, then Done / Failure events.
+   Appends flush before returning so a SIGKILL loses at most the line
+   being written; [load] drops a torn final line for the same reason.
    The byte-identical-resume contract lives in the encoding: digests go
    through [Bftsim_obs.Json], whose float printer round-trips exactly, and
    the campaign drivers consume digests on the live path too. *)
@@ -11,7 +11,8 @@ module Json = Bftsim_obs.Json
 module Sha256 = Bftsim_crypto.Sha256
 
 let format_name = "bftsim-campaign"
-let version = 1
+(* 2: the per-campaign Run / Check / Note records merged into Done. *)
+let version = 2
 
 type digest = {
   rep : int;
@@ -68,12 +69,10 @@ let digest_of_result ~rep (r : Controller.result) =
   }
 
 type event =
-  | Run of { cell : string; digest : digest }
-  | Check of { cell : string; index : int }
-  | Note of { cell : string; body : Json.t }
+  | Done of { cell : string; index : int; body : Json.t }
   | Failure of {
       cell : string;
-      rep : int;
+      index : int;
       attempt : int;
       wall_ms : float;
       kind : string;
@@ -120,21 +119,20 @@ let digest_to_json d =
     @ match d.metrics with None -> [] | Some m -> [ ("metrics", m) ])
 
 let event_to_json = function
-  | Run { cell; digest } ->
+  | Done { cell; index; body } ->
     Json.Assoc
-      [ ("run", Json.Assoc [ ("cell", Json.String cell); ("digest", digest_to_json digest) ]) ]
-  | Check { cell; index } ->
-    Json.Assoc [ ("check", Json.Assoc [ ("cell", Json.String cell); ("index", Json.Int index) ]) ]
-  | Note { cell; body } ->
-    Json.Assoc [ ("note", Json.Assoc [ ("cell", Json.String cell); ("body", body) ]) ]
-  | Failure { cell; rep; attempt; wall_ms; kind; detail; backtrace } ->
+      [
+        ( "done",
+          Json.Assoc [ ("cell", Json.String cell); ("index", Json.Int index); ("body", body) ] );
+      ]
+  | Failure { cell; index; attempt; wall_ms; kind; detail; backtrace } ->
     Json.Assoc
       [
         ( "failure",
           Json.Assoc
             [
               ("cell", Json.String cell);
-              ("rep", Json.Int rep);
+              ("index", Json.Int index);
               ("attempt", Json.Int attempt);
               ("wall_ms", Json.Float wall_ms);
               ("kind", Json.String kind);
@@ -195,35 +193,22 @@ let digest_of_json json =
     }
 
 let event_of_json json =
-  match
-    ( Json.member "run" json,
-      Json.member "check" json,
-      Json.member "note" json,
-      Json.member "failure" json )
-  with
-  | Some body, _, _, _ ->
-    let* cell = string_field "cell" body in
-    let* dj = field "digest" body in
-    let* digest = digest_of_json dj in
-    Ok (Run { cell; digest })
-  | None, Some body, _, _ ->
-    let* cell = string_field "cell" body in
-    let* index = int_field "index" body in
-    Ok (Check { cell; index })
-  | None, None, Some body, _ ->
-    let* cell = string_field "cell" body in
-    let* b = field "body" body in
-    Ok (Note { cell; body = b })
-  | None, None, None, Some body ->
-    let* cell = string_field "cell" body in
-    let* rep = int_field "rep" body in
-    let* attempt = int_field "attempt" body in
-    let* wall_ms = float_field "wall_ms" body in
-    let* kind = string_field "kind" body in
-    let* detail = string_field "detail" body in
-    let* backtrace = string_field "backtrace" body in
-    Ok (Failure { cell; rep; attempt; wall_ms; kind; detail; backtrace })
-  | None, None, None, None -> Error "journal: line is neither run, check, note nor failure"
+  match (Json.member "done" json, Json.member "failure" json) with
+  | Some record, _ ->
+    let* cell = string_field "cell" record in
+    let* index = int_field "index" record in
+    let* body = field "body" record in
+    Ok (Done { cell; index; body })
+  | None, Some record ->
+    let* cell = string_field "cell" record in
+    let* index = int_field "index" record in
+    let* attempt = int_field "attempt" record in
+    let* wall_ms = float_field "wall_ms" record in
+    let* kind = string_field "kind" record in
+    let* detail = string_field "detail" record in
+    let* backtrace = string_field "backtrace" record in
+    Ok (Failure { cell; index; attempt; wall_ms; kind; detail; backtrace })
+  | None, None -> Error "journal: line is neither done nor failure"
 
 (* {1 Writing} *)
 
@@ -273,9 +258,15 @@ let read_lines path =
 let parse_header json =
   match Json.member "journal" json with
   | Some (Json.String name) when name = format_name -> (
-    match Json.member "fingerprint" json with
-    | Some (Json.String fp) -> Ok fp
-    | _ -> Error "journal: header has no fingerprint")
+    match (Json.member "version" json, Json.member "fingerprint" json) with
+    | Some (Json.Int v), _ when v <> version ->
+      Error
+        (Printf.sprintf
+           "journal: format version %d, this build reads version %d: start the campaign afresh"
+           v version)
+    | Some (Json.Int _), Some (Json.String fp) -> Ok fp
+    | Some (Json.Int _), _ -> Error "journal: header has no fingerprint"
+    | _ -> Error "journal: header has no version")
   | Some _ -> Error "journal: not a bftsim campaign journal"
   | None -> Error "journal: missing header line"
 
@@ -342,19 +333,12 @@ let resume ~fingerprint path =
 
 (* {1 Queries} *)
 
-let runs events ~cell =
+let completed events ~cell =
   let seen = Hashtbl.create 16 in
   List.filter_map
     (function
-      | Run r when r.cell = cell && not (Hashtbl.mem seen r.digest.rep) ->
-        Hashtbl.add seen r.digest.rep ();
-        Some (r.digest.rep, r.digest)
+      | Done d when d.cell = cell && not (Hashtbl.mem seen d.index) ->
+        Hashtbl.add seen d.index ();
+        Some (d.index, d.body)
       | _ -> None)
     events
-
-let checks events ~cell =
-  List.filter_map (function Check c when c.cell = cell -> Some c.index | _ -> None) events
-  |> List.sort_uniq Stdlib.compare
-
-let notes events ~cell =
-  List.filter_map (function Note n when n.cell = cell -> Some n.body | _ -> None) events

@@ -1,10 +1,11 @@
 (** Append-only JSONL campaign journal (DESIGN.md §3.13).
 
-    A long sweep or fuzzing campaign writes one line per completed unit of
-    work (a replication's {!digest}, or a passed conformance check) plus
-    one per failed attempt; after a crash or SIGKILL,
-    [bftsim sweep --resume] / [bftsim conform --resume] load the journal,
-    skip finished work, and re-run only the rest.
+    A long sweep, load or fuzzing campaign writes one {!Done} line per
+    completed item (a replication's {!digest}, a load point, a passed
+    conformance check) plus one per failed attempt; after a crash or
+    SIGKILL, [--resume] loads the journal, skips finished items, and
+    re-runs only the rest.  [Runner.campaign_map] is the only writer and
+    reader of these records.
 
     The resume contract is {e byte-identity}: a digest carries every field
     the merged summary, the per-run CSV row, and the metrics merge consume
@@ -46,19 +47,19 @@ val outcome_class : Controller.outcome -> string
 
 val digest_of_result : rep:int -> Controller.result -> digest
 
+val digest_to_json : digest -> Bftsim_obs.Json.t
+
+val digest_of_json : Bftsim_obs.Json.t -> (digest, string) result
+
 type event =
-  | Run of { cell : string; digest : digest }
-      (** One completed replication of campaign cell [cell]. *)
-  | Check of { cell : string; index : int }
-      (** One passed conformance scenario check. *)
-  | Note of { cell : string; body : Bftsim_obs.Json.t }
-      (** A completed unit of campaign-specific work whose result is an
-          arbitrary JSON document — the load driver journals each finished
-          throughput-latency point this way.  The encoding goes through
-          {!Bftsim_obs.Json}, so resumed and live points are byte-equal. *)
+  | Done of { cell : string; index : int; body : Bftsim_obs.Json.t }
+      (** Item [index] of campaign cell [cell] completed; [body] is the
+          campaign's own encoding of its result (a {!digest}, a load point,
+          or nothing for a passed check).  The encoding goes through
+          {!Bftsim_obs.Json}, so resumed and live results are byte-equal. *)
   | Failure of {
       cell : string;
-      rep : int;
+      index : int;
       attempt : int;
       wall_ms : float;
       kind : string;  (** ["crash"] or ["deadline"]. *)
@@ -93,20 +94,15 @@ val close : t -> unit
 
 val load : string -> (string * event list, string) result
 (** [(fingerprint, events)] in file order.  A torn final line is dropped;
-    a malformed line elsewhere, a missing file, or a missing/foreign
-    header is an [Error]. *)
+    a malformed line elsewhere, a missing file, a missing/foreign header,
+    or a header of another format version is an [Error]. *)
 
 val resume : fingerprint:string -> string -> (t * event list, string) result
 (** {!load}, verify the fingerprint matches this campaign, and reopen the
     file for appending (existing events are kept). *)
 
-val runs : event list -> cell:string -> (int * digest) list
-(** The completed replications of one cell, as [(rep, digest)], keeping
-    the {e first} record per rep (an interrupted append cannot duplicate a
-    completed rep, but first-wins makes the choice explicit). *)
-
-val checks : event list -> cell:string -> int list
-(** Indices of the passed checks of one cell, deduplicated, sorted. *)
-
-val notes : event list -> cell:string -> Bftsim_obs.Json.t list
-(** Note bodies recorded for one cell, in file order. *)
+val completed : event list -> cell:string -> (int * Bftsim_obs.Json.t) list
+(** The {!Done} records of one cell, as [(index, body)] in file order,
+    keeping the {e first} record per index (an interrupted append cannot
+    duplicate a completed item, but first-wins makes the choice
+    explicit). *)

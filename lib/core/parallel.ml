@@ -108,15 +108,3 @@ let map ?jobs ?chunk ?(oversubscribe = false) f xs =
     Array.to_list
       (Array.map (function Some v -> v | None -> assert false) results)
   end
-
-(* Crash isolation at the pool level: capture per element instead of
-   letting the first failure sink every run in flight.  The workers only
-   ever see a total function, so [map]'s first-failure machinery stays
-   dormant. *)
-let try_map ?jobs ?chunk ?oversubscribe f xs =
-  map ?jobs ?chunk ?oversubscribe
-    (fun x ->
-      match f x with
-      | v -> Ok v
-      | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
-    xs

@@ -39,16 +39,3 @@ val map : ?jobs:int -> ?chunk:int -> ?oversubscribe:bool -> ('a -> 'b) -> 'a lis
     If any application of [f] raises, the first exception (by completion
     time) is re-raised in the caller after all workers have stopped.
     @raise Invalid_argument if [jobs < 1] or [chunk < 1]. *)
-
-val try_map :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?oversubscribe:bool ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, exn * Printexc.raw_backtrace) result list
-(** {!map} with per-element crash isolation: an application that raises
-    becomes [Error (exn, backtrace)] in its slot and every other element
-    still runs — the behaviour campaigns need (DESIGN.md §3.13), where
-    {!map}'s first-failure short-circuit would discard the whole batch.
-    Same ordering and determinism guarantees as {!map}. *)

@@ -1,10 +1,11 @@
 (* Supervised replication campaigns (DESIGN.md §3.13).
 
-   [run_many] fans replications across the domain pool under a
-   [Supervisor]: a crashing or deadline-overrunning replication becomes a
-   structured failure in the summary instead of sinking the batch, and
-   completed replications are journaled as digests so an interrupted
-   campaign resumes where it stopped.
+   [campaign_map] is the one journaled campaign loop; [run_many] runs
+   replications through it under a [Supervisor]: a crashing or
+   deadline-overrunning replication becomes a structured failure in the
+   summary instead of sinking the batch, and completed replications are
+   journaled as digests so an interrupted campaign resumes where it
+   stopped.
 
    The byte-identity contract: the summary is computed from digests on
    {e every} path — statistics from digest fields, the merged registry from
@@ -39,87 +40,111 @@ let default_reps () =
   | Some v -> ( match int_of_string_opt v with Some r when r > 0 -> r | _ -> 20)
   | None -> 20
 
-let key_of_rep rep = Printf.sprintf "rep%d" rep
+(* The campaign loop shared by [run_many], the load driver and the
+   conformance harness: skip what the journal holds, fan the rest over the
+   domain pool, journal each finished item from inside its worker (a
+   campaign killed mid-flight keeps everything that finished) and splice
+   the results back in input order. *)
+type ('fresh, 'kept) slot = Resumed of 'kept | Ran of 'fresh Supervisor.outcome
 
-let rep_of_key key =
-  try Scanf.sscanf key "rep%d" Fun.id with Scanf.Scan_failure _ | End_of_file -> -1
-
-let kind_to_strings = function
-  | Supervisor.Crash { exn; backtrace = _ } -> ("crash", exn)
-  | Supervisor.Deadline -> ("deadline", "wall-clock deadline exceeded")
-
-let run_many ?reps ?jobs ?journal ?(resumed = []) (config : Config.t) =
-  let reps = match reps with Some r -> r | None -> default_reps () in
-  if reps <= 0 then invalid_arg "Runner.run_many: reps <= 0";
-  let cell = Journal.cell_of_config config in
-  (* Replications finished by a previous incarnation of this campaign:
-     skip them and splice their digests back in at their rep index. *)
-  let journaled =
-    List.filter (fun (rep, _) -> rep >= 0 && rep < reps) (Journal.runs resumed ~cell)
-  in
-  let done_tbl = Hashtbl.create 16 in
-  List.iter (fun (rep, d) -> Hashtbl.replace done_tbl rep d) journaled;
-  let pending = List.filter (fun k -> not (Hashtbl.mem done_tbl k)) (List.init reps Fun.id) in
-  let on_failure =
-    Option.map
-      (fun j ~key ~attempt ~wall_ms kind ->
-        let kind_s, detail = kind_to_strings kind in
-        let backtrace = match kind with Supervisor.Crash c -> c.backtrace | _ -> "" in
+let campaign_map ?jobs ?journal ?(resumed = []) ?supervisor ~cell ~key ~encode ~decode run items
+    =
+  let n = List.length items in
+  let kept = Array.make n None in
+  List.iter
+    (fun (i, body) ->
+      if i >= 0 && i < n then
+        match decode body with Ok v -> kept.(i) <- Some v | Error _ -> ())
+    (Journal.completed resumed ~cell);
+  let on_failure i ~attempt ~wall_ms kind =
+    let kind, detail, backtrace =
+      match kind with
+      | Supervisor.Crash { exn; backtrace } -> ("crash", exn, backtrace)
+      | Supervisor.Deadline -> ("deadline", "wall-clock deadline exceeded", "")
+    in
+    Option.iter
+      (fun j ->
         Journal.append j
-          (Journal.Failure
-             { cell; rep = rep_of_key key; attempt; wall_ms; kind = kind_s; detail; backtrace }))
+          (Journal.Failure { cell; index = i; attempt; wall_ms; kind; detail; backtrace }))
       journal
   in
-  let supervisor = Supervisor.create ~policy:(Supervisor.policy_of_config config) ?on_failure () in
-  (* Replications are independent (distinct seeds, no shared mutable
-     state), so they fan out across the domain pool; [supervise] never
-     raises, so one bad replication cannot discard the others in flight.
-     Completed digests are journaled from inside the worker — a campaign
-     killed mid-flight keeps everything that finished. *)
-  let outcomes =
+  let pending = List.filteri (fun i _ -> kept.(i) = None) (List.mapi (fun i x -> (i, x)) items) in
+  let ran =
     Parallel.map ?jobs
-      (fun k ->
+      (fun (i, x) ->
         let outcome =
-          Supervisor.supervise supervisor ~key:(key_of_rep k) (fun ~cancel ->
-              Controller.run ~cancel { config with Config.seed = config.Config.seed + k })
+          match supervisor with
+          | None -> Supervisor.Ok (run ~cancel:(fun () -> false) x)
+          | Some s ->
+            Supervisor.supervise s ~key:(key ^ string_of_int i) ~on_failure:(on_failure i)
+              (fun ~cancel -> run ~cancel x)
         in
-        (match (outcome, journal) with
-        | Supervisor.Ok r, Some j ->
-          Journal.append j (Journal.Run { cell; digest = Journal.digest_of_result ~rep:k r })
+        (match (journal, outcome) with
+        | Some j, Supervisor.Ok v ->
+          Option.iter
+            (fun body -> Journal.append j (Journal.Done { cell; index = i; body }))
+            (encode v)
         | _ -> ());
-        (k, outcome))
+        outcome)
       pending
   in
-  let fresh_results =
-    List.filter_map (function k, Supervisor.Ok r -> Some (k, r) | _ -> None) outcomes
-  in
-  let failures =
-    List.filter_map
-      (fun (k, outcome) ->
-        match outcome with
-        | Supervisor.Ok _ -> None
-        | Supervisor.Crashed { exn; backtrace = _; retries } ->
-          Some { rep = k; kind = "crash"; detail = exn; retries }
-        | Supervisor.Deadline_exceeded { wall_ms; retries } ->
-          Some
-            { rep = k; kind = "deadline"; detail = Printf.sprintf "%.0f ms wall" wall_ms; retries }
-        | Supervisor.Quarantined { failures } ->
-          Some
-            {
-              rep = k;
-              kind = "quarantined";
-              detail = Printf.sprintf "%d earlier failure(s)" failures;
-              retries = 0;
-            })
-      outcomes
+  let fresh = Array.make n None in
+  List.iter2 (fun (i, _) outcome -> fresh.(i) <- Some outcome) pending ran;
+  List.init n (fun i ->
+      match (kept.(i), fresh.(i)) with
+      | Some v, _ -> Resumed v
+      | None, Some outcome -> Ran outcome
+      | None, None -> assert false)
+
+let count_resumed slots =
+  List.length (List.filter (function Resumed _ -> true | Ran _ -> false) slots)
+
+let run_many ?reps ?jobs ?journal ?resumed (config : Config.t) =
+  let reps = match reps with Some r -> r | None -> default_reps () in
+  if reps <= 0 then invalid_arg "Runner.run_many: reps <= 0";
+  let supervisor = Supervisor.create ~policy:(Supervisor.policy_of_config config) () in
+  (* Replications are independent (distinct seeds, no shared mutable
+     state), so they fan out across the domain pool; [supervise] never
+     raises, so one bad replication cannot discard the others in flight. *)
+  let slots =
+    campaign_map ?jobs ?journal ?resumed ~supervisor ~cell:(Journal.cell_of_config config)
+      ~key:"rep"
+      ~encode:(fun (d, _) -> Some (Journal.digest_to_json d))
+      ~decode:Journal.digest_of_json
+      (fun ~cancel k ->
+        let r = Controller.run ~cancel { config with Config.seed = config.Config.seed + k } in
+        (Journal.digest_of_result ~rep:k r, r))
+      (List.init reps Fun.id)
   in
   let digests =
-    List.init reps (fun k ->
-        match Hashtbl.find_opt done_tbl k with
-        | Some d -> Some d
-        | None ->
-          Option.map (fun r -> Journal.digest_of_result ~rep:k r) (List.assoc_opt k fresh_results))
-    |> List.filter_map Fun.id
+    List.filter_map
+      (function Resumed d | Ran (Supervisor.Ok (d, _)) -> Some d | Ran _ -> None)
+      slots
+  in
+  let failures =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun k -> function
+           | Resumed _ | Ran (Supervisor.Ok _) -> None
+           | Ran (Supervisor.Crashed { exn; backtrace = _; retries }) ->
+             Some { rep = k; kind = "crash"; detail = exn; retries }
+           | Ran (Supervisor.Deadline_exceeded { wall_ms; retries }) ->
+             Some
+               {
+                 rep = k;
+                 kind = "deadline";
+                 detail = Printf.sprintf "%.0f ms wall" wall_ms;
+                 retries;
+               }
+           | Ran (Supervisor.Quarantined { failures }) ->
+             Some
+               {
+                 rep = k;
+                 kind = "quarantined";
+                 detail = Printf.sprintf "%d earlier failure(s)" failures;
+                 retries = 0;
+               })
+         slots)
   in
   if digests = [] then
     invalid_arg
@@ -158,11 +183,12 @@ let run_many ?reps ?jobs ?journal ?(resumed = []) (config : Config.t) =
     liveness_failures;
     safety_violations;
     metrics;
-    results = List.map snd fresh_results;
+    results =
+      List.filter_map (function Ran (Supervisor.Ok (_, r)) -> Some r | _ -> None) slots;
     digests;
     failures;
     supervision = Supervisor.stats supervisor;
-    resumed = List.length journaled;
+    resumed = count_resumed slots;
   }
 
 let pp_summary ppf s =

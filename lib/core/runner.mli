@@ -47,6 +47,45 @@ type summary = {
   resumed : int;  (** Replications skipped thanks to the journal. *)
 }
 
+type ('fresh, 'kept) slot =
+  | Resumed of 'kept  (** Decoded from the journal; not run again. *)
+  | Ran of 'fresh Supervisor.outcome
+      (** Run by this process; always [Ok] when unsupervised. *)
+
+val campaign_map :
+  ?jobs:int ->
+  ?journal:Journal.t ->
+  ?resumed:Journal.event list ->
+  ?supervisor:Supervisor.t ->
+  cell:string ->
+  key:string ->
+  encode:('fresh -> Bftsim_obs.Json.t option) ->
+  decode:(Bftsim_obs.Json.t -> ('kept, string) result) ->
+  (cancel:(unit -> bool) -> 'a -> 'fresh) ->
+  'a list ->
+  ('fresh, 'kept) slot list
+(** The journaled campaign loop under {!run_many}, the load driver and the
+    conformance harness.  [campaign_map ~cell ~key ~encode ~decode run
+    items] is one slot per item, in input order:
+    - an item whose index has a {!Journal.Done} record for [cell] in
+      [resumed] (first record wins) that [decode] accepts is [Resumed] and
+      not run;
+    - every other item runs across [jobs] domains ({!Parallel.map}) and is
+      [Ran].  Under [supervisor] it runs through [Supervisor.supervise]
+      with key [key ^ index] (["rep3"]), and every failed attempt is
+      journaled as a {!Journal.Failure} of its index; without one, [run]
+      gets a [cancel] that never fires and an exception propagates as
+      from {!Parallel.map}.
+
+    With [journal], a finished item is appended from inside its worker as
+    [Done { cell; index; body }] when [encode] gives [Some body]; [None]
+    leaves it unjournaled, so a resume runs it again (how failing
+    conformance checks are re-examined).  The slots are the same whatever
+    [jobs] is. *)
+
+val count_resumed : ('fresh, 'kept) slot list -> int
+(** The [Resumed] slots: items skipped thanks to the journal. *)
+
 val run_many :
   ?reps:int ->
   ?jobs:int ->
@@ -61,12 +100,14 @@ val run_many :
     whatever [jobs] is: each replication is deterministic in its seed and
     digests are reassembled in seed order.
 
-    [~journal] appends each completed replication (and each failed
-    attempt) as it happens — mutex-protected and flushed, so a SIGKILL
-    loses at most the record in flight.  [~resumed] takes the events of a
-    loaded journal: replications already recorded for this configuration's
-    cell are skipped and their digests spliced back in at their rep index,
-    reproducing the uninterrupted summary byte for byte.
+    The replications run through {!campaign_map} (key ["rep"], one digest
+    per [Done] record): [~journal] appends each completed replication (and
+    each failed attempt) as it happens — mutex-protected and flushed, so a
+    SIGKILL loses at most the record in flight.  [~resumed] takes the
+    events of a loaded journal: replications already recorded for this
+    configuration's cell are skipped and their digests spliced back in at
+    their rep index, reproducing the uninterrupted summary byte for
+    byte.
 
     @raise Invalid_argument if [reps <= 0], or if {e every} replication
     failed (there is nothing to aggregate — the failure list is summarized

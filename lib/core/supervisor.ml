@@ -107,14 +107,13 @@ type stats = { runs_ok : int; runs_crashed : int; runs_timed_out : int; runs_ret
 
 type t = {
   policy : policy;
-  on_failure : (key:string -> attempt:int -> wall_ms:float -> failure_kind -> unit) option;
   lock : Mutex.t;
   mutable counters : stats;
   failures_by_key : (string, int) Hashtbl.t;
   quarantine : (string, int) Hashtbl.t;
 }
 
-let create ?(policy = default_policy) ?on_failure () =
+let create ?(policy = default_policy) () =
   if policy.max_retries < 0 then invalid_arg "Supervisor.create: max_retries < 0";
   if policy.quarantine_after < 1 then invalid_arg "Supervisor.create: quarantine_after < 1";
   (match policy.deadline_ms with
@@ -126,7 +125,6 @@ let create ?(policy = default_policy) ?on_failure () =
   Printexc.record_backtrace true;
   {
     policy;
-    on_failure;
     lock = Mutex.create ();
     counters = { runs_ok = 0; runs_crashed = 0; runs_timed_out = 0; runs_retried = 0 };
     failures_by_key = Hashtbl.create 16;
@@ -160,7 +158,7 @@ let make_cancel deadline_ms ~start_s ~fired =
       end;
       !fired
 
-let supervise t ~key f =
+let supervise t ~key ?(on_failure = fun ~attempt:_ ~wall_ms:_ _ -> ()) f =
   let quarantined_failures =
     locked t (fun () -> Hashtbl.find_opt t.quarantine key)
   in
@@ -198,9 +196,7 @@ let supervise t ~key f =
                 | Crash _ -> { t.counters with runs_crashed = t.counters.runs_crashed + 1 });
               let failures = 1 + Option.value ~default:0 (Hashtbl.find_opt t.failures_by_key key) in
               Hashtbl.replace t.failures_by_key key failures;
-              (match t.on_failure with
-              | Some hook -> hook ~key ~attempt ~wall_ms kind
-              | None -> ());
+              on_failure ~attempt ~wall_ms kind;
               if failures >= t.policy.quarantine_after then begin
                 Hashtbl.replace t.quarantine key failures;
                 true

@@ -74,13 +74,18 @@ type stats = {
 
 type t
 
-val create : ?policy:policy -> ?on_failure:(key:string -> attempt:int -> wall_ms:float -> failure_kind -> unit) -> unit -> t
-(** [on_failure] observes every failed attempt (journaling hook); it is
-    called under the supervisor lock, after the failure was logged through
-    [Simlog.err] with its backtrace. *)
+val create : ?policy:policy -> unit -> t
 
-val supervise : t -> key:string -> (cancel:(unit -> bool) -> 'a) -> 'a outcome
-(** Run one task under supervision.  [cancel] is cheap to poll (it reads
+val supervise :
+  t ->
+  key:string ->
+  ?on_failure:(attempt:int -> wall_ms:float -> failure_kind -> unit) ->
+  (cancel:(unit -> bool) -> 'a) ->
+  'a outcome
+(** Run one task under supervision.  [on_failure] observes every failed
+    attempt of this task (the journaling hook); it is called under the
+    supervisor lock, after the failure was logged through [Simlog.err]
+    with its backtrace.  [cancel] is cheap to poll (it reads
     the wall clock only every few dozen polls) and flips to [true] once the
     attempt's deadline has passed; cancellation points raise {!Cancelled}.
     Any exception out of the task is classified: deadline observed →

@@ -300,6 +300,26 @@ let create e =
      delay behind a persist reaches the wire even when signing is free. *)
   let charge_cpu = sign_ms > 0. || cfg.Config.wal_ms > 0. in
   let chaos = plan <> [] in
+  (* The twins partition schedule rules after the chaos plan and before
+     the attacker, which keeps adversarial choices only: a message crossing
+     the round's partition (by send time) is dropped; self-addressed
+     messages always pass. *)
+  let c_twin_drops = counter "twins.round_drops" in
+  let attack =
+    match cfg.Config.twins with
+    | None -> e.attack
+    | Some tw ->
+      fun (msg : Message.t) ->
+        if
+          msg.Message.src <> msg.Message.dst
+          && Attack.Twins_schedule.separated tw ~src:msg.Message.src ~dst:msg.Message.dst
+               ~at_ms:(Time.to_ms (e.now ()))
+        then begin
+          incr c_twin_drops;
+          Attack.Attacker.Drop
+        end
+        else e.attack msg
+  in
   let send ~src ~dst ~tag ~size payload =
     if not (Lifecycle.absent e.lifecycle src) then begin
       let id = e.next_id () in
@@ -333,7 +353,7 @@ let create e =
       if chaos && not (Attack.Fault_schedule.admit plan msg ~at_ms:(Time.to_ms (e.now ()))) then
         discard c_dropped Telemetry.Dropped msg
       else
-        match e.attack msg with
+        match attack msg with
         | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
         | Attack.Attacker.Deliver ->
           (match replay_delay with Some d -> msg.Message.delay_ms <- d | None -> ());

@@ -34,6 +34,10 @@ type env = {
           the wire asks for its send-time verdict and loss windows. *)
   cpus : Cost_model.cpu array;  (** Per-node sequential CPUs; a send waits for signing. *)
   attack : Message.t -> Bftsim_attack.Attacker.verdict;
+      (** The adversary's verdict on a send.  The wire asks it last: after
+          the chaos plan admits the message and, under twins, after the
+          round's partition ({!Bftsim_attack.Twins_schedule.separated}, set
+          up once per run) lets it through. *)
   delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
       (** Replay: the recorded delay of the [seq]-th send on a link. *)
   next_id : unit -> int;  (** A fresh message id. *)

@@ -545,28 +545,20 @@ type curve = {
   resumed : int;  (** Points loaded from the journal instead of run. *)
 }
 
-let cell (t : t) (config : Core.Config.t) ~rate =
-  Printf.sprintf "%s|load|%s|%s|%d|%s|%s|%g"
-    (Core.Journal.cell_of_config config)
-    (Arrival.to_cli_string t.arrival)
+let shape (t : t) =
+  Printf.sprintf "%s|%s|%d|%s|%s" (Arrival.to_cli_string t.arrival)
     (Batch.to_cli_string t.policy) t.mempool_capacity
     (clients_to_cli_string t.clients)
-    (Keys.to_cli_string t.keys) rate
+    (Keys.to_cli_string t.keys)
 
 let fingerprint (t : t) (config : Core.Config.t) ~rates =
-  let mode =
-    Printf.sprintf "load|%s|%s|%d|%s|%s|%s" (Arrival.to_cli_string t.arrival)
-      (Batch.to_cli_string t.policy) t.mempool_capacity
-      (clients_to_cli_string t.clients)
-      (Keys.to_cli_string t.keys)
-      (String.concat "," (List.map (Printf.sprintf "%g") rates))
-  in
-  Core.Journal.fingerprint ~mode ~reps:1 [ config ]
+  let rates = String.concat "," (List.map (Printf.sprintf "%g") rates) in
+  Core.Journal.fingerprint ~mode:(Printf.sprintf "load|%s|%s" (shape t) rates) ~reps:1 [ config ]
 
 (* A journaled point carries the merged-registry contribution next to the
    point itself (like a digest's [metrics] field), so a resumed sweep
    rebuilds the identical merged registry without re-running. *)
-let note_body point metrics =
+let journal_body (point, metrics) =
   Json.Assoc
     (("point", point_to_json point)
     ::
@@ -574,7 +566,7 @@ let note_body point metrics =
     | None -> []
     | Some reg -> [ ("metrics", Metrics.to_json reg) ]))
 
-let note_decode json =
+let journal_decode json =
   let* pj = j_field "point" json in
   let* point = point_of_json pj in
   let* metrics =
@@ -584,46 +576,28 @@ let note_decode json =
   in
   Ok (point, metrics)
 
-let sweep ?jobs ?journal ?(resumed = []) (t : t) (config : Core.Config.t) ~rates =
-  let recovered =
-    List.map
-      (fun rate ->
-        match Core.Journal.notes resumed ~cell:(cell t config ~rate) with
-        | body :: _ -> (
-          match note_decode body with Ok pm -> Some pm | Error _ -> None)
-        | [] -> None)
+let sweep ?jobs ?journal ?resumed (t : t) (config : Core.Config.t) ~rates =
+  (* Unsupervised: a point that raises still sinks the sweep, after every
+     finished point has been journaled. *)
+  let slots =
+    Core.Runner.campaign_map ?jobs ?journal ?resumed
+      ~cell:(Printf.sprintf "%s|load|%s" (Core.Journal.cell_of_config config) (shape t))
+      ~key:"point"
+      ~encode:(fun pm -> Some (journal_body pm))
+      ~decode:journal_decode
+      (fun ~cancel:_ rate -> run_point t ~rate config)
       rates
   in
-  let todo = List.filteri (fun i _ -> List.nth recovered i = None) rates in
-  let ran =
-    Core.Parallel.map ?jobs
-      (fun rate ->
-        let point, metrics = run_point t ~rate config in
-        (* Journaled from inside the worker, like [Runner.run_many]: a sweep
-           that fails or is killed mid-flight keeps every finished point. *)
-        Option.iter
-          (fun j ->
-            Core.Journal.append j
-              (Core.Journal.Note { cell = cell t config ~rate; body = note_body point metrics }))
-          journal;
-        (rate, point, metrics))
-      todo
-  in
-  (* Stitch recovered + fresh results. *)
-  let fresh = Hashtbl.create 16 in
-  List.iter (fun (rate, point, metrics) -> Hashtbl.replace fresh rate (point, metrics)) ran;
   let resolved =
-    List.map2
-      (fun rate recovered ->
-        match recovered with
-        | Some pm -> (pm, true)
-        | None -> (Hashtbl.find fresh rate, false))
-      rates recovered
+    List.map
+      (function
+        | Core.Runner.Resumed pm | Core.Runner.Ran (Core.Supervisor.Ok pm) -> pm
+        | Core.Runner.Ran _ -> assert false)
+      slots
   in
-  let points = List.map (fun ((p, _), _) -> p) resolved in
-  let registries = List.filter_map (fun ((_, m), _) -> m) resolved in
+  let registries = List.filter_map snd resolved in
   let metrics = match registries with [] -> None | rs -> Some (Metrics.merge rs) in
-  { points; metrics; resumed = List.length (List.filter (fun (_, r) -> r) resolved) }
+  { points = List.map fst resolved; metrics; resumed = Core.Runner.count_resumed slots }
 
 (* {1 Rendering} *)
 

@@ -115,10 +115,13 @@ val sweep :
   Bftsim_core.Config.t ->
   rates:float list ->
   curve
-(** Runs one point per rate (fanned across [jobs] domains), journaling each
-    completed point as a {!Bftsim_core.Journal.Note} and skipping points
-    already present in [resumed].  Output is identical whatever [jobs], and
-    a resumed sweep's curve is byte-identical to an uninterrupted one. *)
+(** Runs one point per rate through [Bftsim_core.Runner.campaign_map]
+    (fanned across [jobs] domains, unsupervised: a point that raises sinks
+    the sweep), journaling each completed point, with its registry, as a
+    {!Bftsim_core.Journal.Done} record indexed by its position in [rates]
+    (the cell is the workload shape over [config]), and skipping points
+    already present in [resumed].  Output is identical whatever [jobs], and a resumed sweep's
+    curve is byte-identical to an uninterrupted one. *)
 
 val knee : point list -> point option
 (** The point with the highest committed throughput — the saturation knee

@@ -141,51 +141,6 @@ let test_two_subnets_builder () =
     (is_deliver (attacker.attack env (msg ~src:0 ~dst:4 ())));
   Alcotest.(check bool) "4 -> 7 intra" true (is_deliver (attacker.attack env (msg ~src:4 ~dst:7 ())))
 
-(* --- compose --- *)
-
-(* An attacker that drops messages from [victim] and logs everything it is
-   shown — used to observe compose's short-circuit. *)
-let spy_attacker ?victim seen =
-  {
-    Attacker.passthrough with
-    Attacker.name = "spy";
-    attack =
-      (fun _env m ->
-        seen := m.Message.src :: !seen;
-        match victim with Some v when m.Message.src = v -> Attacker.Drop | _ -> Attacker.Deliver);
-  }
-
-let test_compose_drop_wins () =
-  let env, _, _, _ = make_env () in
-  let before = ref [] and after = ref [] in
-  let composed = Attacker.compose [ spy_attacker before; spy_attacker ~victim:3 before; spy_attacker after ] in
-  Alcotest.(check bool) "drop by any layer wins" false
-    (is_deliver (composed.attack env (msg ~src:3 ())));
-  Alcotest.(check (list int)) "later layers never see a dropped message" [] !after;
-  Alcotest.(check bool) "all layers agree: delivered" true
-    (is_deliver (composed.attack env (msg ~src:4 ())));
-  Alcotest.(check (list int)) "survivors reach the last layer" [ 4 ] !after
-
-let test_compose_fans_out_lifecycle () =
-  let env, _, _, _ = make_env () in
-  let starts = ref 0 and ticks = ref 0 in
-  let counting =
-    {
-      Attacker.passthrough with
-      Attacker.on_start = (fun _ -> incr starts);
-      on_time_event = (fun _ _ -> incr ticks);
-    }
-  in
-  let composed = Attacker.compose [ counting; counting; counting ] in
-  composed.on_start env;
-  composed.on_time_event env
-    { Timer.id = 1; owner = Timer.attacker_owner; deadline = Time.zero; tag = "t";
-      payload = Timer.Tick };
-  Alcotest.(check int) "on_start fans out" 3 !starts;
-  Alcotest.(check int) "on_time_event fans out" 3 !ticks;
-  Alcotest.(check bool) "empty compose is passthrough" true
-    (is_deliver ((Attacker.compose []).attack env (msg ())))
-
 (* --- fault schedules --- *)
 
 let test_schedule_crash_windows () =
@@ -446,11 +401,6 @@ let () =
           Alcotest.test_case "delay-until-heal mode" `Quick test_partition_delay_mode;
           Alcotest.test_case "validation" `Quick test_partition_validation;
           Alcotest.test_case "two_subnets builder" `Quick test_two_subnets_builder;
-        ] );
-      ( "compose",
-        [
-          Alcotest.test_case "any Drop wins, later layers blind" `Quick test_compose_drop_wins;
-          Alcotest.test_case "lifecycle fans out" `Quick test_compose_fans_out_lifecycle;
         ] );
       ( "fault-schedule",
         [

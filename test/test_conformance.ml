@@ -327,6 +327,66 @@ let test_harness_catches_quorum_mutation () =
       let shrunk, _ = Conf.Shrink.minimize ~fails config in
       Alcotest.(check int) "shrunk to the smallest system" 4 shrunk.Core.Config.n)
 
+(* A journaled campaign resumed at another pool size from its header plus
+   its first record reports exactly what the uninterrupted one does.  The
+   failing scenario (a time cap too short to decide: a liveness verdict) is
+   never journaled, so the resume runs it again. *)
+let test_fuzz_scenarios_resume () =
+  let scenario ?(max_time_ms = 600_000.) seed =
+    {
+      Conf.Scenario.config = { (clean_config ~n:4 ~seed ()) with Core.Config.max_time_ms };
+      family = Conf.Scenario.Passthrough;
+      expect_live = true;
+    }
+  in
+  let scenarios = [ scenario 1; scenario 2; scenario ~max_time_ms:50. 3; scenario 4 ] in
+  let check ?journal ?resumed jobs =
+    Conf.Harness.fuzz_scenarios ~jobs ~determinism:false ~shrink_budget:4 ?journal ?resumed
+      ~seed:1 scenarios
+  in
+  let signature (r : Conf.Harness.report) =
+    Printf.sprintf "scenarios=%d checks=%d crashed=%d\n%s" r.Conf.Harness.scenarios
+      r.Conf.Harness.checks
+      (List.length r.Conf.Harness.crashed)
+      (String.concat "\n"
+         (List.map
+            (fun (f : Conf.Harness.failure) ->
+              Printf.sprintf "%s | %s | shrunk=%s"
+                (Conf.Scenario.describe f.Conf.Harness.scenario)
+                (String.concat "; " (List.map Conf.Oracle.describe f.Conf.Harness.verdicts))
+                (Core.Config.describe f.Conf.Harness.shrunk))
+            r.Conf.Harness.failures))
+  in
+  let path = Filename.temp_file "bftsim-conform" ".jsonl" in
+  let fingerprint = Conf.Harness.campaign_cell scenarios in
+  let j = Core.Journal.create ~fingerprint path in
+  let reference = check ~journal:j 1 in
+  Core.Journal.close j;
+  Alcotest.(check int) "one failing scenario" 1 (List.length reference.Conf.Harness.failures);
+  let first =
+    match Core.Journal.load path with
+    | Ok (_, e :: _) -> e
+    | Ok (_, []) -> Alcotest.fail "nothing journaled"
+    | Error e -> Alcotest.fail e
+  in
+  let j = Core.Journal.create ~fingerprint path in
+  Core.Journal.append j first;
+  Core.Journal.close j;
+  (match Core.Journal.resume ~fingerprint path with
+  | Error e -> Alcotest.fail e
+  | Ok (j, events) ->
+    let resumed = check ~journal:j ~resumed:events 2 in
+    Core.Journal.close j;
+    Alcotest.(check int) "one pass resumed" 1 resumed.Conf.Harness.resumed;
+    Alcotest.(check string) "report equals the uninterrupted one" (signature reference)
+      (signature resumed));
+  (match Core.Journal.load path with
+  | Error e -> Alcotest.fail e
+  | Ok (_, events) ->
+    Alcotest.(check (list int)) "the failing scenario is never journaled" [ 0; 1; 3 ]
+      (List.sort compare (List.map fst (Core.Journal.completed events ~cell:fingerprint))));
+  Sys.remove path
+
 let test_bundle_roundtrip () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "bftsim-conformance-test" in
   let config = clean_config ~n:8 ~seed:5 () in
@@ -434,6 +494,8 @@ let () =
           Alcotest.test_case "clean scenarios pass" `Slow test_harness_clean_scenarios;
           Alcotest.test_case "catches quorum mutation" `Quick test_harness_catches_quorum_mutation;
           Alcotest.test_case "bundle round-trip" `Quick test_bundle_roundtrip;
+          Alcotest.test_case "resume re-runs the failing scenario" `Quick
+            test_fuzz_scenarios_resume;
         ] );
       ( "validator",
         [

@@ -157,22 +157,6 @@ let test_export_metrics () =
   Alcotest.(check int) "runs_timed_out exported (present at 0)" 0
     (find "supervisor.runs_timed_out")
 
-(* --- Parallel.try_map --- *)
-
-let test_try_map_isolates () =
-  let results =
-    Core.Parallel.try_map ~jobs:4
-      (fun x -> if x mod 3 = 0 then failwith (string_of_int x) else x * 10)
-      [ 0; 1; 2; 3; 4; 5 ]
-  in
-  let oks = List.filter_map (function Ok v -> Some v | Error _ -> None) results in
-  Alcotest.(check (list int)) "survivors in order" [ 10; 20; 40; 50 ] oks;
-  Alcotest.(check int) "failures captured per element" 2
-    (List.length (List.filter Result.is_error results));
-  match List.nth results 3 with
-  | Error (Failure msg, _) -> Alcotest.(check string) "error in its slot" "3" msg
-  | _ -> Alcotest.fail "expected Error at index 3"
-
 (* --- journal --- *)
 
 let sample_digest rep =
@@ -194,16 +178,19 @@ let sample_digest rep =
     metrics = None;
   }
 
+let done_digest cell rep =
+  Core.Journal.Done { cell; index = rep; body = Core.Journal.digest_to_json (sample_digest rep) }
+
 let test_journal_round_trip () =
   let path = Filename.temp_file "bftsim-journal" ".jsonl" in
   let j = Core.Journal.create ~fingerprint:"fp-1" path in
-  Core.Journal.append j (Core.Journal.Run { cell = "cell-a"; digest = sample_digest 0 });
-  Core.Journal.append j (Core.Journal.Check { cell = "cell-b"; index = 4 });
+  Core.Journal.append j (done_digest "cell-a" 0);
+  Core.Journal.append j (Core.Journal.Done { cell = "cell-b"; index = 4; body = Obs.Json.Null });
   Core.Journal.append j
     (Core.Journal.Failure
        {
          cell = "cell-a";
-         rep = 1;
+         index = 1;
          attempt = 2;
          wall_ms = 17.25;
          kind = "crash";
@@ -216,21 +203,25 @@ let test_journal_round_trip () =
   | Ok (fp, events) ->
     Alcotest.(check string) "fingerprint" "fp-1" fp;
     Alcotest.(check int) "all events back" 3 (List.length events);
-    (match Core.Journal.runs events ~cell:"cell-a" with
-    | [ (0, d) ] ->
-      Alcotest.(check (float 0.)) "float field exact" 1234.5678901234 d.Core.Journal.time_ms;
-      Alcotest.(check string) "outcome" "reached-target" d.Core.Journal.outcome
+    (match Core.Journal.completed events ~cell:"cell-a" with
+    | [ (0, body) ] -> (
+      match Core.Journal.digest_of_json body with
+      | Ok d ->
+        Alcotest.(check (float 0.)) "float field exact" 1234.5678901234 d.Core.Journal.time_ms;
+        Alcotest.(check string) "outcome" "reached-target" d.Core.Journal.outcome
+      | Error e -> Alcotest.fail e)
     | _ -> Alcotest.fail "expected exactly rep 0 in cell-a");
-    Alcotest.(check (list int)) "checks query" [ 4 ] (Core.Journal.checks events ~cell:"cell-b"));
+    Alcotest.(check (list int)) "checks query" [ 4 ]
+      (List.map fst (Core.Journal.completed events ~cell:"cell-b")));
   Sys.remove path
 
 let test_journal_torn_final_line () =
   let path = Filename.temp_file "bftsim-journal" ".jsonl" in
   let j = Core.Journal.create ~fingerprint:"fp-torn" path in
-  Core.Journal.append j (Core.Journal.Run { cell = "c"; digest = sample_digest 0 });
+  Core.Journal.append j (done_digest "c" 0);
   Core.Journal.close j;
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"run\":{\"cell\":\"c\",\"dig";
+  output_string oc "{\"done\":{\"cell\":\"c\",\"index\":1,\"bo";
   close_out oc;
   (match Core.Journal.load path with
   | Error e -> Alcotest.failf "torn line should be tolerated: %s" e
@@ -240,46 +231,46 @@ let test_journal_torn_final_line () =
   (match Core.Journal.resume ~fingerprint:"fp-torn" path with
   | Error e -> Alcotest.fail e
   | Ok (j, _) ->
-    Core.Journal.append j (Core.Journal.Run { cell = "c"; digest = sample_digest 1 });
+    Core.Journal.append j (done_digest "c" 1);
     Core.Journal.close j);
   (match Core.Journal.load path with
   | Error e -> Alcotest.fail e
   | Ok (_, events) ->
     Alcotest.(check int) "records around the tear survive" 2
-      (List.length (Core.Journal.runs events ~cell:"c")));
+      (List.length (Core.Journal.completed events ~cell:"c")));
   Sys.remove path
 
 let test_journal_torn_note_mid_escape () =
-  (* A Note record torn inside a string escape — the write died between the
+  (* A record torn inside a string escape of its body — the write died between the
      backslash and its continuation ("…\u00" then EOF) — must be dropped
      like any other torn tail: the parser cannot be left waiting for the
      escape to complete, and the whole records around it must survive. *)
   let path = Filename.temp_file "bftsim-journal" ".jsonl" in
   let j = Core.Journal.create ~fingerprint:"fp-note" path in
   Core.Journal.append j
-    (Core.Journal.Note
-       { cell = "c"; body = Bftsim_obs.Json.(Assoc [ ("knee", Float 1600.) ]) });
+    (Core.Journal.Done
+       { cell = "c"; index = 0; body = Bftsim_obs.Json.(Assoc [ ("knee", Float 1600.) ]) });
   Core.Journal.close j;
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"note\":{\"cell\":\"c\",\"body\":\"torn \\u00";
+  output_string oc "{\"done\":{\"cell\":\"c\",\"index\":1,\"body\":\"torn \\u00";
   close_out oc;
   (match Core.Journal.load path with
   | Error e -> Alcotest.failf "torn note should be tolerated: %s" e
   | Ok (_, events) ->
     Alcotest.(check int) "only the whole note survives" 1
-      (List.length (Core.Journal.notes events ~cell:"c")));
+      (List.length (Core.Journal.completed events ~cell:"c")));
   (* Resume must append cleanly after the torn escape bytes. *)
   (match Core.Journal.resume ~fingerprint:"fp-note" path with
   | Error e -> Alcotest.fail e
   | Ok (j, _) ->
     Core.Journal.append j
-      (Core.Journal.Note { cell = "c"; body = Bftsim_obs.Json.(String "after tear") });
+      (Core.Journal.Done { cell = "c"; index = 1; body = Bftsim_obs.Json.(String "after tear") });
     Core.Journal.close j);
   (match Core.Journal.load path with
   | Error e -> Alcotest.fail e
   | Ok (_, events) ->
     Alcotest.(check int) "notes around the tear survive" 2
-      (List.length (Core.Journal.notes events ~cell:"c")));
+      (List.length (Core.Journal.completed events ~cell:"c")));
   Sys.remove path
 
 let test_journal_fingerprint_mismatch () =
@@ -288,6 +279,27 @@ let test_journal_fingerprint_mismatch () =
   (match Core.Journal.resume ~fingerprint:"fp-b" path with
   | Error e -> Alcotest.(check bool) "mentions the mismatch" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "must refuse a foreign campaign");
+  Sys.remove path
+
+(* A journal written before the single Done record (format version 1)
+   must be refused by name, not misread. *)
+let test_journal_version_1_refused () =
+  let path = Filename.temp_file "bftsim-journal" ".jsonl" in
+  let oc = open_out path in
+  output_string oc
+    "{\"journal\":\"bftsim-campaign\",\"version\":1,\"fingerprint\":\"fp-old\"}\n\
+     {\"run\":{\"cell\":\"c\",\"digest\":{}}}\n";
+  close_out oc;
+  (match Core.Journal.resume ~fingerprint:"fp-old" path with
+  | Error e ->
+    let mentions needle =
+      let n = String.length needle in
+      let rec go i = i + n <= String.length e && (String.sub e i n = needle || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("names both versions: " ^ e) true
+      (mentions "version 1" && mentions "version 2")
+  | Ok _ -> Alcotest.fail "must refuse a version-1 journal");
   Sys.remove path
 
 let test_metrics_json_round_trip () =
@@ -413,8 +425,12 @@ let test_run_many_resume_equivalence () =
   List.iter
     (fun rep ->
       Core.Journal.append j
-        (Core.Journal.Run
-           { cell; digest = List.nth reference.Core.Runner.digests rep }))
+        (Core.Journal.Done
+           {
+             cell;
+             index = rep;
+             body = Core.Journal.digest_to_json (List.nth reference.Core.Runner.digests rep);
+           }))
     [ 0; 2; 5 ];
   Core.Journal.close j;
   (match Core.Journal.resume ~fingerprint:fp path with
@@ -465,8 +481,6 @@ let () =
           Alcotest.test_case "quarantine short-circuits" `Quick test_quarantine_short_circuits;
           Alcotest.test_case "counters exported to registry" `Quick test_export_metrics;
         ] );
-      ( "try_map",
-        [ Alcotest.test_case "failures stay in their slot" `Quick test_try_map_isolates ] );
       ( "journal",
         [
           Alcotest.test_case "round trip" `Quick test_journal_round_trip;
@@ -475,6 +489,7 @@ let () =
             test_journal_torn_note_mid_escape;
           Alcotest.test_case "fingerprint mismatch refused" `Quick
             test_journal_fingerprint_mismatch;
+          Alcotest.test_case "version 1 refused" `Quick test_journal_version_1_refused;
           Alcotest.test_case "metrics registry JSON round trip" `Quick
             test_metrics_json_round_trip;
         ] );

@@ -259,7 +259,7 @@ let test_driver_sweep_journal_keeps_finished () =
   match Core.Journal.resume ~fingerprint path with
   | Error e -> Alcotest.fail e
   | Ok (j, events) ->
-    let notes = List.filter (function Core.Journal.Note _ -> true | _ -> false) events in
+    let notes = List.filter (function Core.Journal.Done _ -> true | _ -> false) events in
     Alcotest.(check int) "finished points journaled" 2 (List.length notes);
     let curve =
       Wl.Driver.sweep ~jobs:1 ~journal:j ~resumed:events (driver ()) config ~rates:[ 50.; 100. ]
@@ -267,6 +267,47 @@ let test_driver_sweep_journal_keeps_finished () =
     Core.Journal.close j;
     Sys.remove path;
     Alcotest.(check int) "resumed points" 2 curve.Wl.Driver.resumed
+
+(* Resume from a journal holding a strict subset of the points (the first
+   and last of three), at another pool size: the curve and its merged
+   registry equal the uninterrupted sweep's, and only the missing point
+   runs. *)
+let test_driver_sweep_resume_subset () =
+  let config =
+    {
+      (load_config ()) with
+      Core.Config.telemetry = { Core.Config.default_telemetry with Core.Config.metrics = true };
+    }
+  in
+  let rates = [ 200.; 800.; 1600. ] in
+  let render (c : Wl.Driver.curve) =
+    ( Bftsim_obs.Json.to_string (Wl.Driver.curve_to_json c),
+      Option.map (fun m -> Bftsim_obs.Json.to_string (Bftsim_obs.Metrics.to_json m)) c.Wl.Driver.metrics
+    )
+  in
+  let path = Filename.temp_file "bftsim-load" ".jsonl" in
+  let fingerprint = Wl.Driver.fingerprint (driver ()) config ~rates in
+  let j = Core.Journal.create ~fingerprint path in
+  let reference = Wl.Driver.sweep ~jobs:1 ~journal:j (driver ()) config ~rates in
+  Core.Journal.close j;
+  let events =
+    match Core.Journal.load path with Ok (_, events) -> events | Error e -> Alcotest.fail e
+  in
+  let j = Core.Journal.create ~fingerprint path in
+  List.iter
+    (function
+      | Core.Journal.Done { index; _ } as e when index <> 1 -> Core.Journal.append j e | _ -> ())
+    events;
+  Core.Journal.close j;
+  match Core.Journal.resume ~fingerprint path with
+  | Error e -> Alcotest.fail e
+  | Ok (j, events) ->
+    let curve = Wl.Driver.sweep ~jobs:2 ~journal:j ~resumed:events (driver ()) config ~rates in
+    Core.Journal.close j;
+    Sys.remove path;
+    Alcotest.(check int) "two points resumed" 2 curve.Wl.Driver.resumed;
+    Alcotest.(check bool) "curve and registry equal the uninterrupted sweep" true
+      (render curve = render reference)
 
 let test_driver_saturation () =
   (* Drive far past capacity: the pool must overflow and committed
@@ -555,6 +596,8 @@ let () =
           Alcotest.test_case "sweep jobs-identical" `Quick test_driver_sweep_jobs_identical;
           Alcotest.test_case "sweep journal keeps finished points" `Quick
             test_driver_sweep_journal_keeps_finished;
+          Alcotest.test_case "sweep resumes from a subset of points" `Quick
+            test_driver_sweep_resume_subset;
           Alcotest.test_case "saturation under overload" `Quick test_driver_saturation;
           Alcotest.test_case "point json roundtrip" `Quick test_driver_point_json_roundtrip;
           Alcotest.test_case "pipelined liveness" `Quick test_driver_pipeline_commits;
