@@ -502,9 +502,12 @@ let validate_cmd =
       let ground = Core.Controller.run { config with Core.Config.record_trace = true } in
       let replayed = Core.Validator.validate_against ~ground_truth:ground config in
       Format.printf "replay      : %a@." Core.Validator.pp_report replayed;
-      if det.Core.Validator.decisions_match && replayed.Core.Validator.decisions_match then
-        Exit_code.ok
-      else Exit_code.safety
+      (* A trace difference with equal decisions still means the run is
+         not reproducible. *)
+      let holds (r : Core.Validator.report) =
+        r.Core.Validator.decisions_match && r.Core.Validator.trace_match <> Some false
+      in
+      if holds det && holds replayed then Exit_code.ok else Exit_code.safety
   in
   let term =
     Term.(const action $ config_term Core.Config.[ Base; Scenario ] $ verbose_arg)

@@ -130,8 +130,6 @@ let crash_and_restart ~nodes ~crash_ms ~restart_ms =
 let restarts t =
   List.filter_map (fun s -> match s.action with Restart node -> Some node | _ -> None) t
 
-let has_restart t ~node = List.mem node (restarts t)
-
 (* The evaluators fold over the normalized plan, so the last step at or
    before the query time wins — callers pass normalized schedules (the
    run's lifecycle normalizes once up front). *)

@@ -83,8 +83,6 @@ val crash_and_restart : nodes:int list -> crash_ms:float -> restart_ms:float -> 
 val restarts : t -> int list
 (** Nodes the plan restarts (with multiplicity, in plan order). *)
 
-val has_restart : t -> node:int -> bool
-
 val crashed_at : t -> node:int -> at_ms:float -> bool
 (** Pure evaluation of the plan: is [node] down at [at_ms]?  (Last
     crash/recover/restart step at or before [at_ms] wins.) *)

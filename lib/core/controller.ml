@@ -248,7 +248,18 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     Event_queue.schedule queue ~at:deadline (Alarm { timer; epoch });
     id
   in
-  let deliver_at msg = Arrival_runs.add arrivals msg in
+  (* Every message enters the event queue here — wire sends, loss-model
+     duplicates, reliable frames and acks, gossip hops, attacker
+     injections — with its delay final.  Replay overrides that delay by
+     message id, and a recorded trace keeps it under the same id. *)
+  let deliver_at (msg : Message.t) =
+    (match delay_override with
+    | Some replay -> (
+      match replay msg.Message.id with Some d -> msg.Message.delay_ms <- d | None -> ())
+    | None -> ());
+    Telemetry.message tel Telemetry.In_flight msg;
+    Arrival_runs.add arrivals msg
+  in
 
   let attacker_env =
     {
@@ -292,7 +303,6 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
         lifecycle = life;
         cpus;
         attack = (fun msg -> attacker.Attack.Attacker.attack attacker_env msg);
-        delay_override;
         next_id;
         deliver_at;
         arm_timer;

@@ -105,7 +105,7 @@ type workload = {
 
 val run :
   ?cancel:(unit -> bool) ->
-  ?delay_override:(src:int -> dst:int -> tag:string -> seq:int -> float option) ->
+  ?delay_override:(int -> float option) ->
   ?attacker:Bftsim_attack.Attacker.t ->
   ?workload:workload ->
   Config.t ->
@@ -115,9 +115,12 @@ val run :
     [true] the run raises [Supervisor.Cancelled] between events — the
     cooperative wall-clock deadline of the supervision layer (DESIGN.md
     §3.13).  Completed runs are never perturbed by it, so determinism
-    holds.  [delay_override] replaces the sampled network delay of the
-    [seq]-th message on a (src, dst, tag) link when it returns [Some _] —
-    the replay mechanism of the validator module.  [attacker] overrides the
+    holds.  [delay_override] maps a message id to the delay that message
+    enters the event queue with, replacing the one the stack computed when
+    it returns [Some _] — the replay mechanism of the validator module.
+    Every message (wire send, duplicate, reliable frame or ack, gossip hop,
+    attacker injection) enters the queue at one point, after every stage
+    that sets its delay.  [attacker] overrides the
     attacker derived from the config, the hook for user-written attack
     scenarios (paper §III-A5).
 

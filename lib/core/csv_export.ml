@@ -24,8 +24,6 @@ let result_header =
       "max_final_view"; "safety_ok"; "liveness_failure"; "safety_violations";
     ]
 
-let outcome_to_string = Journal.outcome_class
-
 (* A journal digest carries every cell of the per-run row, so resumed
    campaigns (which have digests but no live [Controller.result]) export
    the identical CSV an uninterrupted campaign writes. *)

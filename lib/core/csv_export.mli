@@ -19,9 +19,6 @@ val digest_row : Config.t -> Journal.digest -> string
     (the digest supplies the per-rep seed) — the form resumed campaigns
     use, where no live [Controller.result] exists. *)
 
-val outcome_to_string : Controller.outcome -> string
-(** Alias of [Journal.outcome_class]. *)
-
 val summary_header : string
 
 val summary_row : Runner.summary -> string

@@ -122,15 +122,3 @@ let chaos_turbulence_config ~protocol ~seed =
            { Fault_schedule.at_ms = chaos_gst_ms; action = Fault_schedule.Gst_shift (Delay_model.normal ~mu:100. ~sigma:20.) };
          ])
     protocol
-
-(* Supervision preset for long campaigns: a generous per-replication
-   wall-clock budget (no tier-1 run takes close to a minute), a second
-   chance for transient host trouble, quarantine for repeat offenders and
-   a small deterministic backoff so retries do not hammer the host. *)
-let campaign_supervision =
-  {
-    Config.deadline_ms = Some 60_000.;
-    max_retries = 2;
-    quarantine_after = 3;
-    retry_base_ms = 50.;
-  }

@@ -88,8 +88,3 @@ val chaos_overload_config : protocol:string -> seed:int -> Config.t
 val chaos_turbulence_config : protocol:string -> seed:int -> Config.t
 (** Lossy, duplicating, delay-spiked network until {!chaos_gst_ms}, then a
     GST shift to a fast stable delay model. *)
-
-val campaign_supervision : Config.supervision
-(** Recommended supervision knobs for long campaigns (DESIGN.md §3.13):
-    60 s wall-clock deadline per replication attempt, 2 retries with a
-    50 ms deterministic backoff base, quarantine after 3 failures. *)

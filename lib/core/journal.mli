@@ -22,7 +22,7 @@
 type digest = {
   rep : int;  (** Replication index within its campaign cell. *)
   seed : int;
-  outcome : string;  (** Outcome class, as [Csv_export.outcome_to_string]. *)
+  outcome : string;  (** Outcome class, as {!outcome_class}. *)
   last_progress_ms : float option;  (** For [stalled] outcomes. *)
   time_ms : float;
   latency_ms : float;

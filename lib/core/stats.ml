@@ -45,9 +45,6 @@ let of_list samples =
     p99 = percentile samples 99.;
   }
 
-let ci95_halfwidth t =
-  if t.count <= 1 then 0. else 1.96 *. t.stddev /. sqrt (float_of_int t.count)
-
 let pp ppf t =
   Format.fprintf ppf "%.1f ± %.1f (n=%d, p50/p95/p99 %.1f/%.1f/%.1f)" t.mean t.stddev t.count
     t.median t.p95 t.p99

@@ -18,10 +18,6 @@ type t = {
 val of_list : float list -> t
 (** @raise Invalid_argument on []. *)
 
-val ci95_halfwidth : t -> float
-(** Half-width of the normal-approximation 95% confidence interval for the
-    mean ([1.96 * stddev / sqrt count]); 0 for a single sample. *)
-
 val percentile : float list -> float -> float
 (** [percentile samples p] with [p] in [\[0, 100\]], linear interpolation.
     @raise Invalid_argument on [] or out-of-range [p]. *)

@@ -106,10 +106,12 @@ let row t kind ~node ~peer ~tag ~detail =
 
 type message = Sent | In_flight | Injected | Delivered | Dropped | Lost | Lost_at_down_node
 
-(* Message spans run from send to arrival on the receiver's track; the
-   simulated timestamps make them line up with dispatch spans in the
+(* A message entering the event queue: its final delay goes to the replay
+   table, and its span runs from send to arrival on the receiver's track;
+   the simulated timestamps make it line up with dispatch spans in the
    Chrome/Perfetto rendering. *)
 let in_flight t (m : Message.t) =
+  (match t.trace with Some tr -> Trace.record_delay tr ~id:m.id m.delay_ms | None -> ());
   match t.tracer with
   | Some tr ->
     span tr ~name:m.tag ~cat:"net" ~node:m.dst ~ts_ms:(Time.to_ms m.sent_at) ~dur_ms:m.delay_ms
@@ -135,8 +137,7 @@ let message t what (m : Message.t) =
   | In_flight -> in_flight t m
   | Injected ->
     incr t.c_injected;
-    row t Trace.Send ~node:m.src ~peer:m.dst ~tag:m.tag ~detail:"<injected>";
-    in_flight t m
+    row t Trace.Send ~node:m.src ~peer:m.dst ~tag:m.tag ~detail:"<injected>"
   | Delivered ->
     incr t.c_delivered;
     payload_row t Trace.Deliver m ~node:m.dst ~peer:m.src

@@ -32,8 +32,10 @@ val histogram : t -> ?buckets:float array -> string -> Bftsim_obs.Metrics.histog
 
 type message =
   | Sent  (** By its source, before the attacker's verdict. *)
-  | In_flight  (** Scheduled to arrive after its [delay_ms]. *)
-  | Injected  (** By the attacker; in flight. *)
+  | In_flight
+      (** Entered the event queue to arrive after its final [delay_ms],
+          which a recorded trace keeps for replay. *)
+  | Injected  (** Sent by the attacker; it enters the queue next. *)
   | Delivered  (** To its destination node. *)
   | Dropped  (** By the attacker. *)
   | Lost  (** By the loss model. *)

@@ -9,9 +9,11 @@ type entry = {
   detail : string;
 }
 
-type t = { mutable rev_entries : entry list; mutable count : int }
+(* [delays] is indexed by message id, which the controller issues densely
+   from 1: one unboxed float per message, nan for one never queued. *)
+type t = { mutable rev_entries : entry list; mutable count : int; mutable delays : Float.Array.t }
 
-let create () = { rev_entries = []; count = 0 }
+let create () = { rev_entries = []; count = 0; delays = Float.Array.make 0 Float.nan }
 
 let record t entry =
   t.rev_entries <- entry :: t.rev_entries;
@@ -37,49 +39,25 @@ let first_divergence a b =
   in
   walk 0 (entries a) (entries b)
 
-(* Per (src, dst, tag) link: every send's delay cell, newest first, and
-   the sends still in flight, oldest first. *)
-type link = { mutable cells : float option ref list; mutable flying : (float * float option ref) list }
+let record_delay t ~id delay_ms =
+  let capacity = Float.Array.length t.delays in
+  if id >= capacity then begin
+    let grown = Float.Array.make (Int.max 1024 (2 * id)) Float.nan in
+    Float.Array.blit t.delays 0 grown 0 capacity;
+    t.delays <- grown
+  end;
+  Float.Array.set t.delays id delay_ms
+
+let delay t id =
+  if id >= Float.Array.length t.delays then None
+  else
+    let d = Float.Array.get t.delays id in
+    if Float.is_nan d then None else Some d
 
 let delays t =
-  (* Arrivals (deliveries, and losses at a down node) take the oldest send
-     in flight; the event queue's deterministic ordering makes this FIFO
-     reconstruction exact.  A send-time drop is recorded in the same
-     routing step as its send, so it takes the newest; its cell stays
-     [None], holding the position replay's per-link sequence numbers need. *)
-  let links : (int * int * string, link) Hashtbl.t = Hashtbl.create 64 in
-  let arrive key at_ms =
-    match Hashtbl.find_opt links key with
-    | Some ({ flying = (sent_at, cell) :: rest; _ } as l) ->
-      l.flying <- rest;
-      cell := Some (at_ms -. sent_at)
-    | _ -> ()
-  in
-  List.iter
-    (fun e ->
-      let key = (e.node, e.peer, e.tag) in
-      match e.kind with
-      | Send ->
-        let l =
-          match Hashtbl.find_opt links key with
-          | Some l -> l
-          | None ->
-            let l = { cells = []; flying = [] } in
-            Hashtbl.replace links key l;
-            l
-        in
-        let cell = ref None in
-        l.cells <- cell :: l.cells;
-        l.flying <- l.flying @ [ (e.at_ms, cell) ]
-      | Deliver -> arrive (e.peer, e.node, e.tag) e.at_ms
-      | Lost -> arrive key e.at_ms
-      | Drop -> (
-        match Hashtbl.find_opt links key with
-        | Some l -> l.flying <- List.rev (match List.rev l.flying with _ :: older -> older | [] -> [])
-        | None -> ())
-      | Timer_fired | Decide -> ())
-    (entries t);
-  Hashtbl.fold (fun key l acc -> (key, List.rev_map (fun c -> !c) l.cells) :: acc) links []
+  List.filter_map
+    (fun id -> Option.map (fun d -> (id, d)) (delay t id))
+    (List.init (Float.Array.length t.delays) Fun.id)
 
 let decisions t =
   let per_node : (int, string list ref) Hashtbl.t = Hashtbl.create 16 in

@@ -1,9 +1,10 @@
 (** Execution traces (paper §III-A6).
 
     A trace is the ordered sequence of observable simulation events — sends,
-    deliveries, drops, timer firings and decisions.  The validator module
-    replays and compares traces; tests use them to assert event-level
-    behaviour; the CLI can dump them for inspection. *)
+    deliveries, drops, timer firings and decisions — plus, beside it, the
+    delay each message entered the event queue with.  The validator module
+    replays those delays and compares traces; tests use them to assert
+    event-level behaviour; the CLI can dump them for inspection. *)
 
 type kind =
   | Send
@@ -40,14 +41,19 @@ val first_divergence : t -> t -> (int * entry option * entry option) option
     index of the first differing entry together with both sides' entries at
     that index ([None] = trace ended). *)
 
-val delays : t -> ((int * int * string) * float option list) list
-(** Per [(src, dst, tag)] link, the observed message delays in send order —
-    the replay table consumed by {!Validator.replay_delays}.  Delays are
-    reconstructed as (arrival time - send time) by matching sends with
-    arrivals ([Deliver] or [Lost]) per link in FIFO order; sends dropped at
-    send time appear as [None], keeping positions aligned with sender-side
-    sequence numbers so replay stays exact under dropping attackers and
-    chaos schedules. *)
+val record_delay : t -> id:int -> float -> unit
+(** [record_delay t ~id d]: message [id] entered the event queue to arrive
+    [d] ms after its send.  Kept apart from the entries, so {!equal} and
+    {!first_divergence} do not see it. *)
+
+val delay : t -> int -> float option
+(** The final delay of message [id] — recorded after every stage that sets
+    it (sample, CPU charge, chaos spike, attacker, reorder), so replay
+    needs no pairing of sends with arrivals; [None] if it never entered
+    the queue.  {!Validator.validate_against} replays these. *)
+
+val delays : t -> (int * float) list
+(** Every recorded [(id, delay)], by id. *)
 
 val decisions : t -> (int * string list) list
 (** Per node, the decided values in decision order. *)

@@ -18,7 +18,6 @@ type env = {
   lifecycle : Lifecycle.t;
   cpus : Cost_model.cpu array;
   attack : Message.t -> Attack.Attacker.verdict;
-  delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
   next_id : unit -> int;
   deliver_at : Message.t -> unit;
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
@@ -41,8 +40,7 @@ let direct_broadcast ~pn send ~src ~include_self ~tag ~size payload =
     if include_self || dst <> src then send ~src ~dst ~tag ~size payload
   done
 
-(* Per-key sequence numbers from 0: the reliable channel numbers frames per
-   link, replay numbers sends per (link, tag). *)
+(* Per-link frame numbers from 0. *)
 let next_seq table key =
   match Hashtbl.find_opt table key with
   | Some r ->
@@ -237,10 +235,6 @@ let create e =
     incr counter;
     Telemetry.message tel what msg
   in
-  let deliver_at msg =
-    Telemetry.message tel Telemetry.In_flight msg;
-    e.deliver_at msg
-  in
   let enqueue (msg : Message.t) =
     (match h_delay with
     | Some h when msg.Message.src <> msg.Message.dst -> (
@@ -249,7 +243,7 @@ let create e =
       | Some q -> Obs.Metrics.observe_h q (Network.last_queue_ms e.network)
       | None -> ())
     | _ -> ());
-    deliver_at msg
+    e.deliver_at msg
   in
   (* Stochastic per-link faults run after the adversary: the attacker models
      intent, this models the wire itself.  The chaos plan's loss and dup
@@ -283,7 +277,7 @@ let create e =
               (* A network artifact, not traffic the sender paid for: its
                  own message id but no send stats. *)
               incr c_dup;
-              deliver_at
+              e.deliver_at
                 {
                   msg with
                   Message.id = e.next_id ();
@@ -293,8 +287,6 @@ let create e =
           end
     end
   in
-  (* Replay support: per-link send counters feeding the override. *)
-  let link_seqs : (int * int * string, int ref) Hashtbl.t = Hashtbl.create 64 in
   let sign_ms = cfg.Config.costs.Cost_model.sign_ms in
   (* WAL writes occupy the same sequential CPU as signing, so the queueing
      delay behind a persist reaches the wire even when signing is free. *)
@@ -333,15 +325,6 @@ let create e =
       end;
       let msg = Message.make ~id ~src ~dst ~sent_at:(e.now ()) ~tag ~size payload in
       Network.assign_delay e.network msg;
-      (* The recorded delay is end-to-end (sample + CPU + chaos spike +
-         attacker), so in replay mode it is applied last, after the plan's
-         and the attacker's verdicts and draws; the link sequence advances
-         for every send, dropped or not. *)
-      let replay_delay =
-        match e.delay_override with
-        | None -> None
-        | Some override -> override ~src ~dst ~tag ~seq:(next_seq link_seqs (src, dst, tag))
-      in
       Telemetry.message tel Telemetry.Sent msg;
       if charge_cpu then begin
         let now = Time.to_ms (e.now ()) in
@@ -355,9 +338,7 @@ let create e =
       else
         match attack msg with
         | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
-        | Attack.Attacker.Deliver ->
-          (match replay_delay with Some d -> msg.Message.delay_ms <- d | None -> ());
-          transmit msg
+        | Attack.Attacker.Deliver -> transmit msg
     end
   in
   let wire =

@@ -38,10 +38,9 @@ type env = {
           the chaos plan admits the message and, under twins, after the
           round's partition ({!Bftsim_attack.Twins_schedule.separated}, set
           up once per run) lets it through. *)
-  delay_override : (src:int -> dst:int -> tag:string -> seq:int -> float option) option;
-      (** Replay: the recorded delay of the [seq]-th send on a link. *)
   next_id : unit -> int;  (** A fresh message id. *)
-  deliver_at : Message.t -> unit;  (** Enqueue the message at its arrival time. *)
+  deliver_at : Message.t -> unit;
+      (** Enqueue the message at its arrival time; its delay is final. *)
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   telemetry : Telemetry.t;
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)

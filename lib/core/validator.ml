@@ -47,19 +47,6 @@ let decisions_divergence (a : Controller.result) (b : Controller.result) =
         else None)
     None sorted
 
-let replay_delays trace =
-  let table = Hashtbl.create 256 in
-  List.iter
-    (fun ((src, dst, tag), ds) ->
-      List.iteri
-        (fun seq d ->
-          (* Dropped sends have no observed delay; the replaying attacker
-             re-drops them, so their sampled delay never matters. *)
-          match d with Some d -> Hashtbl.replace table (src, dst, tag, seq) d | None -> ())
-        ds)
-    (Trace.delays trace);
-  fun ~src ~dst ~tag ~seq -> Hashtbl.find_opt table (src, dst, tag, seq)
-
 let trace_divergence a b =
   match Trace.first_divergence a b with
   | None -> None
@@ -91,7 +78,7 @@ let validate_against ~ground_truth config =
     | None -> invalid_arg "Validator.validate_against: ground truth has no trace"
   in
   let replayed =
-    Controller.run ~delay_override:(replay_delays trace) { config with Config.record_trace = true }
+    Controller.run ~delay_override:(Trace.delay trace) { config with Config.record_trace = true }
   in
   make_report ground_truth replayed
 

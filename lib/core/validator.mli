@@ -1,9 +1,10 @@
 (** The validator module (paper §III-A6, §III-D).
 
     Cross-validates a simulation against a ground-truth execution: the
-    ground truth supplies the message-delay sequence, the validator replays
-    those delays through the simulator and checks that the consensus module
-    "produces the same result (i.e., which node agrees on what value)".
+    ground truth supplies each message's delay, keyed by message id, the
+    validator replays those delays through the simulator and checks that
+    the consensus module "produces the same result (i.e., which node agrees
+    on what value)" and, with traces on both sides, the same trace.
 
     The paper validated against BFTsim traces; those are not available, so
     the ground truth here comes from (a) a previous run of this simulator
@@ -26,14 +27,10 @@ val decisions_divergence : Controller.result -> Controller.result -> string opti
     identity's two physical halves are grouped under the one logical id and
     compared half-by-half, never attributed to a phantom extra node. *)
 
-val replay_delays : Trace.t -> src:int -> dst:int -> tag:string -> seq:int -> float option
-(** A {!Controller.run} [delay_override] that replays the message delays
-    recorded in a ground-truth trace; [None] (fall back to sampling) for
-    messages the ground truth never saw. *)
-
 val validate_against : ground_truth:Controller.result -> Config.t -> report
-(** Re-runs [config] with delays replayed from the ground truth's trace and
-    compares decisions (and traces when both are recorded).
+(** Re-runs [config] with the ground truth's recorded delays as the
+    [delay_override] ({!Trace.delay}, by message id) and compares decisions
+    (and traces when both are recorded).
     @raise Invalid_argument if the ground truth carries no trace. *)
 
 val check_determinism : Config.t -> report

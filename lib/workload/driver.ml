@@ -475,7 +475,7 @@ type audit = {
   batch_log : (string * int list) list;  (** Every bundle cut, oldest first. *)
 }
 
-let run_point_full (t : t) ~rate (config : Core.Config.t) =
+let run_point_audit (t : t) ~rate (config : Core.Config.t) =
   let t = { t with arrival = Arrival.with_rate t.arrival rate } in
   let h = create_harness ~seed:config.Core.Config.seed ~n:config.Core.Config.n ~rate t in
   let result = Core.Controller.run ~workload:(workload_of_harness h) config in
@@ -532,10 +532,8 @@ let run_point_full (t : t) ~rate (config : Core.Config.t) =
   (point, audit, result)
 
 let run_point (t : t) ~rate (config : Core.Config.t) =
-  let point, _audit, result = run_point_full t ~rate config in
+  let point, _audit, result = run_point_audit t ~rate config in
   (point, result.Core.Controller.metrics)
-
-let run_point_audit (t : t) ~rate (config : Core.Config.t) = run_point_full t ~rate config
 
 (* {1 Rate sweeps} *)
 

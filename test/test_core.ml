@@ -779,19 +779,17 @@ let test_trace_decisions () =
   let from_result = List.filter (fun (_, values) -> values <> []) r.decisions in
   Alcotest.(check bool) "trace decisions match controller's" true (from_trace = from_result)
 
+(* Every message that enters the event queue leaves its final delay in the
+   trace under its own id.  Nothing in the base config drops a message, so
+   each traced send (a Send row) is one queued message. *)
 let test_trace_delays_reconstruction () =
   let r = Core.Controller.run (traced_config ()) in
   let t = Option.get r.trace in
   let delays = Core.Trace.delays t in
-  Alcotest.(check bool) "some links reconstructed" true (List.length delays > 0);
+  let sends = List.filter (fun e -> e.Core.Trace.kind = Core.Trace.Send) (Core.Trace.entries t) in
+  Alcotest.(check int) "one delay per send" (List.length sends) (List.length delays);
   List.iter
-    (fun ((src, dst, _), ds) ->
-      List.iter
-        (function
-          | Some d when d < 0. ->
-            Alcotest.failf "negative reconstructed delay %f on %d->%d" d src dst
-          | Some _ | None -> ())
-        ds)
+    (fun (id, d) -> if d < 0. then Alcotest.failf "negative delay %f for message %d" d id)
     delays
 
 let test_trace_divergence_detection () =
@@ -821,6 +819,67 @@ let test_validator_replay () =
   let other_seed = { (traced_config ()) with Core.Config.seed = 999 } in
   let report = Core.Validator.validate_against ~ground_truth:ground other_seed in
   Alcotest.(check bool) "replayed decisions match" true report.decisions_match
+
+(* Replay reproduces any run: whichever stages set a message's delay — CPU
+   charge, reorder, duplication, reliable frames and acks, gossip hops,
+   zone latency and bandwidth queueing, a restart, a delaying partition —
+   the validator replays it by message id, and the replayed run repeats the
+   ground truth's decisions and trace entry for entry.  The replay samples
+   a constant delay model, so every delay it queues must come from the
+   recording: a message the replay missed arrives at another time. *)
+let prop_replay_reproduces =
+  let gen =
+    let open QCheck.Gen in
+    let feature kvs = map (fun on -> if on then kvs else []) bool in
+    let* protocol = oneofl (Bftsim_protocols.Registry.names ())
+    and* n = oneofl [ 4; 7 ]
+    and* seed = int_range 1 10_000
+    and* lossy = feature [ ("loss", "0.05"); ("dup", "0.05"); ("reorder", "40") ]
+    and* costs = feature [ ("costs", "commodity") ]
+    and* wan = feature [ ("zones", "geo3"); ("bandwidth", "10") ]
+    and* fanout = opt (int_range 2 3)
+    and* reliable = bool
+    and* restart = opt (int_range 0 3)
+    and* partition = opt (int_range 1 3) in
+    (* Reliable channels need the direct transport, so gossip excludes them. *)
+    let channel =
+      match fanout with
+      | Some k -> [ ("transport", Printf.sprintf "gossip:%d" k) ]
+      | None -> if reliable then [ ("reliable", "true") ] else []
+    in
+    let plan =
+      match restart with
+      | Some k -> [ ("chaos", Printf.sprintf "crash:%d@200;restart:%d@700" k k) ]
+      | None -> []
+    in
+    let attack =
+      match partition with
+      | Some first -> [ ("attack", Printf.sprintf "partition:%d,500,3000,delay" first) ]
+      | None -> []
+    in
+    return
+      ([
+         ("protocol", protocol);
+         ("n", string_of_int n);
+         ("seed", string_of_int seed);
+         ("target", "2");
+         ("max_time_ms", "30000");
+       ]
+      @ lossy @ costs @ wan @ channel @ plan @ attack)
+  in
+  let print kvs = String.concat "; " (List.map (fun (k, v) -> k ^ " = " ^ v) kvs) in
+  QCheck.Test.make ~name:"replay reproduces any run" ~count:100 (QCheck.make ~print gen) (fun kvs ->
+      match Core.Config.of_keyvalues kvs with
+      | Error e -> QCheck.Test.fail_reportf "invalid config drawn: %s" e
+      | Ok config ->
+        let ground = Core.Controller.run { config with Core.Config.record_trace = true } in
+        let report =
+          Core.Validator.validate_against ~ground_truth:ground
+            { config with Core.Config.delay = Net.Delay_model.Constant 1. }
+        in
+        if report.decisions_match && report.trace_match = Some true then true
+        else
+          QCheck.Test.fail_reportf "%a" Core.Validator.pp_report report)
 
 let test_validator_detects_difference () =
   let a = Core.Controller.run (base_config ~seed:1 ()) in
@@ -992,6 +1051,7 @@ let () =
           Alcotest.test_case "determinism check" `Quick test_validator_determinism;
           Alcotest.test_case "trace replay" `Quick test_validator_replay;
           Alcotest.test_case "difference detection" `Quick test_validator_detects_difference;
+          qc prop_replay_reproduces;
         ] );
       ( "view_tracker",
         [

@@ -104,7 +104,6 @@ let run_script ops =
       lifecycle = Core.Lifecycle.create config ~cpus:[||] ~now_ms:(fun () -> 0.);
       cpus = [||];
       attack = (fun _ -> Bftsim_attack.Attacker.Deliver);
-      delay_override = None;
       next_id = (fun () -> incr next_id; !next_id);
       deliver_at = (fun _ -> ());
       arm_timer =
