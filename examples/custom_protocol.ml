@@ -87,14 +87,14 @@ end
 
 let leader_hunter ~budget =
   let spent = ref 0 in
-  let attack (env : Attack.Attacker.env) (msg : Net.Message.t) =
+  let attack (env : Attack.Attacker.env) (msg : Net.Message.t) ~dst ~delay_ms =
     (match msg.payload with
     | Echo_propose _ when !spent < budget && not (env.is_corrupted msg.src) ->
       (* Rushing: the proposal is observed in flight, and its sender is
          corrupted before any copy is delivered. *)
       if env.corrupt msg.src then incr spent
     | _ -> ());
-    Attack.Attacker.drop_from_corrupted env msg
+    Attack.Attacker.drop_from_corrupted env msg ~dst ~delay_ms
   in
   {
     Attack.Attacker.name = Printf.sprintf "leader-hunter(budget=%d)" budget;

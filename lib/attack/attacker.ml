@@ -1,7 +1,7 @@
 open Bftsim_sim
 open Bftsim_net
 
-type verdict = Deliver | Drop
+type verdict = Deliver | Drop | Delay of float
 
 type env = {
   n : int;
@@ -21,7 +21,7 @@ type env = {
 type t = {
   name : string;
   on_start : env -> unit;
-  attack : env -> Message.t -> verdict;
+  attack : env -> Message.t -> dst:int -> delay_ms:float -> verdict;
   on_time_event : env -> Timer.t -> unit;
 }
 
@@ -29,20 +29,17 @@ let passthrough =
   {
     name = "passthrough";
     on_start = (fun _ -> ());
-    attack = (fun _ _ -> Deliver);
+    attack = (fun _ _ ~dst:_ ~delay_ms:_ -> Deliver);
     on_time_event = (fun _ _ -> ());
   }
 
-let drop_from_corrupted env (msg : Message.t) =
+let drop_from_corrupted env (msg : Message.t) ~dst:_ ~delay_ms:_ =
   if env.is_corrupted msg.src then Drop else Deliver
 
 let delay_all ~extra_ms =
   {
     name = Printf.sprintf "delay-all(+%gms)" extra_ms;
     on_start = (fun _ -> ());
-    attack =
-      (fun _ msg ->
-        msg.Message.delay_ms <- msg.Message.delay_ms +. extra_ms;
-        Deliver);
+    attack = (fun _ _ ~dst:_ ~delay_ms -> Delay (delay_ms +. extra_ms));
     on_time_event = (fun _ _ -> ());
   }

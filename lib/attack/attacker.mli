@@ -14,14 +14,16 @@
     prepare-then-reveal defence meaningful.
 
     An attacker implementation provides exactly the two callbacks of the
-    paper: [attack] (per forwarded message) and [on_time_event]. *)
+    paper: [attack] (per delivery: the envelope, its destination and its
+    delay) and [on_time_event]. *)
 
 open Bftsim_sim
 open Bftsim_net
 
 type verdict =
-  | Deliver  (** Register the message event with its (possibly rewritten) delay. *)
-  | Drop  (** Suppress the message silently. *)
+  | Deliver  (** Register the delivery with the delay it was offered. *)
+  | Drop  (** Suppress the delivery silently. *)
+  | Delay of float  (** Register the delivery with this delay (ms) instead. *)
 
 type env = {
   n : int;
@@ -48,9 +50,10 @@ type env = {
 type t = {
   name : string;
   on_start : env -> unit;  (** Called once before the first event. *)
-  attack : env -> Message.t -> verdict;
-      (** Inspect/modify one in-flight message (mutate [delay_ms] to delay
-          it) and rule on its delivery. *)
+  attack : env -> Message.t -> dst:int -> delay_ms:float -> verdict;
+      (** Rule on one delivery: the envelope [msg], shared by every
+          recipient of a broadcast, going to [dst] after [delay_ms].
+          Only a rewrite ([Delay]) allocates. *)
   on_time_event : env -> Timer.t -> unit;
       (** Runs when a timer registered through [env.set_timer] fires. *)
 }
@@ -58,7 +61,7 @@ type t = {
 val passthrough : t
 (** The no-op attacker: benign network. *)
 
-val drop_from_corrupted : env -> Message.t -> verdict
+val drop_from_corrupted : env -> Message.t -> dst:int -> delay_ms:float -> verdict
 (** Building block shared by adaptive attackers: silence every message whose
     sender is corrupted (equivalent to fail-stopping the node from the
     outside). *)

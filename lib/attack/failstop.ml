@@ -4,7 +4,7 @@ open Bftsim_net
 let silence ~nodes ~at_ms =
   let victims = Hashtbl.create 8 in
   List.iter (fun node -> Hashtbl.replace victims node ()) nodes;
-  let attack (env : Attacker.env) (msg : Message.t) =
+  let attack (env : Attacker.env) (msg : Message.t) ~dst:_ ~delay_ms:_ =
     if Time.to_ms (env.now ()) >= at_ms && Hashtbl.mem victims msg.src then Attacker.Drop
     else Attacker.Deliver
   in

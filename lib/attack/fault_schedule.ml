@@ -181,24 +181,25 @@ let separated t ~src ~dst ~at_ms =
 
 let step_times t = List.sort Float.compare (List.map (fun s -> s.at_ms) t)
 
-let admit t (msg : Message.t) ~at_ms =
-  let src = msg.Message.src and dst = msg.Message.dst in
-  if crashed_at t ~node:src ~at_ms then false
+let admit t (msg : Message.t) ~dst ~delay_ms ~at_ms : Attacker.verdict =
+  let src = msg.Message.src in
+  if crashed_at t ~node:src ~at_ms then Drop
   else if src = dst then
     (* Self-addressed messages are local deliveries: they cross no wire,
        so partitions and network bursts cannot touch them. *)
-    true
-  else if separated t ~src ~dst ~at_ms then false
-  else begin
-    List.iter
-      (fun s ->
-        match s.action with
-        | Delay_spike { extra_ms; until_ms } when s.at_ms <= at_ms && at_ms < until_ms ->
-          msg.Message.delay_ms <- msg.Message.delay_ms +. extra_ms
-        | _ -> ())
-      t;
-    true
-  end
+    Deliver
+  else if separated t ~src ~dst ~at_ms then Drop
+  else
+    let spiked =
+      List.fold_left
+        (fun d s ->
+          match s.action with
+          | Delay_spike { extra_ms; until_ms } when s.at_ms <= at_ms && at_ms < until_ms ->
+            d +. extra_ms
+          | _ -> d)
+        delay_ms t
+    in
+    if spiked = delay_ms then Deliver else Delay spiked
 
 let loss_windows t =
   List.exists (fun s -> match s.action with Loss_burst _ | Dup_burst _ -> true | _ -> false) t

@@ -108,14 +108,14 @@ val step_times : t -> float list
 (** Sorted step times — the controller's watchdog treats each as a scenario
     change that resets the stall clock. *)
 
-val admit : t -> Message.t -> at_ms:float -> bool
-(** The plan's send-time verdict on a message sent at [at_ms]: [false] when
-    its source is down or a partition separates its endpoints.  Otherwise
-    [true], with every active delay spike added to its [delay_ms].
-    Self-addressed messages always pass.  A destination that is down when
-    the message arrives is not decided here — the arrival instant is only
-    final after the loss model — so the transport drops it at delivery
-    ({!crashed_at} at the actual arrival). *)
+val admit : t -> Message.t -> dst:int -> delay_ms:float -> at_ms:float -> Attacker.verdict
+(** The plan's send-time verdict on the delivery of [msg] to [dst], sent at
+    [at_ms] after [delay_ms]: [Drop] when its source is down or a partition
+    separates its endpoints; [Delay] with every active delay spike added to
+    [delay_ms]; otherwise [Deliver].  Self-addressed messages always pass.
+    A destination that is down when the message arrives is not decided here
+    — the arrival instant is only final after the loss model — so the
+    transport drops it at delivery ({!crashed_at} at the actual arrival). *)
 
 val loss_windows : t -> bool
 (** Does the plan have a loss or duplication window? *)

@@ -7,13 +7,11 @@ type spec = { groups : int array; start_ms : float; heal_ms : float; mode : mode
 
 let make spec =
   if spec.heal_ms < spec.start_ms then invalid_arg "Partition_attack.make: heal before start";
-  let crosses (msg : Message.t) =
-    msg.src <> msg.dst && spec.groups.(msg.src) <> spec.groups.(msg.dst)
-  in
+  let crosses ~src ~dst = src <> dst && spec.groups.(src) <> spec.groups.(dst) in
   let active now = now >= spec.start_ms && now < spec.heal_ms in
-  let attack (env : Attacker.env) (msg : Message.t) =
+  let attack (env : Attacker.env) (msg : Message.t) ~dst ~delay_ms =
     let now = Time.to_ms (env.now ()) in
-    if not (active now && crosses msg) then Attacker.Deliver
+    if not (active now && crosses ~src:msg.src ~dst) then Attacker.Deliver
     else
       match spec.mode with
       | Drop_cross_traffic -> Attacker.Drop
@@ -22,8 +20,7 @@ let make spec =
           spec.heal_ms +. (if jitter_ms > 0. then Rng.float env.rng jitter_ms else 0.)
         in
         (* Stretch the delay so arrival lands just after the heal. *)
-        msg.delay_ms <- Float.max msg.delay_ms (release -. Time.to_ms msg.sent_at);
-        Attacker.Deliver
+        Attacker.Delay (Float.max delay_ms (release -. Time.to_ms msg.sent_at))
   in
   {
     Attacker.name =

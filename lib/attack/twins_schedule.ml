@@ -41,8 +41,6 @@ let separated t ~src ~dst ~at_ms =
   | None -> false
   | Some groups -> Fault_schedule.splits groups ~src ~dst
 
-let leader_at t ~view = if view < 0 then None else List.nth_opt t.leaders view
-
 (* Liveness is only a fair expectation when no honest identity is ever cut
    off from a quorum-weight block: a drop-round that isolates an honest
    node lets the quorum side commit blocks the isolated node will never

@@ -53,9 +53,6 @@ val groups_at : t -> at_ms:float -> int list list option
 val separated : t -> src:int -> dst:int -> at_ms:float -> bool
 (** Whether the partition in effect at [at_ms] separates two physical ids. *)
 
-val leader_at : t -> view:int -> int option
-(** Leader override for [view], if the schedule pins one. *)
-
 val isolated_below_quorum : n:int -> quorum:int -> t -> node:int -> bool
 (** Whether some round places {e logical} identity [node] (any of its
     instances) in a block of fewer than [quorum] distinct logical

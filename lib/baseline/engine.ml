@@ -16,7 +16,7 @@ type result = {
 type event =
   | At_router of Packet.t
   | At_host of Packet.t
-  | Deliver of Message.t
+  | Deliver of Message.addressed
   | Node_timer of Timer.t
   | Retransmit_check of { msg_id : int; seq : int }
 
@@ -26,7 +26,7 @@ type event =
 type connection = {
   mutable established : bool;
   mutable handshake_started : bool;
-  mutable pending : Message.t list;  (** Messages queued behind the handshake. *)
+  mutable pending : Message.addressed list;  (** Messages queued behind the handshake. *)
   send_buffer : Bytes.t;
   recv_buffer : Bytes.t;
 }
@@ -76,7 +76,7 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
   let unacked : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let decisions = Array.init n (fun _ -> ref []) in
   let finished = ref None in
-  let reassembly : (int, int * Message.t) Hashtbl.t = Hashtbl.create 256 in
+  let reassembly : (int, int * Message.addressed) Hashtbl.t = Hashtbl.create 256 in
 
   let now_ms () = Time.to_ms (Event_queue.now queue) in
 
@@ -95,9 +95,9 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
      wire representation of a protocol message is therefore far larger than
      the simulator-level size estimate.  4 KiB per message is a modest
      batch. *)
-  let wire_bytes (msg : Message.t) = max msg.size 4096 in
+  let wire_bytes (msg : Message.addressed) = max msg.msg.size 4096 in
 
-  let send_segments ~at_ms (msg : Message.t) =
+  let send_segments ~at_ms (msg : Message.addressed) =
     let size = wire_bytes msg in
     let total = max 1 ((size + Packet.mss - 1) / Packet.mss) in
     Hashtbl.replace reassembly msg.id (total, msg);
@@ -106,7 +106,7 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
       let payload_bytes = max 1 payload_bytes in
       Hashtbl.replace unacked (msg.id, seq) ();
       send_packet ~at_ms
-        (fresh_packet ~src:msg.src ~dst:msg.dst ~payload_bytes
+        (fresh_packet ~src:msg.msg.src ~dst:msg.dst ~payload_bytes
            (Packet.Data { msg_id = msg.id; seq; total }));
       (* RTO bookkeeping: the sender re-checks each segment; with lossless
          links the check is always satisfied, but a real stack still pays
@@ -115,16 +115,16 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
     done
   in
 
-  let transport (msg : Message.t) =
+  let transport (msg : Message.addressed) =
     (* Signing happens on the sender CPU before anything hits the wire. *)
-    let signed_at = Phys.charge cpus.(msg.src) ~now_ms:(now_ms ()) ~cost_ms:Phys.sign_cost_ms in
-    let conn = connection msg.src msg.dst in
+    let signed_at = Phys.charge cpus.(msg.msg.src) ~now_ms:(now_ms ()) ~cost_ms:Phys.sign_cost_ms in
+    let conn = connection msg.msg.src msg.dst in
     if conn.established then send_segments ~at_ms:signed_at msg
     else begin
       conn.pending <- msg :: conn.pending;
       if not conn.handshake_started then begin
         conn.handshake_started <- true;
-        send_packet ~at_ms:signed_at (fresh_packet ~src:msg.src ~dst:msg.dst ~payload_bytes:1 Packet.Syn)
+        send_packet ~at_ms:signed_at (fresh_packet ~src:msg.msg.src ~dst:msg.dst ~payload_bytes:1 Packet.Syn)
       end
     end
   in
@@ -255,7 +255,7 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
       Packet.copy_at_hop packet;
       handle_at_host packet
     | Retransmit_check { msg_id; seq } -> ignore (Hashtbl.mem unacked (msg_id, seq))
-    | Deliver msg -> P.on_message nodes.(msg.Message.dst) (get_ctx msg.Message.dst) msg
+    | Deliver { msg; dst; _ } -> P.on_message nodes.(dst) (get_ctx dst) msg
     | Node_timer timer ->
       if not (Hashtbl.mem cancelled timer.Timer.id) then
         P.on_timer nodes.(timer.Timer.owner) (get_ctx timer.Timer.owner) timer

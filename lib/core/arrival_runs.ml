@@ -14,13 +14,17 @@
 open Bftsim_sim
 open Bftsim_net
 
-(* Sealing sorts [at] and [ord] together; [seq] and [msgs] stay in the
-   order of [add], so the sort moves no pointers. *)
+(* Sealing sorts [at] and [ord] together; the other lanes stay in the
+   order of [add], so the sort moves no pointers.  A delivery is its
+   envelope, shared by every recipient of a broadcast, plus a destination
+   and a message id in unboxed lanes: no record per recipient. *)
 type run = {
   mutable at : float array;  (** Arrival ms of the [i]-th entry in delivery order. *)
   mutable ord : int array;  (** Its index in order of [add]. *)
   mutable seq : int array;  (** Sequence numbers, in order of [add]. *)
-  mutable msgs : Message.t array;  (** Messages, in order of [add]. *)
+  mutable msgs : Message.t array;  (** Envelopes, in order of [add]. *)
+  mutable dst : int array;  (** Destinations, in order of [add]. *)
+  mutable id : int array;  (** Message ids, in order of [add]. *)
   mutable len : int;
   mutable next : int;  (** First undelivered entry. *)
 }
@@ -34,14 +38,17 @@ type 'e t = {
   mutable free : run array;
   mutable n_free : int;
   mutable queued : int;  (** Undelivered entries, the open run's included. *)
-  mutable current : Message.t;  (** The message of the delivery popped last. *)
+  mutable current : Message.t;  (** The envelope of the delivery popped last, *)
+  mutable current_dst : int;  (** its destination *)
+  mutable current_id : int;  (** and its message id. *)
 }
 
 (* An immediate stand-in for a vacant slot; like [Pqueue]'s filler, it is
    never read as a value. *)
 let vacant : unit -> 'a = fun () -> Obj.magic 0
 
-let make_run () = { at = [||]; ord = [||]; seq = [||]; msgs = [||]; len = 0; next = 0 }
+let make_run () =
+  { at = [||]; ord = [||]; seq = [||]; msgs = [||]; dst = [||]; id = [||]; len = 0; next = 0 }
 
 let create queue ~arrival ~width =
   {
@@ -60,6 +67,8 @@ let create queue ~arrival ~width =
     n_free = 0;
     queued = 0;
     current = vacant ();
+    current_dst = -1;
+    current_id = -1;
   }
 
 (* A fresh run's lanes fit one broadcast, so most runs never grow.
@@ -67,28 +76,29 @@ let create queue ~arrival ~width =
    force a minor collection, hence the immediate [vacant]. *)
 let grow t r =
   let cap = if r.len = 0 then t.width else 2 * r.len in
-  let at = Array.make cap 0. and ord = Array.make cap 0 and seq = Array.make cap 0 in
-  let msgs = Array.make cap (vacant ()) in
-  Array.blit r.at 0 at 0 r.len;
-  Array.blit r.ord 0 ord 0 r.len;
-  Array.blit r.seq 0 seq 0 r.len;
-  Array.blit r.msgs 0 msgs 0 r.len;
-  r.at <- at;
-  r.ord <- ord;
-  r.seq <- seq;
-  r.msgs <- msgs
+  let lane blank old =
+    let fresh = Array.make cap blank in
+    Array.blit old 0 fresh 0 r.len;
+    fresh
+  in
+  r.at <- lane 0. r.at;
+  r.ord <- lane 0 r.ord;
+  r.seq <- lane 0 r.seq;
+  r.msgs <- lane (vacant ()) r.msgs;
+  r.dst <- lane 0 r.dst;
+  r.id <- lane 0 r.id
 
-let add t (msg : Message.t) =
+let add t (msg : Message.t) ~dst ~id ~delay_ms =
   let r = t.batch in
   let i = r.len in
   if i = Array.length r.at then grow t r;
-  (* [Message.arrival_time], spelled out: its result would be a boxed
-     float. *)
-  let at = Time.to_ms msg.Message.sent_at +. msg.Message.delay_ms in
+  let at = Time.to_ms msg.Message.sent_at +. delay_ms in
   Array.unsafe_set r.at i (if at < 0. then 0. else at);
   Array.unsafe_set r.ord i i;
   Array.unsafe_set r.seq i (Event_queue.reserve_seq t.queue);
   Array.unsafe_set r.msgs i msg;
+  Array.unsafe_set r.dst i dst;
+  Array.unsafe_set r.id i id;
   r.len <- i + 1;
   t.queued <- t.queued + 1
 
@@ -156,14 +166,16 @@ let release t r =
   Array.unsafe_set t.free t.n_free r;
   t.n_free <- t.n_free + 1
 
-(* Takes the head of the first run into [current], then re-keys the run by
-   its next entry, or drops it from the heap once spent. *)
+(* Takes the head of the first run into the [current] fields, then re-keys
+   the run by its next entry, or drops it from the heap once spent. *)
 let take t =
   let r = Pqueue.min_exn t.runs in
   let i = r.next in
   Event_queue.advance t.queue r.at i;
   let k = Array.unsafe_get r.ord i in
   t.current <- Array.unsafe_get r.msgs k;
+  t.current_dst <- Array.unsafe_get r.dst k;
+  t.current_id <- Array.unsafe_get r.id k;
   Array.unsafe_set r.msgs k (vacant ());
   t.queued <- t.queued - 1;
   let i = i + 1 in
@@ -190,5 +202,9 @@ let next_exn t =
   end
 
 let current t = t.current
+
+let current_dst t = t.current_dst
+
+let current_id t = t.current_id
 
 let pending t = Event_queue.pending t.queue + t.queued

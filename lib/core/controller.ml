@@ -68,15 +68,15 @@ type workload = {
 
 type Timer.payload += Workload_fire of (unit -> unit)
 
-(* [Arrival] is a message delivery popped from the arrival runs
-   (DESIGN.md §3.15); [Arrival_runs.current] holds its message.  [epoch]
+(* [Arrival] is a delivery popped from the arrival runs (DESIGN.md §3.15);
+   [Arrival_runs.current], [current_dst] and [current_id] hold it.  [epoch]
    is the owner's incarnation when the alarm was armed: an alarm set before
    a restart must not fire into the fresh node.  Alarms owned by
    [Timer.attacker_owner] belong to the attacker, the workload and the
    controller itself. *)
 type event =
   | Arrival
-  | Deliver_verified of Message.t
+  | Deliver_verified of { msg : Message.t; dst : int; id : int }
   | Alarm of { timer : Timer.t; epoch : int }
 
 let pp_outcome ppf = function
@@ -248,17 +248,18 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     Event_queue.schedule queue ~at:deadline (Alarm { timer; epoch });
     id
   in
-  (* Every message enters the event queue here — wire sends, loss-model
+  (* Every delivery enters the event queue here — wire sends, loss-model
      duplicates, reliable frames and acks, gossip hops, attacker
      injections — with its delay final.  Replay overrides that delay by
      message id, and a recorded trace keeps it under the same id. *)
-  let deliver_at (msg : Message.t) =
-    (match delay_override with
-    | Some replay -> (
-      match replay msg.Message.id with Some d -> msg.Message.delay_ms <- d | None -> ())
-    | None -> ());
-    Telemetry.message tel Telemetry.In_flight msg;
-    Arrival_runs.add arrivals msg
+  let deliver_at (msg : Message.t) ~dst ~id ~delay_ms =
+    let delay_ms =
+      match delay_override with
+      | Some replay -> ( match replay id with Some d -> d | None -> delay_ms)
+      | None -> delay_ms
+    in
+    Telemetry.in_flight tel msg ~dst ~id ~delay_ms;
+    Arrival_runs.add arrivals msg ~dst ~id ~delay_ms
   in
 
   let attacker_env =
@@ -274,10 +275,10 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
       set_timer = arm_timer ~owner:Timer.attacker_owner;
       inject =
         (fun ~src ~dst ~delay_ms ~tag ~size payload ->
-          let msg = Message.make ~id:(next_id ()) ~src ~dst ~sent_at:(now ()) ~tag ~size payload in
-          msg.Message.delay_ms <- Float.max 0. delay_ms;
-          Telemetry.message tel Telemetry.Injected msg;
-          deliver_at msg);
+          let msg = Message.envelope ~src ~sent_at:(now ()) ~tag ~size payload in
+          let id = next_id () in
+          Telemetry.message tel Telemetry.Injected msg ~dst;
+          deliver_at msg ~dst ~id ~delay_ms:(Float.max 0. delay_ms));
       corrupt =
         (fun node ->
           if node < 0 || node >= n || corrupted.(node) then false
@@ -302,7 +303,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
         now;
         lifecycle = life;
         cpus;
-        attack = (fun msg -> attacker.Attack.Attacker.attack attacker_env msg);
+        attack = attacker.Attack.Attacker.attack attacker_env;
         next_id;
         deliver_at;
         arm_timer;
@@ -427,21 +428,19 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
   in
   Option.iter (fun period -> sample_views_at (Time.of_ms period)) config.view_sample_ms;
 
-  (* At the protocol boundary a message carries logical endpoints: a twin
+  (* At the protocol boundary a message comes from a logical sender: a twin
      half's traffic is indistinguishable from its co-twin's — that is the
-     entire attack surface.  The physical copy stays untouched for traces
-     and replay (delays are keyed by physical link). *)
+     entire attack surface.  The shared envelope stays untouched for traces
+     and the other recipients. *)
   let to_protocol (msg : Message.t) =
-    if msg.Message.src < n && msg.Message.dst < n then msg
-    else { msg with Message.src = to_logical msg.Message.src; dst = to_logical msg.Message.dst }
+    if msg.Message.src < n then msg else { msg with Message.src = to_logical msg.Message.src }
   in
   (* The top of the stack: what every stage let through reaches the node. *)
   let deliver =
-    transport.Transport.deliver (fun (msg : Message.t) ->
-        let dst = msg.Message.dst in
+    transport.Transport.deliver (fun (msg : Message.t) ~dst ~id:_ ->
         match nodes.(dst) with
         | Some node ->
-          Telemetry.message tel Telemetry.Delivered msg;
+          Telemetry.message tel Telemetry.Delivered msg ~dst;
           P.on_message node ctxs.(dst) (to_protocol msg);
           handled dst
         | None -> ())
@@ -514,25 +513,25 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
   let verify_ms = config.Config.costs.Cost_model.verify_ms in
   let handle = function
     | Arrival ->
-      let msg = Arrival_runs.current arrivals in
-      let dst = msg.Message.dst in
+      let msg = Arrival_runs.current arrivals and dst = Arrival_runs.current_dst arrivals in
+      let id = Arrival_runs.current_id arrivals in
       if dst >= 0 && dst < pn then
         if verify_ms > 0. && msg.Message.src <> dst then
           (* The receiver's CPU verifies the message before the stack sees
              it; contention shows up as extra queueing delay. *)
           let finish = Cost_model.charge cpus.(dst) ~now_ms:(now_ms ()) ~cost_ms:verify_ms in
-          Event_queue.schedule queue ~at:(Time.of_ms finish) (Deliver_verified msg)
-        else deliver msg
-    | Deliver_verified msg -> deliver msg
+          Event_queue.schedule queue ~at:(Time.of_ms finish) (Deliver_verified { msg; dst; id })
+        else deliver msg ~dst ~id
+    | Deliver_verified { msg; dst; id } -> deliver msg ~dst ~id
     | Alarm { timer; epoch } ->
       if timer.Timer.owner = Timer.attacker_owner then controller_alarm timer
       else node_alarm timer epoch
   in
   (* Dispatch spans: named after the handler the event reaches. *)
-  let msg_label (m : Message.t) = ("on_msg:" ^ m.Message.tag, m.Message.dst) in
+  let msg_label (m : Message.t) dst = ("on_msg:" ^ m.Message.tag, dst) in
   let label = function
-    | Arrival -> msg_label (Arrival_runs.current arrivals)
-    | Deliver_verified m -> msg_label m
+    | Arrival -> msg_label (Arrival_runs.current arrivals) (Arrival_runs.current_dst arrivals)
+    | Deliver_verified { msg; dst; _ } -> msg_label msg dst
     | Alarm { timer = t; _ } ->
       let kind = if t.Timer.owner = Timer.attacker_owner then "attacker:" else "on_time:" in
       (kind ^ t.Timer.tag, t.Timer.owner)
@@ -574,26 +573,24 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     else if Event_queue.popped queue >= config.max_events then outcome := Event_cap
     else if Arrival_runs.is_empty arrivals then outcome := Queue_drained
     else
-      (* Allocation-free pop: take the event alone and read the advanced
-         clock from the unboxed lane, instead of boxing a (time, event)
-         option per event.  The pop first seals the deliveries the last
-         event scheduled into one run. *)
+      (* Allocation-free pop: take the event alone, instead of boxing a
+         (time, event) option per event, and compare the advanced clock
+         inside the queue, as reading it here would box a float.  The pop
+         first seals the deliveries the last event scheduled into one run.
+         [limit] is positive, so overdue since the later of the last
+         progress and the last chaos step is also past the step. *)
       let ev = Arrival_runs.next_exn arrivals in
-      begin
-        let now_ms = Event_queue.now_ms queue in
-        if now_ms > config.max_time_ms then outcome := Timed_out
-        else begin
-          match watchdog_ms with
-          | Some limit
-            when now_ms >= last_chaos_ms
-                 && now_ms -. Float.max !last_progress last_chaos_ms > limit ->
-            Simlog.info "watchdog: no progress since %g ms, aborting at %g ms" !last_progress
-              now_ms;
-            outcome := Stalled { last_progress_ms = !last_progress }
-          | _ ->
-            Telemetry.dispatched tel label handle ev;
-            loop ()
-        end
+      if Event_queue.past queue config.max_time_ms then outcome := Timed_out
+      else begin
+        match watchdog_ms with
+        | Some limit
+          when Event_queue.overdue queue ~since:(Float.max !last_progress last_chaos_ms) ~limit ->
+          Simlog.info "watchdog: no progress since %g ms, aborting at %g ms" !last_progress
+            (now_ms ());
+          outcome := Stalled { last_progress_ms = !last_progress }
+        | _ ->
+          Telemetry.dispatched tel label handle ev;
+          loop ()
       end
   in
   Fun.protect ~finally:(fun () -> Telemetry.close tel) loop;

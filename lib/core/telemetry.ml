@@ -104,17 +104,17 @@ let row t kind ~node ~peer ~tag ~detail =
   | Some tr -> Trace.record tr { at_ms = t.now_ms (); kind; node; peer; tag; detail }
   | None -> ()
 
-type message = Sent | In_flight | Injected | Delivered | Dropped | Lost | Lost_at_down_node
+type message = Sent | Injected | Delivered | Dropped | Lost | Lost_at_down_node
 
-(* A message entering the event queue: its final delay goes to the replay
+(* A delivery entering the event queue: its final delay goes to the replay
    table, and its span runs from send to arrival on the receiver's track;
    the simulated timestamps make it line up with dispatch spans in the
    Chrome/Perfetto rendering. *)
-let in_flight t (m : Message.t) =
-  (match t.trace with Some tr -> Trace.record_delay tr ~id:m.id m.delay_ms | None -> ());
+let in_flight t (m : Message.t) ~dst ~id ~delay_ms =
+  (match t.trace with Some tr -> Trace.record_delay tr ~id delay_ms | None -> ());
   match t.tracer with
   | Some tr ->
-    span tr ~name:m.tag ~cat:"net" ~node:m.dst ~ts_ms:(Time.to_ms m.sent_at) ~dur_ms:m.delay_ms
+    span tr ~name:m.tag ~cat:"net" ~node:dst ~ts_ms:(Time.to_ms m.sent_at) ~dur_ms:delay_ms
       ~args:[ ("src", Tracer.Int m.src); ("size", Tracer.Int m.size) ]
       ()
   | None -> ()
@@ -126,24 +126,23 @@ let payload_row t kind (m : Message.t) ~node ~peer =
   | Some _ -> row t kind ~node ~peer ~tag:m.tag ~detail:(Message.payload_to_string m.payload)
   | None -> ()
 
-let discard t (m : Message.t) name kind detail =
+let discard t (m : Message.t) ~dst name kind detail =
   if t.tracing then
-    instant t ~name:(name ^ m.tag) ~cat:"net" ~node:m.src ~args:[ ("dst", Tracer.Int m.dst) ] ();
-  row t kind ~node:m.src ~peer:m.dst ~tag:m.tag ~detail
+    instant t ~name:(name ^ m.tag) ~cat:"net" ~node:m.src ~args:[ ("dst", Tracer.Int dst) ] ();
+  row t kind ~node:m.src ~peer:dst ~tag:m.tag ~detail
 
-let message t what (m : Message.t) =
+let message t what (m : Message.t) ~dst =
   match what with
-  | Sent -> payload_row t Trace.Send m ~node:m.src ~peer:m.dst
-  | In_flight -> in_flight t m
+  | Sent -> payload_row t Trace.Send m ~node:m.src ~peer:dst
   | Injected ->
     incr t.c_injected;
-    row t Trace.Send ~node:m.src ~peer:m.dst ~tag:m.tag ~detail:"<injected>"
+    row t Trace.Send ~node:m.src ~peer:dst ~tag:m.tag ~detail:"<injected>"
   | Delivered ->
     incr t.c_delivered;
-    payload_row t Trace.Deliver m ~node:m.dst ~peer:m.src
-  | Dropped -> discard t m "drop:" Trace.Drop ""
-  | Lost -> discard t m "loss:" Trace.Drop "loss"
-  | Lost_at_down_node -> discard t m "lost:" Trace.Lost ""
+    payload_row t Trace.Deliver m ~node:dst ~peer:m.src
+  | Dropped -> discard t m ~dst "drop:" Trace.Drop ""
+  | Lost -> discard t m ~dst "loss:" Trace.Drop "loss"
+  | Lost_at_down_node -> discard t m ~dst "lost:" Trace.Lost ""
 
 let gave_up t ~src ~dst ~tag = row t Trace.Drop ~node:src ~peer:dst ~tag ~detail:"rc-give-up"
 

@@ -32,16 +32,18 @@ val histogram : t -> ?buckets:float array -> string -> Bftsim_obs.Metrics.histog
 
 type message =
   | Sent  (** By its source, before the attacker's verdict. *)
-  | In_flight
-      (** Entered the event queue to arrive after its final [delay_ms],
-          which a recorded trace keeps for replay. *)
   | Injected  (** Sent by the attacker; it enters the queue next. *)
   | Delivered  (** To its destination node. *)
   | Dropped  (** By the attacker. *)
   | Lost  (** By the loss model. *)
   | Lost_at_down_node
 
-val message : t -> message -> Message.t -> unit
+val message : t -> message -> Message.t -> dst:int -> unit
+(** What happened to the delivery of an envelope to [dst]. *)
+
+val in_flight : t -> Message.t -> dst:int -> id:int -> delay_ms:float -> unit
+(** The delivery of message [id] entered the event queue to arrive after
+    its final [delay_ms], which a recorded trace keeps for replay. *)
 
 val gave_up : t -> src:int -> dst:int -> tag:string -> unit
 (** The reliable channel abandoned a frame. *)

@@ -17,27 +17,29 @@ type env = {
   now : unit -> Time.t;
   lifecycle : Lifecycle.t;
   cpus : Cost_model.cpu array;
-  attack : Message.t -> Attack.Attacker.verdict;
+  attack : Message.t -> dst:int -> delay_ms:float -> Attack.Attacker.verdict;
   next_id : unit -> int;
-  deliver_at : Message.t -> unit;
+  deliver_at : Message.t -> dst:int -> id:int -> delay_ms:float -> unit;
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   telemetry : Telemetry.t;
   dropped : int ref;
 }
 
+type up = Message.t -> dst:int -> id:int -> unit
+
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
   broadcast : src:int -> include_self:bool -> tag:string -> size:int -> Message.payload -> unit;
-  deliver : (Message.t -> unit) -> Message.t -> unit;
+  deliver : up -> up;
   on_timer : Timer.t -> bool;
 }
 
 (* Physical fan-out: twin halves receive broadcasts independently.
    [include_self = false] excludes only the sending instance — its co-twin
    is another machine on the wire. *)
-let direct_broadcast ~pn send ~src ~include_self ~tag ~size payload =
+let fan_out ~pn ~src ~include_self f =
   for dst = 0 to pn - 1 do
-    if include_self || dst <> src then send ~src ~dst ~tag ~size payload
+    if include_self || dst <> src then f dst
   done
 
 (* Per-link frame numbers from 0. *)
@@ -92,8 +94,8 @@ let reliable e rng lower =
       arm src ~dst ~seq ~attempt:0
     end
   in
-  let receive up (msg : Message.t) =
-    let src = msg.Message.src and dst = msg.Message.dst in
+  let receive up (msg : Message.t) ~dst ~id =
+    let src = msg.Message.src in
     match msg.Message.payload with
     | Rc_frame { seq; tag; size; inner } when not (Lifecycle.absent e.lifecycle dst) ->
       (* Ack unconditionally, duplicates included: a duplicate frame
@@ -103,13 +105,14 @@ let reliable e rng lower =
       if Hashtbl.mem seen (src, dst, seq) then incr c_dup_dropped
       else begin
         Hashtbl.replace seen (src, dst, seq) ();
-        up { msg with Message.id = e.next_id (); tag; size; payload = inner }
+        (* The unwrapped payload is a message of its own: its own id. *)
+        up { msg with Message.tag; size; payload = inner } ~dst ~id:(e.next_id ())
       end
     | Rc_ack { seq } ->
       (* The channel key is (sender, receiver): the acked sender is this
          message's destination. *)
       Hashtbl.remove out (dst, src, seq)
-    | _ -> up msg
+    | _ -> up msg ~dst ~id
   in
   let on_timer (timer : Timer.t) =
     match timer.Timer.payload with
@@ -137,7 +140,11 @@ let reliable e rng lower =
   in
   {
     send;
-    broadcast = direct_broadcast ~pn send;
+    (* Every frame has its own sequence number, so each recipient gets its
+       own envelope. *)
+    broadcast =
+      (fun ~src ~include_self ~tag ~size payload ->
+        fan_out ~pn ~src ~include_self (fun dst -> send ~src ~dst ~tag ~size payload));
     deliver = (fun up -> lower.deliver (receive up));
     on_timer;
   }
@@ -168,18 +175,16 @@ let gossip e rng ~fanout lower =
     Hashtbl.replace seen.(src) (src, !gid) ();
     forward src (Gossip_frame { origin = src; gid = !gid; tag; size; inner = payload }) ~tag ~size
   in
-  let receive up (msg : Message.t) =
-    let dst = msg.Message.dst in
+  let receive up (msg : Message.t) ~dst ~id =
     match msg.Message.payload with
     | Gossip_frame { origin; gid; tag; size; inner } ->
       if not (Hashtbl.mem seen.(dst) (origin, gid)) then begin
         Hashtbl.replace seen.(dst) (origin, gid) ();
         if not (Lifecycle.absent e.lifecycle dst) then forward dst msg.Message.payload ~tag ~size;
-        up
-          (Message.make ~id:(e.next_id ()) ~src:origin ~dst ~sent_at:msg.Message.sent_at ~tag ~size
-             inner)
+        up (Message.envelope ~src:origin ~sent_at:msg.Message.sent_at ~tag ~size inner) ~dst
+          ~id:(e.next_id ())
       end
-    | _ -> up msg
+    | _ -> up msg ~dst ~id
   in
   { lower with broadcast; deliver = (fun up -> lower.deliver (receive up)) }
 
@@ -230,20 +235,20 @@ let create e =
         in
         incr cell
   in
-  let discard counter what msg =
+  let discard counter what msg ~dst =
     incr e.dropped;
     incr counter;
-    Telemetry.message tel what msg
+    Telemetry.message tel what msg ~dst
   in
-  let enqueue (msg : Message.t) =
+  let enqueue (msg : Message.t) ~dst ~id ~delay_ms =
     (match h_delay with
-    | Some h when msg.Message.src <> msg.Message.dst -> (
-      Obs.Metrics.observe_h h msg.Message.delay_ms;
+    | Some h when msg.Message.src <> dst -> (
+      Obs.Metrics.observe_h h delay_ms;
       match h_queue with
       | Some q -> Obs.Metrics.observe_h q (Network.last_queue_ms e.network)
       | None -> ())
     | _ -> ());
-    e.deliver_at msg
+    e.deliver_at msg ~dst ~id ~delay_ms
   in
   (* Stochastic per-link faults run after the adversary: the attacker models
      intent, this models the wire itself.  The chaos plan's loss and dup
@@ -265,24 +270,21 @@ let create e =
           Loss_model.sample ~model state rng ~src ~dst
       in
       let c_lost = counter "net.loss_dropped" and c_dup = counter "net.dup_created" in
-      fun (msg : Message.t) ->
-        if msg.Message.src = msg.Message.dst then enqueue msg
+      fun (msg : Message.t) ~dst ~id ~delay_ms ->
+        if msg.Message.src = dst then enqueue msg ~dst ~id ~delay_ms
         else
-          let v = sample ~src:msg.Message.src ~dst:msg.Message.dst in
-          if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg
+          let v = sample ~src:msg.Message.src ~dst in
+          if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg ~dst
           else begin
-            msg.Message.delay_ms <- msg.Message.delay_ms +. v.Loss_model.reorder_extra_ms;
-            enqueue msg;
+            let delay_ms = delay_ms +. v.Loss_model.reorder_extra_ms in
+            enqueue msg ~dst ~id ~delay_ms;
             if v.Loss_model.duplicate then begin
-              (* A network artifact, not traffic the sender paid for: its
-                 own message id but no send stats. *)
+              (* A network artifact, not traffic the sender paid for: the
+                 same envelope under its own message id, but no send
+                 stats. *)
               incr c_dup;
-              e.deliver_at
-                {
-                  msg with
-                  Message.id = e.next_id ();
-                  delay_ms = msg.Message.delay_ms +. (0.5 *. cfg.Config.lambda_ms);
-                }
+              e.deliver_at msg ~dst ~id:(e.next_id ())
+                ~delay_ms:(delay_ms +. (0.5 *. cfg.Config.lambda_ms))
             end
           end
     end
@@ -291,73 +293,88 @@ let create e =
   (* WAL writes occupy the same sequential CPU as signing, so the queueing
      delay behind a persist reaches the wire even when signing is free. *)
   let charge_cpu = sign_ms > 0. || cfg.Config.wal_ms > 0. in
-  let chaos = plan <> [] in
-  (* The twins partition schedule rules after the chaos plan and before
-     the attacker, which keeps adversarial choices only: a message crossing
-     the round's partition (by send time) is dropped; self-addressed
-     messages always pass. *)
+  (* The verdicts on a delivery, asked in order until one drops it: the
+     chaos plan's (only when it has steps), as a message a down source
+     never sent must not reach the attacker; the twins partition of the
+     send round (only under twins; self-addressed messages always pass);
+     then the attacker's, which keeps adversarial choices only. *)
   let c_twin_drops = counter "twins.round_drops" in
-  let attack =
-    match cfg.Config.twins with
-    | None -> e.attack
-    | Some tw ->
-      fun (msg : Message.t) ->
-        if
-          msg.Message.src <> msg.Message.dst
-          && Attack.Twins_schedule.separated tw ~src:msg.Message.src ~dst:msg.Message.dst
-               ~at_ms:(Time.to_ms (e.now ()))
-        then begin
-          incr c_twin_drops;
-          Attack.Attacker.Drop
-        end
-        else e.attack msg
+  let plan_verdict msg ~dst ~delay_ms =
+    Attack.Fault_schedule.admit plan msg ~dst ~delay_ms ~at_ms:(Time.to_ms (e.now ()))
   in
-  let send ~src ~dst ~tag ~size payload =
-    if not (Lifecycle.absent e.lifecycle src) then begin
-      let id = e.next_id () in
-      (* Mirror [Network.stats]: self-addressed messages are local
-         deliveries, not wire traffic (§II-C message usage). *)
-      if dst <> src then begin
-        incr c_sent;
-        c_bytes := !c_bytes + size;
-        count_tag tag;
-        match h_size with Some h -> Obs.Metrics.observe_h h (float_of_int size) | None -> ()
-      end;
-      let msg = Message.make ~id ~src ~dst ~sent_at:(e.now ()) ~tag ~size payload in
-      Network.assign_delay e.network msg;
-      Telemetry.message tel Telemetry.Sent msg;
+  let round_verdict tw (msg : Message.t) ~dst ~delay_ms:_ =
+    let src = msg.Message.src in
+    if src <> dst && Attack.Twins_schedule.separated tw ~src ~dst ~at_ms:(Time.to_ms (e.now ()))
+    then begin
+      incr c_twin_drops;
+      Attack.Attacker.Drop
+    end
+    else Attack.Attacker.Deliver
+  in
+  let judges =
+    (if plan = [] then [] else [ plan_verdict ])
+    @ (match cfg.Config.twins with Some tw -> [ round_verdict tw ] | None -> [])
+    @ [ e.attack ]
+  in
+  let rec judge judges msg ~dst ~id ~delay_ms =
+    match judges with
+    | [] -> transmit msg ~dst ~id ~delay_ms
+    | verdict :: rest -> (
+      match verdict msg ~dst ~delay_ms with
+      | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg ~dst
+      | Attack.Attacker.Deliver -> judge rest msg ~dst ~id ~delay_ms
+      | Attack.Attacker.Delay delay_ms -> judge rest msg ~dst ~id ~delay_ms)
+  in
+  let cell = [| 0. |] in
+  (* One delivery of [msg]: its id, delay draw and CPU charge, then the
+     verdicts. *)
+  let route (msg : Message.t) dst =
+    let src = msg.Message.src in
+    let id = e.next_id () in
+    (* Mirror [Network.stats]: self-addressed messages are local
+       deliveries, not wire traffic (§II-C message usage). *)
+    if dst <> src then begin
+      incr c_sent;
+      c_bytes := !c_bytes + msg.Message.size;
+      count_tag msg.Message.tag;
+      match h_size with
+      | Some h -> Obs.Metrics.observe_h h (float_of_int msg.Message.size)
+      | None -> ()
+    end;
+    Network.sample e.network msg ~dst cell;
+    Telemetry.message tel Telemetry.Sent msg ~dst;
+    let delay_ms =
       if charge_cpu then begin
         let now = Time.to_ms (e.now ()) in
         let finish = Cost_model.charge e.cpus.(src) ~now_ms:now ~cost_ms:sign_ms in
-        msg.Message.delay_ms <- msg.Message.delay_ms +. (finish -. now)
-      end;
-      (* The chaos plan rules first: a message a down source never sent must
-         not reach the attacker. *)
-      if chaos && not (Attack.Fault_schedule.admit plan msg ~at_ms:(Time.to_ms (e.now ()))) then
-        discard c_dropped Telemetry.Dropped msg
-      else
-        match attack msg with
-        | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg
-        | Attack.Attacker.Deliver -> transmit msg
-    end
+        Array.unsafe_get cell 0 +. (finish -. now)
+      end
+      else Array.unsafe_get cell 0
+    in
+    judge judges msg ~dst ~id ~delay_ms
   in
-  let wire =
-    {
-      send;
-      broadcast = direct_broadcast ~pn send;
-      deliver = (fun up -> up);
-      on_timer = (fun _ -> false);
-    }
+  (* One envelope per send or broadcast, shared by every recipient; a
+     unicast is a broadcast to one. *)
+  let envelope ~src ~tag ~size payload =
+    Message.envelope ~src ~sent_at:(e.now ()) ~tag ~size payload
   in
+  let send ~src ~dst ~tag ~size payload =
+    if not (Lifecycle.absent e.lifecycle src) then route (envelope ~src ~tag ~size payload) dst
+  in
+  let broadcast ~src ~include_self ~tag ~size payload =
+    if not (Lifecycle.absent e.lifecycle src) then
+      fan_out ~pn ~src ~include_self (route (envelope ~src ~tag ~size payload))
+  in
+  let wire = { send; broadcast; deliver = (fun up -> up); on_timer = (fun _ -> false) } in
   (* A message reaching a node the chaos plan has down is lost at its
      actual arrival instant — after the loss model's reorder and duplicate
      delays, which no send-time verdict can see.  Present only when the
      plan crashes a node. *)
   let down lower =
-    let receive up (msg : Message.t) =
-      if Lifecycle.down e.lifecycle ~node:msg.Message.dst ~at_ms:(Time.to_ms (e.now ())) then
-        discard c_dropped Telemetry.Lost_at_down_node msg
-      else up msg
+    let receive up (msg : Message.t) ~dst ~id =
+      if Lifecycle.down e.lifecycle ~node:dst ~at_ms:(Time.to_ms (e.now ())) then
+        discard c_dropped Telemetry.Lost_at_down_node msg ~dst
+      else up msg ~dst ~id
     in
     { lower with deliver = (fun up -> lower.deliver (receive up)) }
   in

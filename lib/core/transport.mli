@@ -4,9 +4,16 @@
     wire is always present; a down-node stage (when the chaos plan crashes
     a node), the reliable channel, gossip and the twins stage are stacked
     on it only when configured, so a feature that is off is absent rather
-    than branched around.  Sends go down the stack, deliveries come up it.  Each stage
-    owns its envelope, its timer payloads and its [net.*] counters
-    (DESIGN.md §3.6, §3.17). *)
+    than branched around.  Sends go down the stack, deliveries come up it.
+    Each stage owns its frame payloads, its timer payloads and its [net.*]
+    counters (DESIGN.md §3.6, §3.17).
+
+    The wire builds one envelope per send or broadcast, shared by every
+    recipient; a unicast is a broadcast to one.  A delivery's destination,
+    message id and delay travel beside the envelope as arguments, through
+    the chaos plan's verdict, the attacker's and the loss model, into the
+    controller's arrival lanes.  Ids are issued one per recipient, in send
+    order. *)
 
 open Bftsim_sim
 open Bftsim_net
@@ -33,14 +40,15 @@ type env = {
       (** Which nodes never run, which are down when, and the chaos plan
           the wire asks for its send-time verdict and loss windows. *)
   cpus : Cost_model.cpu array;  (** Per-node sequential CPUs; a send waits for signing. *)
-  attack : Message.t -> Bftsim_attack.Attacker.verdict;
-      (** The adversary's verdict on a send.  The wire asks it last: after
-          the chaos plan admits the message and, under twins, after the
-          round's partition ({!Bftsim_attack.Twins_schedule.separated}, set
-          up once per run) lets it through. *)
+  attack : Message.t -> dst:int -> delay_ms:float -> Bftsim_attack.Attacker.verdict;
+      (** The adversary's verdict on one delivery.  The wire asks it last:
+          after the chaos plan admits the delivery and, under twins, after
+          the round's partition ({!Bftsim_attack.Twins_schedule.separated},
+          set up once per run) lets it through. *)
   next_id : unit -> int;  (** A fresh message id. *)
-  deliver_at : Message.t -> unit;
-      (** Enqueue the message at its arrival time; its delay is final. *)
+  deliver_at : Message.t -> dst:int -> id:int -> delay_ms:float -> unit;
+      (** Enqueue the delivery of message [id] to [dst] after [delay_ms],
+          which is final. *)
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   telemetry : Telemetry.t;
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)
@@ -49,13 +57,17 @@ type env = {
     lifecycle and chaos plan, the event queue, the attacker verdict, timers
     and the run's telemetry. *)
 
+type up = Message.t -> dst:int -> id:int -> unit
+(** A handler for arriving deliveries: envelope, destination, message id. *)
+
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
   broadcast : src:int -> include_self:bool -> tag:string -> size:int -> Message.payload -> unit;
-  deliver : (Message.t -> unit) -> Message.t -> unit;
-      (** [deliver up] is the handler for messages arriving from the wire:
-          the stages below run first, then this stage consumes its own
-          envelopes and passes the rest (and what it unwraps) to [up]. *)
+  deliver : up -> up;
+      (** [deliver up] is the handler for deliveries arriving from the
+          wire: the stages below run first, then this stage consumes its
+          own frames and passes the rest (and what it unwraps, under a
+          fresh message id) to [up]. *)
   on_timer : Timer.t -> bool;  (** [true] when a stage consumed the alarm. *)
 }
 

@@ -77,8 +77,12 @@ let validate_against ~ground_truth config =
     | Some t -> t
     | None -> invalid_arg "Validator.validate_against: ground truth has no trace"
   in
+  (* A constant delay model: a delivery the override missed arrives at
+     another time, so a replay that matches took every delay from the
+     recording. *)
   let replayed =
-    Controller.run ~delay_override:(Trace.delay trace) { config with Config.record_trace = true }
+    Controller.run ~delay_override:(Trace.delay trace)
+      { config with Config.record_trace = true; delay = Bftsim_net.Delay_model.Constant 1. }
   in
   make_report ground_truth replayed
 

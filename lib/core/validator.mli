@@ -30,7 +30,9 @@ val decisions_divergence : Controller.result -> Controller.result -> string opti
 val validate_against : ground_truth:Controller.result -> Config.t -> report
 (** Re-runs [config] with the ground truth's recorded delays as the
     [delay_override] ({!Trace.delay}, by message id) and compares decisions
-    (and traces when both are recorded).
+    (and traces when both are recorded).  The replay samples a constant
+    1 ms delay model instead of [config]'s, so it matches only if every
+    delivery it queues takes its delay from the recording.
     @raise Invalid_argument if the ground truth carries no trace. *)
 
 val check_determinism : Config.t -> report

@@ -4,23 +4,19 @@ type payload = ..
 
 type payload += Blob of string
 
-type t = {
-  id : int;
-  src : int;
-  dst : int;
-  sent_at : Time.t;
-  mutable delay_ms : float;
-  tag : string;
-  size : int;
-  payload : payload;
-}
+type t = { src : int; sent_at : Time.t; tag : string; size : int; payload : payload }
 
 let default_size = 128
 
-let make ~id ~src ~dst ~sent_at ?(tag = "msg") ?(size = default_size) payload =
-  { id; src; dst; sent_at; delay_ms = 0.; tag; size; payload }
+let envelope ~src ~sent_at ?(tag = "msg") ?(size = default_size) payload =
+  { src; sent_at; tag; size; payload }
 
-let arrival_time t = Time.add_ms t.sent_at t.delay_ms
+type addressed = { msg : t; dst : int; id : int; mutable delay_ms : float }
+
+let make ~id ~src ~dst ~sent_at ?tag ?size payload =
+  { msg = envelope ~src ~sent_at ?tag ?size payload; dst; id; delay_ms = 0. }
+
+let arrival_time a = Time.add_ms a.msg.sent_at a.delay_ms
 
 (* Registrations happen from protocol-module initializers, which race when
    [run_many] first touches several protocols from different domains: the
@@ -41,7 +37,3 @@ let payload_to_string p =
     | f :: rest -> ( match f p with Some s -> s | None -> try_all rest)
   in
   try_all (List.rev (Atomic.get printers))
-
-let pp ppf t =
-  Format.fprintf ppf "#%d %d->%d %s(+%.1fms) %s" t.id t.src t.dst t.tag t.delay_ms
-    (payload_to_string t.payload)

@@ -1,9 +1,12 @@
 (** Network messages (paper §III-A4).
 
-    A message is an envelope around a protocol-specific payload.  The sender
-    fills in [src] and [dst]; the network module samples [delay_ms]; the
-    attacker module may rewrite [delay_ms], drop the message, or synthesize
-    entirely new messages.  Payloads are an extensible variant so each
+    A message is an immutable envelope around a protocol-specific payload:
+    the sender, the send instant, a tag and a size.  A send or broadcast
+    builds one envelope, shared by every recipient.  What differs per
+    recipient — the destination, the message id and the delay the network
+    samples and the attacker may rewrite — travels beside the envelope as
+    plain arguments and is stored in the event core's arrival lanes, never
+    as a record per recipient.  Payloads are an extensible variant so each
     protocol contributes its own constructors without any central registry
     of message types — mirroring the duck-typed JS objects of the reference
     implementation, but statically typed per protocol. *)
@@ -17,26 +20,31 @@ type payload += Blob of string
 (** A generic payload for tests and examples. *)
 
 type t = {
-  id : int;  (** Unique within one simulation; used in traces. *)
   src : int;
-  dst : int;
   sent_at : Time.t;
-  mutable delay_ms : float;  (** Set by the network, writable by the attacker. *)
   tag : string;  (** Human-readable message kind, recorded in traces. *)
   size : int;  (** Estimated wire size in bytes (for byte-volume estimates). *)
   payload : payload;
 }
+(** The envelope, what a protocol's [on_message] receives. *)
 
-val make :
-  id:int -> src:int -> dst:int -> sent_at:Time.t -> ?tag:string -> ?size:int -> payload -> t
-(** Builds an envelope with [delay_ms = 0.]; the network assigns the real
-    delay.  [tag] defaults to ["msg"], [size] to {!default_size}. *)
+val envelope : src:int -> sent_at:Time.t -> ?tag:string -> ?size:int -> payload -> t
+(** [tag] defaults to ["msg"], [size] to {!default_size}. *)
 
 val default_size : int
 (** Default estimated message size (128 bytes). *)
 
-val arrival_time : t -> Time.t
-(** [sent_at + delay_ms]: when the message event fires. *)
+type addressed = { msg : t; dst : int; id : int; mutable delay_ms : float }
+(** One delivery as a value, for tools that handle a single copy on its
+    own: the packet-level baseline engine, and tests and benchmarks that
+    drive one layer by hand.  The simulator's wire never builds one. *)
+
+val make :
+  id:int -> src:int -> dst:int -> sent_at:Time.t -> ?tag:string -> ?size:int -> payload -> addressed
+(** A fresh envelope addressed to [dst], with [delay_ms = 0.]. *)
+
+val arrival_time : addressed -> Time.t
+(** [sent_at + delay_ms]: when the delivery fires. *)
 
 val register_printer : (payload -> string option) -> unit
 (** Protocols may register a printer for their payload constructors; used by
@@ -46,5 +54,3 @@ val register_printer : (payload -> string option) -> unit
 
 val payload_to_string : payload -> string
 (** Rendering via registered printers, falling back to ["<payload>"]. *)
-
-val pp : Format.formatter -> t -> unit

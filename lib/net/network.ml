@@ -9,6 +9,7 @@ type t = {
   bandwidth_mbps : float option;
   link_busy_until : float array;  (* per-source egress link, FIFO *)
   mutable last_queue_ms : float;
+  scratch : float array;  (* [assign_delay]'s cell *)
   mutable sent : int;
   mutable bytes : int;
   mutable queued : int;
@@ -27,6 +28,7 @@ let create ?bandwidth_mbps ~delay ~topology ~rng () =
     bandwidth_mbps;
     link_busy_until = Array.make (Topology.n topology) 0.;
     last_queue_ms = 0.;
+    scratch = [| 0. |];
     sent = 0;
     bytes = 0;
     queued = 0;
@@ -37,16 +39,17 @@ let delay_model t = t.delay
 
 let topology t = t.topology
 
-let assign_delay t (msg : Message.t) =
-  if msg.src = msg.dst then begin
-    msg.delay_ms <- 0.;
+let sample t (msg : Message.t) ~dst cell =
+  let src = msg.src in
+  if src = dst then begin
+    Array.unsafe_set cell 0 0.;
     t.last_queue_ms <- 0.
   end
   else begin
     let jitter = Delay_model.sample t.delay t.rng in
     let propagation =
-      (jitter *. Topology.pair_scale t.topology ~src:msg.src ~dst:msg.dst)
-      +. Topology.zone_delay_ms t.topology ~src:msg.src ~dst:msg.dst
+      (jitter *. Topology.pair_scale t.topology ~src ~dst)
+      +. Topology.zone_delay_ms t.topology ~src ~dst
     in
     let transport =
       match t.bandwidth_mbps with
@@ -59,8 +62,8 @@ let assign_delay t (msg : Message.t) =
            serialization time (bytes -> ms at [mbps]). *)
         let now = Time.to_ms msg.sent_at in
         let serialization = float_of_int msg.size *. 0.008 /. mbps in
-        let start = Float.max now t.link_busy_until.(msg.src) in
-        t.link_busy_until.(msg.src) <- start +. serialization;
+        let start = Float.max now t.link_busy_until.(src) in
+        t.link_busy_until.(src) <- start +. serialization;
         let wait = start -. now in
         if wait > 0. then begin
           t.queued <- t.queued + 1;
@@ -69,12 +72,16 @@ let assign_delay t (msg : Message.t) =
         t.last_queue_ms <- wait;
         wait +. serialization
     in
-    msg.delay_ms <- transport +. propagation;
+    Array.unsafe_set cell 0 (transport +. propagation);
     (* Self-addressed messages are local deliveries, not wire traffic, so
        only cross-node messages count toward message usage (§II-C). *)
     t.sent <- t.sent + 1;
     t.bytes <- t.bytes + msg.size
   end
+
+let assign_delay t (a : Message.addressed) =
+  sample t a.msg ~dst:a.dst t.scratch;
+  a.delay_ms <- t.scratch.(0)
 
 let last_queue_ms t = t.last_queue_ms
 

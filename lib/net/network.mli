@@ -1,11 +1,11 @@
 (** The network module (paper §III-A4).
 
-    Each node is connected to this module.  A sender sets [src] and [dst] in
-    the envelope and hands the message over; the network samples the [delay]
-    variable from the configured distribution (scaled by the topology's
-    per-link factor, plus the one-way zone latency when the topology has
-    geographic zones) and forwards the message onward — in the full
-    simulator the next hop is the attacker module, then the event queue.
+    Each node is connected to this module.  A sender hands over an envelope
+    and a destination; the network samples the [delay] variable from the
+    configured distribution (scaled by the topology's per-link factor, plus
+    the one-way zone latency when the topology has geographic zones) and
+    forwards the delivery onward — in the full simulator the next hop is
+    the attacker module, then the event queue.
 
     With a per-link bandwidth configured, each sender's egress link is a
     FIFO server: a message waits behind everything the sender already put
@@ -36,16 +36,21 @@ val delay_model : t -> Delay_model.t
 
 val topology : t -> Topology.t
 
-val assign_delay : t -> Message.t -> unit
-(** Samples and writes [delay_ms] (self-addressed messages get 0 delay —
-    local delivery does not traverse the wire) and updates the counters.
-    [delay_ms] = egress queue wait + serialization + zone one-way latency
-    + sampled jitter x pair scale. *)
+val sample : t -> Message.t -> dst:int -> float array -> unit
+(** [sample t msg ~dst cell] samples the delay of [msg]'s delivery to
+    [dst] into [cell.(0)] and updates the counters.  The delay is egress
+    queue wait + serialization + zone one-way latency + sampled jitter x
+    pair scale; a self-addressed delivery gets 0 (local delivery does not
+    traverse the wire).  Writing into the caller's unboxed cell keeps the
+    per-recipient send path free of a boxed float result. *)
+
+val assign_delay : t -> Message.addressed -> unit
+(** {!sample} for one addressed copy, written to its [delay_ms]. *)
 
 val last_queue_ms : t -> float
-(** Queue-wait + serialization component of the most recent
-    {!assign_delay}; [0.] without bandwidth modelling.  Read it immediately
-    after the call (it is overwritten by the next one). *)
+(** Queue-wait + serialization component of the most recent {!sample};
+    [0.] without bandwidth modelling.  Read it immediately after the call
+    (it is overwritten by the next one). *)
 
 val override_delay : t -> Delay_model.t -> unit
 (** Swaps the delay distribution mid-simulation; used to model networks that

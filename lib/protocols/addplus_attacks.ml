@@ -25,10 +25,10 @@ let rushing_adaptive ?budget () =
   let best : (int, int64 * int) Hashtbl.t = Hashtbl.create 16 in
   let armed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let spent = ref 0 in
-  let attack (env : Attacker.env) (msg : Message.t) =
-    match Attacker.drop_from_corrupted env msg with
+  let attack (env : Attacker.env) (msg : Message.t) ~dst ~delay_ms =
+    match Attacker.drop_from_corrupted env msg ~dst ~delay_ms with
     | Attacker.Drop -> Attacker.Drop
-    | Attacker.Deliver ->
+    | Attacker.Deliver | Attacker.Delay _ ->
       (match msg.payload with
       | Add_common.Add_credential { iter; credential } when credential.Vrf.node = msg.src ->
         let ticket = Vrf.ticket credential in

@@ -96,10 +96,6 @@ let wal_qc_of_string s =
 
 let current_view t = t.cur_view
 
-let timeout_count t = t.timeouts
-
-let committed_count t = t.committed
-
 let leader ctx view = Context.leader_round_robin ctx ~view
 
 (* HotStuff+NS uses the naive view-doubling synchronizer (Naor et al.): the

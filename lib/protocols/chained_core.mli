@@ -64,11 +64,6 @@ val on_restart : node -> Context.t -> unit
 val current_view : node -> int
 (** The node's view, exposed for the view tracker (Fig. 9). *)
 
-val timeout_count : node -> int
-(** Number of local timeouts experienced so far. *)
-
-val committed_count : node -> int
-
 type naive_reset_policy = Context.naive_reset_policy =
   | Reset_on_commit
   | Never_reset

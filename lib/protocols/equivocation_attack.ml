@@ -4,19 +4,18 @@ open Bftsim_attack
 let forged value = value ^ "#forged"
 
 let pbft_equivocation ~victim =
-  let attack (env : Attacker.env) (msg : Message.t) =
+  let attack (env : Attacker.env) (msg : Message.t) ~dst ~delay_ms =
     if msg.src <> victim then Attacker.Deliver
     else
       match msg.payload with
-      | Pbft.Pre_prepare { view; slot; value } when msg.dst mod 2 = 1 ->
+      | Pbft.Pre_prepare { view; slot; value } when dst mod 2 = 1 ->
         (* "Modify" = drop the original and inject a conflicting copy with
            the same delivery characteristics. *)
-        env.inject ~src:victim ~dst:msg.dst ~delay_ms:msg.delay_ms ~tag:"pre-prepare*"
-          ~size:msg.size
+        env.inject ~src:victim ~dst ~delay_ms ~tag:"pre-prepare*" ~size:msg.size
           (Pbft.Pre_prepare { view; slot; value = forged value });
         Attacker.Drop
-      | Pbft.New_view { view; slot; value } when msg.dst mod 2 = 1 ->
-        env.inject ~src:victim ~dst:msg.dst ~delay_ms:msg.delay_ms ~tag:"new-view*" ~size:msg.size
+      | Pbft.New_view { view; slot; value } when dst mod 2 = 1 ->
+        env.inject ~src:victim ~dst ~delay_ms ~tag:"new-view*" ~size:msg.size
           (Pbft.New_view { view; slot; value = forged value });
         Attacker.Drop
       | _ -> Attacker.Deliver

@@ -24,6 +24,4 @@ type Bftsim_sim.Timer.payload +=
 
 include Protocol_intf.S
 
-val current_height : node -> int
-
 val current_round : node -> int

@@ -56,6 +56,15 @@ val next_exn : 'a t -> 'a
 val now_ms : 'a t -> float
 (** [Time.to_ms (now q)] without going through the boxed {!Time.t}. *)
 
+val past : 'a t -> float -> bool
+(** [past q ms]: the clock is later than [ms].  The event loop's checks
+    compare inside this module, as a float {!now_ms} returns across
+    modules is boxed. *)
+
+val overdue : 'a t -> since:float -> limit:float -> bool
+(** [overdue q ~since ~limit]: more than [limit] ms have passed since
+    [since] ([now_ms q -. since > limit]). *)
+
 val peek_time : 'a t -> Time.t option
 (** Timestamp of the next event without popping. *)
 

@@ -43,13 +43,21 @@ let make_env ?(n = 8) ?(f = 2) ?(now = 0.) () =
 let msg ?(src = 0) ?(dst = 1) ?(sent_at = 0.) ?(tag = "m") () =
   Message.make ~id:1 ~src ~dst ~sent_at:(Time.of_ms sent_at) ~tag (Message.Blob "x")
 
-let is_deliver = function Attacker.Deliver -> true | Attacker.Drop -> false
+(* Rules on an addressed copy as the wire would, writing a rewritten delay
+   back: [true] when the copy is delivered. *)
+let delivered rule (m : Message.addressed) =
+  match rule m.msg ~dst:m.dst ~delay_ms:m.delay_ms with
+  | Attacker.Deliver -> true
+  | Attacker.Drop -> false
+  | Attacker.Delay d ->
+    m.delay_ms <- d;
+    true
 
 (* --- passthrough & helpers --- *)
 
 let test_passthrough () =
   let env, _, _, _ = make_env () in
-  Alcotest.(check bool) "delivers" true (is_deliver (Attacker.passthrough.attack env (msg ())))
+  Alcotest.(check bool) "delivers" true (delivered (Attacker.passthrough.attack env) (msg ()))
 
 let test_corruption_budget () =
   let env, _, _, _ = make_env ~f:2 () in
@@ -63,16 +71,16 @@ let test_drop_from_corrupted () =
   let env, _, _, _ = make_env () in
   ignore (env.corrupt 3);
   Alcotest.(check bool) "corrupted sender dropped" false
-    (is_deliver (Attacker.drop_from_corrupted env (msg ~src:3 ())));
+    (delivered (Attacker.drop_from_corrupted env) (msg ~src:3 ()));
   Alcotest.(check bool) "honest sender delivered" true
-    (is_deliver (Attacker.drop_from_corrupted env (msg ~src:4 ())))
+    (delivered (Attacker.drop_from_corrupted env) (msg ~src:4 ()))
 
 let test_delay_all () =
   let env, _, _, _ = make_env () in
   let attacker = Attacker.delay_all ~extra_ms:500. in
   let m = msg () in
   m.Message.delay_ms <- 100.;
-  Alcotest.(check bool) "delivers" true (is_deliver (attacker.attack env m));
+  Alcotest.(check bool) "delivers" true (delivered (attacker.attack env) m);
   Alcotest.(check (float 1e-9)) "delay extended" 600. m.Message.delay_ms
 
 (* --- fail-stop --- *)
@@ -80,17 +88,17 @@ let test_delay_all () =
 let test_failstop_from_start () =
   let env, _, _, _ = make_env () in
   let attacker = Failstop.from_start ~nodes:[ 1; 2 ] in
-  Alcotest.(check bool) "victim silenced" false (is_deliver (attacker.attack env (msg ~src:1 ())));
-  Alcotest.(check bool) "other node fine" true (is_deliver (attacker.attack env (msg ~src:0 ())))
+  Alcotest.(check bool) "victim silenced" false (delivered (attacker.attack env) (msg ~src:1 ()));
+  Alcotest.(check bool) "other node fine" true (delivered (attacker.attack env) (msg ~src:0 ()))
 
 let test_failstop_at_time () =
   let env, now_ref, _, _ = make_env () in
   let attacker = Failstop.at_time ~nodes:[ 5 ] ~at_ms:1000. in
   Alcotest.(check bool) "honest before the crash" true
-    (is_deliver (attacker.attack env (msg ~src:5 ())));
+    (delivered (attacker.attack env) (msg ~src:5 ()));
   now_ref := 1500.;
   Alcotest.(check bool) "silenced after the crash" false
-    (is_deliver (attacker.attack env (msg ~src:5 ())))
+    (delivered (attacker.attack env) (msg ~src:5 ()))
 
 (* --- partition --- *)
 
@@ -102,13 +110,13 @@ let test_partition_window () =
   let env, now_ref, _, _ = make_env () in
   let attacker = Partition_attack.make (partition_spec ()) in
   let cross () = msg ~src:0 ~dst:7 ~sent_at:!now_ref () in
-  Alcotest.(check bool) "before the attack" true (is_deliver (attacker.attack env (cross ())));
+  Alcotest.(check bool) "before the attack" true (delivered (attacker.attack env) (cross ()));
   now_ref := 2000.;
-  Alcotest.(check bool) "during: cross dropped" false (is_deliver (attacker.attack env (cross ())));
+  Alcotest.(check bool) "during: cross dropped" false (delivered (attacker.attack env) (cross ()));
   Alcotest.(check bool) "during: intra delivered" true
-    (is_deliver (attacker.attack env (msg ~src:0 ~dst:3 ())));
+    (delivered (attacker.attack env) (msg ~src:0 ~dst:3 ()));
   now_ref := 5000.;
-  Alcotest.(check bool) "at heal boundary delivered" true (is_deliver (attacker.attack env (cross ())))
+  Alcotest.(check bool) "at heal boundary delivered" true (delivered (attacker.attack env) (cross ()))
 
 let test_partition_delay_mode () =
   let env, now_ref, _, _ = make_env () in
@@ -118,7 +126,7 @@ let test_partition_delay_mode () =
   now_ref := 2000.;
   let m = msg ~src:1 ~dst:6 ~sent_at:2000. () in
   m.Message.delay_ms <- 250.;
-  Alcotest.(check bool) "delivered (buffered)" true (is_deliver (attacker.attack env m));
+  Alcotest.(check bool) "delivered (buffered)" true (delivered (attacker.attack env) m);
   Alcotest.(check (float 1e-9)) "released at heal" 5000.
     (Time.to_ms (Message.arrival_time m))
 
@@ -138,8 +146,8 @@ let test_two_subnets_builder () =
   in
   now_ref := 500.;
   Alcotest.(check bool) "0 -> 4 crosses" false
-    (is_deliver (attacker.attack env (msg ~src:0 ~dst:4 ())));
-  Alcotest.(check bool) "4 -> 7 intra" true (is_deliver (attacker.attack env (msg ~src:4 ~dst:7 ())))
+    (delivered (attacker.attack env) (msg ~src:0 ~dst:4 ()));
+  Alcotest.(check bool) "4 -> 7 intra" true (delivered (attacker.attack env) (msg ~src:4 ~dst:7 ()))
 
 (* --- fault schedules --- *)
 
@@ -167,7 +175,9 @@ let test_schedule_crash_verdicts () =
     Fault_schedule.normalize
       (Fault_schedule.crash_and_recover ~nodes:[ 1 ] ~crash_ms:1000. ~recover_ms:5000.)
   in
-  let admit m = Fault_schedule.admit plan m ~at_ms:(Time.to_ms m.Message.sent_at) in
+  let admit (m : Message.addressed) =
+    delivered (Fault_schedule.admit plan ~at_ms:(Time.to_ms m.msg.sent_at)) m
+  in
   Alcotest.(check bool) "sender up: delivered" true (admit (msg ~src:1 ()));
   Alcotest.(check bool) "sender down: dropped" false (admit (msg ~src:1 ~sent_at:2000. ()));
   Alcotest.(check bool) "down sender's self-delivery dropped too" false
@@ -197,11 +207,11 @@ let test_schedule_partition_heal () =
     (Fault_schedule.separated plan ~src:0 ~dst:6 ~at_ms:2000.);
   Alcotest.(check bool) "healed" false (Fault_schedule.separated plan ~src:0 ~dst:2 ~at_ms:4000.);
   Alcotest.(check bool) "verdict drops cross traffic" false
-    (Fault_schedule.admit plan (msg ~src:0 ~dst:2 ~sent_at:2000. ()) ~at_ms:2000.);
+    (delivered (Fault_schedule.admit plan ~at_ms:2000.) (msg ~src:0 ~dst:2 ~sent_at:2000. ()));
   Alcotest.(check bool) "self-addressed crosses no partition" true
-    (Fault_schedule.admit plan (msg ~src:0 ~dst:0 ~sent_at:2000. ()) ~at_ms:2000.);
+    (delivered (Fault_schedule.admit plan ~at_ms:2000.) (msg ~src:0 ~dst:0 ~sent_at:2000. ()));
   Alcotest.(check bool) "verdict delivers after the heal" true
-    (Fault_schedule.admit plan (msg ~src:0 ~dst:2 ~sent_at:4000. ()) ~at_ms:4000.)
+    (delivered (Fault_schedule.admit plan ~at_ms:4000.) (msg ~src:0 ~dst:2 ~sent_at:4000. ()))
 
 (* Loss and dup windows are overrides of the wire's loss model; spikes are
    part of the send-time verdict. *)
@@ -231,7 +241,8 @@ let test_schedule_bursts () =
   Alcotest.(check bool) "a spike is no loss window" false (Fault_schedule.loss_windows spike);
   let m = msg ~sent_at:1000. () in
   m.Message.delay_ms <- 100.;
-  Alcotest.(check bool) "spiked but delivered" true (Fault_schedule.admit spike m ~at_ms:1000.);
+  Alcotest.(check bool) "spiked but delivered" true
+    (delivered (Fault_schedule.admit spike ~at_ms:1000.) m);
   Alcotest.(check (float 1e-9)) "spike added" 400. m.Message.delay_ms;
   let dup = window (Fault_schedule.Dup_burst { p = 1.; until_ms = 2000. }) in
   let v = draw (model dup 1000.) in
@@ -322,7 +333,7 @@ let test_corruption_survives_recovery () =
   let module Core = Bftsim_core in
   let plan = Fault_schedule.crash_and_recover ~nodes:[ 3 ] ~crash_ms:0. ~recover_ms:1000. in
   Alcotest.(check bool) "the plan alone delivers after recovery" true
-    (Fault_schedule.admit plan (msg ~src:3 ~sent_at:2000. ()) ~at_ms:2000.);
+    (delivered (Fault_schedule.admit plan ~at_ms:2000.) (msg ~src:3 ~sent_at:2000. ()));
   let silencer =
     {
       Attacker.passthrough with
@@ -350,7 +361,7 @@ let test_add_static_marks_victims () =
   attacker.on_start env;
   Alcotest.(check (list int)) "first f nodes corrupted" [ 0; 1; 2 ] (env.corrupted ());
   Alcotest.(check bool) "their messages dropped" false
-    (is_deliver (attacker.attack env (msg ~src:0 ())))
+    (delivered (attacker.attack env) (msg ~src:0 ()))
 
 let test_add_adaptive_corrupts_winner () =
   let env, now_ref, _, timers = make_env ~f:3 () in
@@ -366,7 +377,7 @@ let test_add_adaptive_corrupts_winner () =
         Message.make ~id:c.node ~src:c.node ~dst:0 ~sent_at:Time.zero ~tag:"add-credential"
           (Bftsim_protocols.Add_common.Add_credential { iter = 0; credential = c })
       in
-      ignore (attacker.attack env m))
+      ignore (delivered (attacker.attack env) m : bool))
     creds;
   Alcotest.(check int) "one corruption timer armed" 1 (List.length !timers);
   (* Fire the armed timer. *)

@@ -116,11 +116,10 @@ let test_rbc_totality_under_equivocation () =
      Neither value can reach the 2f+1 echo quorum, so no honest node may
      deliver origin 0's broadcast at all — and in no case may two nodes
      deliver different values (the controller's agreement check). *)
-  let forge (env : Bftsim_attack.Attacker.env) (msg : Net.Message.t) =
+  let forge (env : Bftsim_attack.Attacker.env) (msg : Net.Message.t) ~dst ~delay_ms =
     match msg.Net.Message.payload with
-    | P.Rbc.Rbc_init { origin = 0; tag; value } when msg.Net.Message.dst mod 2 = 1 ->
-      env.inject ~src:0 ~dst:msg.Net.Message.dst ~delay_ms:msg.Net.Message.delay_ms
-        ~tag:"rbc-init*" ~size:msg.Net.Message.size
+    | P.Rbc.Rbc_init { origin = 0; tag; value } when dst mod 2 = 1 ->
+      env.inject ~src:0 ~dst ~delay_ms ~tag:"rbc-init*" ~size:msg.Net.Message.size
         (P.Rbc.Rbc_init { origin = 0; tag; value = value ^ "#forged" });
       Bftsim_attack.Attacker.Drop
     | _ -> Bftsim_attack.Attacker.Deliver
@@ -171,13 +170,13 @@ let test_rbc_spoofed_init_ignored () =
   in
   let t = P.Rbc.create () in
   let spoofed =
-    Net.Message.make ~id:1 ~src:3 ~dst:1 ~sent_at:Bftsim_sim.Time.zero
+    Net.Message.envelope ~src:3 ~sent_at:Bftsim_sim.Time.zero
       (P.Rbc.Rbc_init { origin = 0; tag = "x"; value = "evil" })
   in
   Alcotest.(check bool) "no delivery" true (P.Rbc.handle t (ctx 1) spoofed = None);
   Alcotest.(check int) "no echo sent" 0 !sent;
   let genuine =
-    Net.Message.make ~id:2 ~src:0 ~dst:1 ~sent_at:Bftsim_sim.Time.zero
+    Net.Message.envelope ~src:0 ~sent_at:Bftsim_sim.Time.zero
       (P.Rbc.Rbc_init { origin = 0; tag = "x"; value = "good" })
   in
   ignore (P.Rbc.handle t (ctx 1) genuine);
@@ -214,7 +213,7 @@ let test_rbc_delivery_thresholds () =
     }
   in
   let t = P.Rbc.create () in
-  let msg src payload = Net.Message.make ~id:src ~src ~dst:0 ~sent_at:Bftsim_sim.Time.zero payload in
+  let msg src payload = Net.Message.envelope ~src ~sent_at:Bftsim_sim.Time.zero payload in
   let echo src = P.Rbc.handle t ctx (msg src (P.Rbc.Rbc_echo { origin = 2; tag = "t"; value = "v" })) in
   let ready src =
     P.Rbc.handle t ctx (msg src (P.Rbc.Rbc_ready { origin = 2; tag = "t"; value = "v" }))

@@ -334,7 +334,7 @@ let test_controller_attacker_override () =
     {
       Bftsim_attack.Attacker.name = "blackhole";
       on_start = (fun _ -> ());
-      attack = (fun _ _ -> Bftsim_attack.Attacker.Drop);
+      attack = (fun _ _ ~dst:_ ~delay_ms:_ -> Bftsim_attack.Attacker.Drop);
       on_time_event = (fun _ _ -> ());
     }
   in
@@ -822,11 +822,13 @@ let test_validator_replay () =
 
 (* Replay reproduces any run: whichever stages set a message's delay — CPU
    charge, reorder, duplication, reliable frames and acks, gossip hops,
-   zone latency and bandwidth queueing, a restart, a delaying partition —
+   zone latency and bandwidth queueing, a restart, an attacker's rewrite
+   (a delaying partition, extra delay on every message) —
    the validator replays it by message id, and the replayed run repeats the
-   ground truth's decisions and trace entry for entry.  The replay samples
-   a constant delay model, so every delay it queues must come from the
-   recording: a message the replay missed arrives at another time. *)
+   ground truth's decisions and trace entry for entry.  The validator
+   replays under a constant delay model, so every delay it queues must come
+   from the recording: a message the replay missed arrives at another
+   time. *)
 let prop_replay_reproduces =
   let gen =
     let open QCheck.Gen in
@@ -840,7 +842,16 @@ let prop_replay_reproduces =
     and* fanout = opt (int_range 2 3)
     and* reliable = bool
     and* restart = opt (int_range 0 3)
-    and* partition = opt (int_range 1 3) in
+    and* attack =
+      oneof
+        [
+          return [];
+          map
+            (fun first -> [ ("attack", Printf.sprintf "partition:%d,500,3000,delay" first) ])
+            (int_range 1 3);
+          map (fun ms -> [ ("attack", Printf.sprintf "extra-delay:%d" ms) ]) (int_range 1 400);
+        ]
+    in
     (* Reliable channels need the direct transport, so gossip excludes them. *)
     let channel =
       match fanout with
@@ -850,11 +861,6 @@ let prop_replay_reproduces =
     let plan =
       match restart with
       | Some k -> [ ("chaos", Printf.sprintf "crash:%d@200;restart:%d@700" k k) ]
-      | None -> []
-    in
-    let attack =
-      match partition with
-      | Some first -> [ ("attack", Printf.sprintf "partition:%d,500,3000,delay" first) ]
       | None -> []
     in
     return
@@ -873,10 +879,7 @@ let prop_replay_reproduces =
       | Error e -> QCheck.Test.fail_reportf "invalid config drawn: %s" e
       | Ok config ->
         let ground = Core.Controller.run { config with Core.Config.record_trace = true } in
-        let report =
-          Core.Validator.validate_against ~ground_truth:ground
-            { config with Core.Config.delay = Net.Delay_model.Constant 1. }
-        in
+        let report = Core.Validator.validate_against ~ground_truth:ground config in
         if report.decisions_match && report.trace_match = Some true then true
         else
           QCheck.Test.fail_reportf "%a" Core.Validator.pp_report report)

@@ -11,8 +11,8 @@ let rng () = Rng.create 1234
 let test_message_make () =
   let m = Message.make ~id:7 ~src:1 ~dst:2 ~sent_at:(Time.of_ms 100.) (Message.Blob "hello") in
   Alcotest.(check int) "id" 7 m.Message.id;
-  Alcotest.(check string) "default tag" "msg" m.Message.tag;
-  Alcotest.(check int) "default size" Message.default_size m.Message.size;
+  Alcotest.(check string) "default tag" "msg" m.Message.msg.Message.tag;
+  Alcotest.(check int) "default size" Message.default_size m.Message.msg.Message.size;
   Alcotest.(check (float 1e-9)) "no delay yet" 0. m.Message.delay_ms
 
 let test_message_arrival () =
@@ -455,8 +455,9 @@ let test_loss_model_validate () =
 
    Minor words per call, averaged over 1,000 calls, on the per-recipient
    send path.  The generator's state is unboxed and the samplers build no
-   closures, so a delay draw allocates about the boxed float it returns and
-   [assign_delay] adds the box of the stored delay. *)
+   closures, so a delay draw allocates about the boxed float it returns.
+   [Network.sample] writes its delay into the caller's cell: it allocates
+   the draw's 2 words and nothing else. *)
 
 let words_per_call f =
   f ();
@@ -476,8 +477,8 @@ let test_send_path_alloc_budgets () =
   check_budget "Delay_model.sample (normal)" 8. (fun () ->
       ignore (Delay_model.sample normal r : float));
   let net = Network.create ~delay:normal ~topology:(Topology.fully_connected 4) ~rng:(rng ()) () in
-  let m = make_msg ~src:0 ~dst:1 in
-  check_budget "Network.assign_delay" 8. (fun () -> Network.assign_delay net m)
+  let m = make_msg ~src:0 ~dst:1 and cell = [| 0. |] in
+  check_budget "Network.sample" 2. (fun () -> Network.sample net m.Message.msg ~dst:1 cell)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

@@ -256,11 +256,8 @@ let run_steps steps =
     let id = !next_id in
     match s with
     | Delivery d ->
-      let msg =
-        Message.make ~id ~src:0 ~dst:0 ~sent_at:(Event_queue.now q) (Message.Blob "")
-      in
-      msg.Message.delay_ms <- float_of_int d;
-      Arrival_runs.add runs msg;
+      let msg = Message.envelope ~src:0 ~sent_at:(Event_queue.now q) (Message.Blob "") in
+      Arrival_runs.add runs msg ~dst:0 ~id ~delay_ms:(float_of_int d);
       Event_queue.schedule_after reference ~delay_ms:(float_of_int d) id
     | Alarm_in d ->
       Event_queue.schedule_after q ~delay_ms:(float_of_int d) (Alarm id);
@@ -269,7 +266,7 @@ let run_steps steps =
   let pop () =
     let id =
       match Arrival_runs.next_exn runs with
-      | Arrival -> (Arrival_runs.current runs).Message.id
+      | Arrival -> Arrival_runs.current_id runs
       | Alarm id -> id
     in
     let expected = Event_queue.next_exn reference in
@@ -296,8 +293,8 @@ let test_arrival_in_past () =
   let runs = Arrival_runs.create q ~arrival:Arrival ~width:4 in
   Event_queue.schedule q ~at:(Time.of_ms 10.) (Alarm 0);
   ignore (Arrival_runs.next_exn runs : ev);
-  let msg = Message.make ~id:1 ~src:0 ~dst:0 ~sent_at:(Time.of_ms 5.) (Message.Blob "") in
-  Arrival_runs.add runs msg;
+  let msg = Message.envelope ~src:0 ~sent_at:(Time.of_ms 5.) (Message.Blob "") in
+  Arrival_runs.add runs msg ~dst:0 ~id:1 ~delay_ms:0.;
   Alcotest.check_raises "past arrival"
     (Invalid_argument "Arrival_runs: a delivery is scheduled in the past")
     (fun () -> ignore (Arrival_runs.next_exn runs : ev))
