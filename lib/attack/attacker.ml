@@ -9,7 +9,6 @@ type env = {
   lambda_ms : float;
   now : unit -> Time.t;
   rng : Rng.t;
-  topology : Topology.t;
   set_timer : delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   inject :
     src:int -> dst:int -> delay_ms:float -> tag:string -> size:int -> Message.payload -> unit;

@@ -31,7 +31,6 @@ type env = {
   lambda_ms : float;  (** The protocol's assumed delay bound (public knowledge). *)
   now : unit -> Time.t;
   rng : Rng.t;  (** Attacker-owned randomness stream. *)
-  topology : Topology.t;
   set_timer : delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   inject :
     src:int -> dst:int -> delay_ms:float -> tag:string -> size:int -> Message.payload -> unit;

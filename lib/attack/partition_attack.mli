@@ -3,8 +3,8 @@
     Divides the network into subnets and filters traffic crossing subnet
     boundaries during the attack window, exactly as Algorand's adversary
     model describes: "the attacker can either drop or delay the packets
-    between different subnets".  Subnet membership comes from the
-    topology. *)
+    between different subnets".  Subnet membership is the spec's own
+    [groups] array. *)
 
 type mode =
   | Drop_cross_traffic  (** Cross-subnet messages vanish. *)
@@ -13,7 +13,7 @@ type mode =
           at heal time plus a uniform jitter in [\[0, jitter_ms)]. *)
 
 type spec = {
-  groups : int array;  (** Subnet of each node (overrides topology grouping). *)
+  groups : int array;  (** Subnet of each node. *)
   start_ms : float;  (** Attack begins (simulation time). *)
   heal_ms : float;  (** Attack ends; must be [>= start_ms]. *)
   mode : mode;

@@ -31,6 +31,7 @@ let end_ms t = t.round_ms *. float_of_int (List.length t.rounds)
 
 let round_at t ~at_ms = if at_ms < 0. then 0 else int_of_float (at_ms /. t.round_ms)
 
+(* Partition groups in effect at [at_ms]; [None] = fully connected. *)
 let groups_at t ~at_ms =
   match List.nth_opt t.rounds (round_at t ~at_ms) with
   | None | Some [] -> None

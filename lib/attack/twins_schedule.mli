@@ -47,9 +47,6 @@ val end_ms : t -> float
 val round_at : t -> at_ms:float -> int
 (** Round index in effect at [at_ms] (clamped to 0 for negative times). *)
 
-val groups_at : t -> at_ms:float -> int list list option
-(** Partition groups in effect at [at_ms]; [None] = fully connected. *)
-
 val separated : t -> src:int -> dst:int -> at_ms:float -> bool
 (** Whether the partition in effect at [at_ms] separates two physical ids. *)
 

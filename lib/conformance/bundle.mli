@@ -12,8 +12,6 @@
 
 open Bftsim_core
 
-val mkdir_p : string -> unit
-
 val write :
   dir:string ->
   name:string ->

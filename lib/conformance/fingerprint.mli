@@ -17,6 +17,4 @@ val canonical : Controller.result -> string
 val of_result : Controller.result -> string
 (** 64-char lowercase hex. *)
 
-val canonical_trace : Trace.t -> string
-
 val of_trace : Trace.t -> string

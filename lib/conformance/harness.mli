@@ -49,12 +49,6 @@ val check_config :
     into a verdict.  [cancel] is threaded to the main [Controller.run] —
     the supervision layer's cooperative deadline. *)
 
-val run_scenario :
-  ?determinism:bool ->
-  ?cancel:(unit -> bool) ->
-  Scenario.t ->
-  Oracle.verdict list * Controller.result
-
 val campaign_cell : ?mode:string -> Scenario.t list -> string
 (** Journal cell (and campaign fingerprint) of a fuzzing batch: a stable
     hash over the scenarios' configurations.

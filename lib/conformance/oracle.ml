@@ -20,11 +20,6 @@ let value_deciding = [ "add-v1"; "add-v2"; "add-v3"; "algorand"; "pbft" ]
    3-chain commit can decide several ancestor blocks at once). *)
 let one_shot = [ "add-v1"; "add-v2"; "add-v3"; "algorand"; "async-ba" ]
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
-  nl = 0 || scan 0
-
 (* A twinned identity is the run's emulated Byzantine node: its two halves
    may legitimately equivocate, so its decisions never count towards the
    safety oracles — the violation to detect is disagreement among the
@@ -87,7 +82,7 @@ let validity config result =
   let binary = List.for_all (fun p -> p = "0" || p = "1") proposals in
   let derives =
     if List.mem config.Config.protocol value_deciding then
-      Some (fun value -> List.exists (fun p -> contains ~needle:p value) proposals)
+      Some (Invariant.derived_from_proposal proposals)
     else if config.Config.protocol = "async-ba" && binary then
       (* Binary validity: with all-binary inputs the decided bit must have
          been proposed by someone. *)

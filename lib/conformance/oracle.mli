@@ -33,12 +33,6 @@ val value_deciding : string list
     (chained protocols decide block digests; async-ba hashes inputs to a
     bit and gets a binary-validity check instead). *)
 
-val one_shot : string list
-(** One-shot consensus protocols, for which a second decision by the same
-    node is a decide-once violation.  Multi-slot and chained protocols may
-    legitimately decide past the target (one commit can finalize several
-    ancestor blocks). *)
-
 val agreement : Config.t -> Controller.result -> verdict list
 
 val validity : Config.t -> Controller.result -> verdict list
@@ -58,10 +52,6 @@ val recovery : ?view_slack:int -> Config.t -> Controller.result -> verdict list
     the aligned maximum, i.e. actually rejoin.  Protocols that rejoin from
     scratch (no recovery story) trivially satisfy (a) by re-deciding the
     same one-shot value and (b) because the network's views stay small. *)
-
-val online : Controller.result -> verdict list
-
-val check_trace : Config.t -> Controller.result -> verdict list
 
 val check_result : Config.t -> Controller.result -> verdict list
 (** All of the above, concatenated in a deterministic order. *)

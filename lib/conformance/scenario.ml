@@ -27,6 +27,8 @@ let family_of_string = function
   | "twins" -> Some Twins
   | _ -> None
 
+(* System sizes sampled: tight 3f+1 forms (4, 7, 13), the paper's loose
+   n = 16 and awkward in-between values. *)
 let default_ns = [ 4; 5; 7; 8; 10; 13; 16 ]
 
 (* Partitions and adversarial slowdowns break the synchrony assumption a

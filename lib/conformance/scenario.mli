@@ -38,25 +38,13 @@ type t = {
           legitimately lag). *)
 }
 
-val all_families : family list
-
 val family_to_string : family -> string
 (** CLI names: [none], [failstop], [partition], [delay], [chaos],
     [twins]. *)
 
 val family_of_string : string -> family option
 
-val default_ns : int list
-(** System sizes sampled: mixes tight 3f+1 forms (4, 7, 13) with the
-    paper's loose n = 16 and awkward in-between values. *)
-
 val applicable : model:Bftsim_protocols.Protocol_intf.network_model -> family -> bool
-
-val crash_fragile : string list
-(** Protocols whose liveness is {e documented} to collapse under crashed
-    leaders (hotstuff-ns: never-certificated exponential backoff,
-    EXPERIMENTS.md Fig 7); scenarios crashing or partitioning them are
-    generated with [expect_live = false]. *)
 
 val gen : ?protocols:string list -> ?families:family list -> unit -> t QCheck.Gen.t
 (** Generator over the given protocols (default: every registered protocol)

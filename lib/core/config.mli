@@ -243,12 +243,6 @@ val describe : t -> string
 
 val describe_attack : attack_spec -> string
 
-val attack_to_cli_string : attack_spec -> string
-(** Parseable rendering (inverse of the [attack] key syntax), unlike
-    {!describe_attack} which renders the human notation. *)
-
-val inputs_to_cli_string : inputs -> string
-
 val of_keyvalues : (string * string) list -> (t, string) result
 (** Builds a config from [key = value] pairs (the CLI's config-file
     contents) by folding the key table over the defaults; the first

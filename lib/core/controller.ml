@@ -271,7 +271,6 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
       lambda_ms = config.lambda_ms;
       now;
       rng = attacker_rng;
-      topology;
       set_timer = arm_timer ~owner:Timer.attacker_owner;
       inject =
         (fun ~src ~dst ~delay_ms ~tag ~size payload ->

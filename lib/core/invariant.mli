@@ -48,6 +48,11 @@ val create :
     [valid_values] enables the validity monitor with the proposal set
     decisions must derive from. *)
 
+val derived_from_proposal : string list -> string -> bool
+(** [derived_from_proposal proposals value]: some proposed value occurs in
+    [value] verbatim — the validity predicate, shared with the conformance
+    oracle. *)
+
 val on_decide : t -> node:int -> index:int -> value:string -> at_ms:float -> unit
 (** Feed one decision ([index] = how many the node had already made). *)
 

@@ -6,6 +6,7 @@ let is_counted line =
   && not (String.length line >= 2 && String.sub line 0 2 = "(*" && String.length line >= 2
           && String.sub line (String.length line - 2) 2 = "*)")
 
+(* Non-blank, non-comment-only lines of one file; [None] if unreadable. *)
 let count_file path =
   match open_in path with
   | exception Sys_error _ -> None

@@ -9,9 +9,6 @@
 
 type entry = { label : string; network_model : string; files : string list; loc : int }
 
-val count_file : string -> int option
-(** Non-blank, non-comment-only lines of one file; [None] if unreadable. *)
-
 val table1 : root:string -> entry list
 (** The eight protocol implementations, in the paper's Table I order.
     [root] is the repository root (containing [lib/]). *)

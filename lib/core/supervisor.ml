@@ -62,18 +62,19 @@ type policy = {
   seed : int;
 }
 
-let default_policy =
-  { deadline_ms = None; max_retries = 1; quarantine_after = 3; retry_base_ms = 0.; seed = 0 }
+let policy_of_supervision ~seed (s : Config.supervision) =
+  {
+    deadline_ms = s.deadline_ms;
+    max_retries = s.max_retries;
+    quarantine_after = s.quarantine_after;
+    retry_base_ms = s.retry_base_ms;
+    seed;
+  }
+
+let default_policy = policy_of_supervision ~seed:0 Config.default_supervision
 
 let policy_of_config (config : Config.t) =
-  let s = config.Config.supervision in
-  {
-    deadline_ms = s.Config.deadline_ms;
-    max_retries = s.Config.max_retries;
-    quarantine_after = s.Config.quarantine_after;
-    retry_base_ms = s.Config.retry_base_ms;
-    seed = config.Config.seed;
-  }
+  policy_of_supervision ~seed:config.Config.seed config.Config.supervision
 
 (* Deterministic jitter: u ∈ [0, 1) from the first 4 digest bytes of
    (seed, key, attempt).  A pure function of its inputs, so re-executing a

@@ -42,7 +42,8 @@ type policy = {
 }
 
 val default_policy : policy
-(** No deadline, one retry, quarantine after 3 failures, no backoff. *)
+(** {!Config.default_supervision} with seed [0]: no deadline, one retry,
+    quarantine after 3 failures, no backoff. *)
 
 val policy_of_config : Config.t -> policy
 (** The per-run supervision knobs of a configuration ({!Config.supervision})

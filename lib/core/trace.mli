@@ -61,5 +61,3 @@ val decisions : t -> (int * string list) list
 val pp_entry : Format.formatter -> entry -> unit
 
 val dump : Format.formatter -> t -> unit
-
-val kind_to_string : kind -> string

@@ -144,5 +144,3 @@ let equal = String.equal
 let compare = String.compare
 
 let first64 d = String.get_int64_be d 0
-
-let pp ppf d = Format.pp_print_string ppf (String.sub (to_hex d) 0 8)

@@ -44,6 +44,3 @@ val compare : digest -> digest -> int
 val first64 : digest -> int64
 (** Big-endian interpretation of the first 8 digest bytes; handy for turning
     a digest into a sortable "lottery ticket" (VRF output ordering). *)
-
-val pp : Format.formatter -> digest -> unit
-(** Prints the first 8 hex characters, enough to identify a value in logs. *)

@@ -2,6 +2,8 @@ type keypair = { node : int; secret : string; public : string }
 
 type signature = { signer : int; tag : Sha256.digest }
 
+(* The secret key of [node] in the key domain [seed]; [keygen] and [key_of]
+   derive it the same way. *)
 let secret_of ~seed ~node =
   Sha256.to_raw
     (Sha256.digest_string (String.concat "|" [ "bftsim-sk"; string_of_int seed; string_of_int node ]))
@@ -39,5 +41,3 @@ let keygen ~seed ~node =
 let sign kp msg = { signer = kp.node; tag = Hmac.mac ~key:kp.secret msg }
 
 let verify ~seed s msg = Sha256.equal (Hmac.mac_with (key_of ~seed ~node:s.signer) msg) s.tag
-
-let pp ppf s = Format.fprintf ppf "sig[%d:%a]" s.signer Sha256.pp s.tag

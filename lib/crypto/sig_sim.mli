@@ -14,14 +14,11 @@ type keypair = { node : int; secret : string; public : string }
 
 type signature = { signer : int; tag : Sha256.digest }
 
-val secret_of : seed:int -> node:int -> string
-(** The secret key of [node] in the key domain [seed]; [keygen] and [verify]
-    derive it the same way. *)
-
 val key_of : seed:int -> node:int -> Hmac.prepared
-(** [Hmac.prepare (secret_of ~seed ~node)], taken from this domain's key
-    table: the first call for a node under a seed prepares the key, later
-    ones reuse it, and a call under another seed empties the table. *)
+(** [Hmac.prepare] of [(keygen ~seed ~node).secret], taken from this
+    domain's key table: the first call for a node under a seed prepares
+    the key, later ones reuse it, and a call under another seed empties
+    the table. *)
 
 val keygen : seed:int -> node:int -> keypair
 (** Deterministic keypair for [node] in the key domain [seed]. *)
@@ -31,5 +28,3 @@ val sign : keypair -> string -> signature
 val verify : seed:int -> signature -> string -> bool
 (** [verify ~seed s msg] checks that [s] is a valid signature on [msg] by
     node [s.signer] within key domain [seed]. *)
-
-val pp : Format.formatter -> signature -> unit

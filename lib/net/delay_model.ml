@@ -62,8 +62,6 @@ let rec describe = function
   | LogNormal { mu; sigma } -> Printf.sprintf "LogN(%g,%g)" mu sigma
   | Bounded { base; bound } -> Printf.sprintf "%s|%g" (describe base) bound
 
-let pp ppf t = Format.pp_print_string ppf (describe t)
-
 let rec to_cli_string =
   let g = Float_text.to_string in
   function

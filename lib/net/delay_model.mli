@@ -60,5 +60,3 @@ val to_cli_string : t -> string
     (unlike {!describe}, which renders the human notation ["N(250,50)"]),
     with every parameter printed by {!Bftsim_sim.Float_text.to_string} so it
     reads back exactly. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,10 +35,6 @@ let create ?bandwidth_mbps ~delay ~topology ~rng () =
     queue_ms_total = 0.;
   }
 
-let delay_model t = t.delay
-
-let topology t = t.topology
-
 let sample t (msg : Message.t) ~dst cell =
   let src = msg.src in
   if src = dst then begin
@@ -47,10 +43,7 @@ let sample t (msg : Message.t) ~dst cell =
   end
   else begin
     let jitter = Delay_model.sample t.delay t.rng in
-    let propagation =
-      (jitter *. Topology.pair_scale t.topology ~src ~dst)
-      +. Topology.zone_delay_ms t.topology ~src ~dst
-    in
+    let propagation = jitter +. Topology.zone_delay_ms t.topology ~src ~dst in
     let transport =
       match t.bandwidth_mbps with
       | None ->

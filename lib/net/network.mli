@@ -2,10 +2,10 @@
 
     Each node is connected to this module.  A sender hands over an envelope
     and a destination; the network samples the [delay] variable from the
-    configured distribution (scaled by the topology's per-link factor, plus
-    the one-way zone latency when the topology has geographic zones) and
-    forwards the delivery onward — in the full simulator the next hop is
-    the attacker module, then the event queue.
+    configured distribution (plus the one-way zone latency when the
+    topology has geographic zones) and forwards the delivery onward — in
+    the full simulator the next hop is the attacker module, then the event
+    queue.
 
     With a per-link bandwidth configured, each sender's egress link is a
     FIFO server: a message waits behind everything the sender already put
@@ -32,16 +32,12 @@ val create :
     egress model; omitted means infinite bandwidth (sizes cost nothing).
     @raise Invalid_argument if [bandwidth_mbps <= 0] or non-finite. *)
 
-val delay_model : t -> Delay_model.t
-
-val topology : t -> Topology.t
-
 val sample : t -> Message.t -> dst:int -> float array -> unit
 (** [sample t msg ~dst cell] samples the delay of [msg]'s delivery to
     [dst] into [cell.(0)] and updates the counters.  The delay is egress
-    queue wait + serialization + zone one-way latency + sampled jitter x
-    pair scale; a self-addressed delivery gets 0 (local delivery does not
-    traverse the wire).  Writing into the caller's unboxed cell keeps the
+    queue wait + serialization + zone one-way latency + sampled jitter; a
+    self-addressed delivery gets 0 (local delivery does not traverse the
+    wire).  Writing into the caller's unboxed cell keeps the
     per-recipient send path free of a boxed float result. *)
 
 val assign_delay : t -> Message.addressed -> unit

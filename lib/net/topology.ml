@@ -1,46 +1,12 @@
 type zones = { names : string array; assignment : int array; rtt_ms : float array array }
 
-type t = {
-  n : int;
-  subnet : int array;
-  scales : (int, float) Hashtbl.t;  (* keyed by [src * n + dst] *)
-  zones : zones option;
-}
+type t = { n : int; zones : zones option }
 
 let fully_connected n =
   if n <= 0 then invalid_arg "Topology.fully_connected: n <= 0";
-  { n; subnet = Array.make n 0; scales = Hashtbl.create 16; zones = None }
+  { n; zones = None }
 
 let n t = t.n
-
-let with_subnets t assignment =
-  if Array.length assignment <> t.n then invalid_arg "Topology.with_subnets: length mismatch";
-  (* [scales] is mutable shared state: the derived topology must get its own
-     copy or [set_pair_scale] on one would silently mutate the other. *)
-  { t with subnet = Array.copy assignment; scales = Hashtbl.copy t.scales }
-
-let split_in_two n ~first_size =
-  if first_size < 0 || first_size > n then invalid_arg "Topology.split_in_two";
-  let t = fully_connected n in
-  with_subnets t (Array.init n (fun i -> if i < first_size then 0 else 1))
-
-let subnet_of t i = t.subnet.(i)
-
-let same_subnet t a b = t.subnet.(a) = t.subnet.(b)
-
-(* Pairs are keyed by one int, so a per-send lookup hashes an immediate
-   instead of allocating and hashing a [(src, dst)] tuple; with no scale set
-   (the common case) it skips the table altogether. *)
-let pair_key t ~src ~dst = (src * t.n) + dst
-
-let set_pair_scale t ~src ~dst scale =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg "Topology.set_pair_scale: node out of range";
-  Hashtbl.replace t.scales (pair_key t ~src ~dst) scale
-
-let pair_scale t ~src ~dst =
-  if Hashtbl.length t.scales = 0 then 1.0
-  else match Hashtbl.find t.scales (pair_key t ~src ~dst) with s -> s | exception Not_found -> 1.0
 
 (* --- Geographic zones --- *)
 
@@ -64,11 +30,12 @@ let validate_zones ~n ~names ~assignment ~rtt_ms =
         row)
     rtt_ms
 
+(* Node [i] lives in zone [assignment.(i)]; [rtt_ms.(a).(b)] is the RTT
+   between zones [a] and [b] (the diagonal is the intra-zone RTT). *)
 let with_zones t ~names ~assignment ~rtt_ms =
   validate_zones ~n:t.n ~names ~assignment ~rtt_ms;
   {
     t with
-    scales = Hashtbl.copy t.scales;
     zones =
       Some
         {
@@ -96,6 +63,7 @@ let zone_rtt_ms t ~a ~b =
 let zone_delay_ms t ~src ~dst =
   match t.zones with None -> 0. | Some _ -> zone_rtt_ms t ~a:src ~b:dst /. 2.
 
+(* Node [i] in zone [i mod zones]: the default replica placement. *)
 let round_robin_assignment ~n ~zones =
   if zones <= 0 then invalid_arg "Topology.round_robin_assignment: zones <= 0";
   Array.init n (fun i -> i mod zones)

@@ -14,6 +14,8 @@ let arg_to_json = function
   | Tracer.Int i -> Json.Int i
   | Tracer.Float f -> Json.Float f
 
+(* One Chrome trace-event object: name, cat, ph (X/i), ts, dur/s, pid,
+   tid (the node), args. *)
 let entry_to_json (e : Tracer.entry) =
   Json.Assoc
     ([

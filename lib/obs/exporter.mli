@@ -9,16 +9,8 @@
 
 type format = Jsonl | Chrome
 
-val entry_to_json : Tracer.entry -> Json.t
-(** One Chrome trace-event object: name, cat, ph (X/i), ts, dur/s, pid,
-    tid (the node), args. *)
-
 val chrome_json : Tracer.t -> Json.t
 (** The full document, including recorded/dropped totals in [otherData]. *)
-
-val write_chrome : out_channel -> Tracer.t -> unit
-
-val write_jsonl : out_channel -> Tracer.t -> unit
 
 val write_file : path:string -> format:format -> Tracer.t -> unit
 (** Overwrites [path]. *)

@@ -18,9 +18,6 @@ type histogram
 
 val create : unit -> t
 
-val default_buckets : float array
-(** Log-ish spacing from 1 to 30000 — milliseconds-flavoured. *)
-
 (** {1 Recording} *)
 
 val counter : t -> string -> int ref
@@ -28,8 +25,6 @@ val counter : t -> string -> int ref
     resolve once and increment without further lookups. *)
 
 val incr : ?by:int -> t -> string -> unit
-
-val gauge : t -> string -> float ref
 
 val set_gauge : t -> string -> float -> unit
 

@@ -24,9 +24,6 @@ type entry = {
 
 type t
 
-val default_capacity : int
-(** 65536 entries. *)
-
 val create : ?capacity:int -> unit -> t
 (** @raise Invalid_argument on a non-positive capacity. *)
 

@@ -13,6 +13,7 @@ type Message.payload +=
 
 type Timer.payload += Add_slot of { iter : int; slot : int }
 
+(* v1: propose/vote/tally; v2, v3 add a credential window, v3 a prepare. *)
 let slots_per_iteration = function V1 -> 3 | V2 -> 4 | V3 -> 5
 
 type node = {
@@ -48,8 +49,6 @@ let create variant ctx =
   }
 
 let current_iteration t = t.iter
-
-let decided_value t = t.decided
 
 let delta ctx = ctx.Context.lambda_ms
 

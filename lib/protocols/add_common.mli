@@ -37,10 +37,6 @@ type Message.payload +=
 
 type Bftsim_sim.Timer.payload += Add_slot of { iter : int; slot : int }
 
-val slots_per_iteration : variant -> int
-(** 3 for v1 (propose/vote/tally), 4 for v2, 5 for v3 (the prepare round
-    plus a credential-propagation window add a slot each). *)
-
 type node
 
 val create : variant -> Context.t -> node
@@ -52,5 +48,3 @@ val on_message : node -> Context.t -> Message.t -> unit
 val on_timer : node -> Context.t -> Bftsim_sim.Timer.t -> unit
 
 val current_iteration : node -> int
-
-val decided_value : node -> string option

@@ -23,5 +23,3 @@ type Message.payload +=
 type Bftsim_sim.Timer.payload += Alg_step of { period : int; step : int }
 
 include Protocol_intf.S
-
-val current_period : node -> int

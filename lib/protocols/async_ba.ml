@@ -123,8 +123,6 @@ let on_timer _t _ctx _timer = ()
 
 let current_round t = t.round
 
-let decided_value t = t.decided
-
 let view = current_round
 
 let () =

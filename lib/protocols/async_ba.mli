@@ -18,7 +18,3 @@ type Message.payload += Aba of { round : int; phase : int; value : int }
 (** [value] is 0 or 1 in phases 1–2; phase 3 additionally allows 2 = ⊥. *)
 
 include Protocol_intf.S
-
-val current_round : node -> int
-
-val decided_value : node -> int option

@@ -60,6 +60,4 @@ val three_chain_tail : store -> qc -> block option
     when [b1], [b2 = parent b1], [b3 = parent b2] have consecutive views
     (the chained-HotStuff commit rule), otherwise [None]. *)
 
-val pp_qc : Format.formatter -> qc -> unit
-
 val pp_block : Format.formatter -> block -> unit

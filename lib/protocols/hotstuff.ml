@@ -14,8 +14,6 @@ let on_message = Chained_core.on_message
 
 let on_timer = Chained_core.on_timer
 
-let current_view = Chained_core.current_view
-
 let view = Chained_core.current_view
 
 let on_restart = Chained_core.on_restart

@@ -10,6 +10,3 @@
     {!Chained_core}. *)
 
 include Protocol_intf.S with type node = Chained_core.node
-
-val current_view : node -> int
-(** Exposed for the Fig. 9 view tracker. *)

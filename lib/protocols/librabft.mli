@@ -9,5 +9,3 @@
     where HotStuff+NS collapses. *)
 
 include Protocol_intf.S with type node = Chained_core.node
-
-val current_view : node -> int

@@ -42,6 +42,4 @@ val mutation : unit -> mutation option
 (** The active mutation; seeded from the [BFTSIM_MUTATE] environment
     variable ([quorum-minus-one]) at startup. *)
 
-val mutation_of_string : string -> mutation option
-
 val mutation_to_string : mutation -> string

@@ -61,8 +61,6 @@ let create _ctx =
     wait_armed = None;
   }
 
-let current_round t = t.round
-
 let view t = t.height
 
 let proposer ctx ~height ~round = (height + round) mod ctx.Context.n

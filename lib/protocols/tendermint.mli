@@ -23,5 +23,3 @@ type Bftsim_sim.Timer.payload +=
       (** step 0 = propose, 1 = prevote-wait, 2 = precommit-wait. *)
 
 include Protocol_intf.S
-
-val current_round : node -> int

@@ -42,8 +42,6 @@ let remove t i =
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bits byte) land lnot (1 lsl (i land 7))))
   end
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
 let cardinal t =
   let count = ref 0 in
   Bytes.iter

@@ -22,9 +22,6 @@ val mem : t -> int -> bool
 val remove : t -> int -> unit
 (** Removes [i]; a no-op when absent or negative. *)
 
-val clear : t -> unit
-(** Empties the set, keeping its capacity. *)
-
 val cardinal : t -> int
 (** Number of members; linear in the capacity. *)
 

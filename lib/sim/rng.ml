@@ -56,8 +56,6 @@ let[@inline] unit_float t =
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
 (* A uniform draw in (0, 1): zero is redrawn so its logarithm is finite. *)

@@ -38,8 +38,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
 

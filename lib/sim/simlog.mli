@@ -14,13 +14,6 @@ val set_now : (unit -> Time.t) -> unit
     do not race).  Called by the controller at run entry; the default
     reports {!Time.zero}. *)
 
-val now : unit -> Time.t
-(** The current domain's simulated time, as installed by {!set_now}.  The
-    accessor lives in domain-local storage ([Domain.DLS]): each domain sees
-    the clock of the run {e it} is executing, and the {!Time.zero} default
-    applies per domain until that domain's controller installs a clock —
-    there is no process-wide clock to fall back to. *)
-
 val set_mirror : (level:Logs.level -> string -> unit) option -> unit
 (** Installs (or clears, with [None]) the calling domain's log mirror: a
     callback invoked with every formatted [warn]/[err] line, {e regardless}

@@ -7,6 +7,3 @@ type id = int
 type t = { id : id; owner : int; deadline : Time.t; tag : string; payload : payload }
 
 let attacker_owner = -1
-
-let pp ppf t =
-  Format.fprintf ppf "timer#%d[owner=%d tag=%s at=%a]" t.id t.owner t.tag Time.pp t.deadline

@@ -26,5 +26,3 @@ type t = {
 
 val attacker_owner : int
 (** Distinguished owner index for attacker timers (-1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,6 +21,7 @@ type schedule = {
 
 type stats = { enumerated : int; unique : int; emitted : int }
 
+(* The twinned logical identity every enumerated schedule uses. *)
 let twin = 0
 
 (* --- canonicalization -------------------------------------------------- *)
@@ -141,12 +142,3 @@ let to_twins_schedule ~n ~round_ms { rounds; pinned } =
     rounds = List.map groups rounds;
     leaders = List.init pinned (fun _ -> twin);
   }
-
-let describe { rounds; pinned } =
-  let round_s = function
-    | Healed -> "-"
-    | Split { h; a; b } -> Printf.sprintf "h%d:A%d:B%d" h a b
-  in
-  Printf.sprintf "%s%s"
-    (String.concat ";" (List.map round_s rounds))
-    (if pinned = 0 then "" else Printf.sprintf " pin%d" pinned)

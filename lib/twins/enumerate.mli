@@ -35,16 +35,9 @@ type stats = {
   emitted : int;  (** After the campaign budget cap (0 from {!enumerate}). *)
 }
 
-val twin : int
-(** The twinned logical identity every enumerated schedule uses (0). *)
-
 val canonical_key : n:int -> schedule -> (int * int * int) list * int
 (** Stable deduplication key: least encoding under per-round block swaps
     and the global half swap. *)
-
-val adversarial_weight : n:int -> schedule -> int
-(** Emission priority: rounds separating a twin half from the honest
-    majority count 1 each, a pinned leader prefix counts 2. *)
 
 val enumerate : n:int -> rounds:int -> schedule list * stats
 (** All unique schedules for [n] logical nodes, most-adversarial-first
@@ -55,6 +48,3 @@ val enumerate : n:int -> rounds:int -> schedule list * stats
 val to_twins_schedule :
   n:int -> round_ms:float -> schedule -> Bftsim_attack.Twins_schedule.t
 (** Compile to the executable schedule the controller consumes. *)
-
-val describe : schedule -> string
-(** Compact one-line form, e.g. ["h3:A2:B2;-;h3:A1:B2 pin8"]. *)

@@ -27,6 +27,7 @@ let default_params =
     max_time_ms = 240_000.;
   }
 
+(* The subset twins scenarios apply to (non-synchronous models). *)
 let applicable_protocols names =
   List.filter
     (fun name ->

@@ -23,12 +23,6 @@ val default_params : params
 (** n = 4, 3 rounds of 2000 ms, lambda 1000 ms, delay 100 ms, seed 1,
     240 s cap. *)
 
-val applicable_protocols : string list -> string list
-(** The subset twins scenarios apply to (non-synchronous models). *)
-
-val scenario_of :
-  params:params -> string -> Enumerate.schedule -> Bftsim_conformance.Scenario.t
-
 val synthesize :
   ?protocols:string list ->
   budget:int ->

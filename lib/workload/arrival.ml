@@ -41,8 +41,6 @@ let on_off ~rate ~on_ms ~off_ms =
   validate t;
   t
 
-let rate = function Constant { rate } | Poisson { rate } | On_off { rate; _ } -> rate
-
 let with_rate t rate =
   if (not (Float.is_finite rate)) || rate <= 0. then
     invalid_arg "Arrival.with_rate: rate must be finite and > 0";
@@ -82,8 +80,6 @@ let describe = function
   | Constant { rate } -> Printf.sprintf "constant(%g/s)" rate
   | Poisson { rate } -> Printf.sprintf "Poisson(%g/s)" rate
   | On_off { rate; on_ms; off_ms } -> Printf.sprintf "on/off(%g/s,%g|%g)" rate on_ms off_ms
-
-let pp ppf t = Format.pp_print_string ppf (describe t)
 
 let to_cli_string = function
   | Constant { rate } -> Printf.sprintf "constant:%g" rate

@@ -19,9 +19,6 @@ val constant : rate:float -> t
 val poisson : rate:float -> t
 val on_off : rate:float -> on_ms:float -> off_ms:float -> t
 
-val rate : t -> float
-(** The in-burst rate parameter (req/s). *)
-
 val with_rate : t -> float -> t
 (** Same process shape at a different rate — how a rate sweep reuses one
     [--arrival] spec across its points.
@@ -37,8 +34,6 @@ val next_gap_ms : t -> now_ms:float -> Rng.t -> float
 
 val describe : t -> string
 (** Human rendering, e.g. ["Poisson(500/s)"]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_cli_string : t -> string
 (** Parseable rendering; [of_string (to_cli_string t) = Ok t]. *)

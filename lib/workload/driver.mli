@@ -22,9 +22,6 @@ type clients =
           flight with zero think time; the sweep variable is the population
           size (so [rate] is a client count, not req/s). *)
 
-val clients_to_cli_string : clients -> string
-(** Round-trips through {!clients_of_string}: ["open"] | ["closed:<cap>"]. *)
-
 val clients_of_string : string -> (clients, string) result
 
 type t

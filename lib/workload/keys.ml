@@ -17,6 +17,7 @@ type t =
   | Uniform of { space : int }
   | Zipf of { s : float; space : int }
 
+(* Key-space size when [zipf:<s>] omits one. *)
 let default_space = 1024
 
 let validate = function
@@ -76,8 +77,6 @@ let describe = function
   | Single -> "single"
   | Uniform { space } -> Printf.sprintf "uniform(%d)" space
   | Zipf { s; space } -> Printf.sprintf "zipf(s=%g,%d)" s space
-
-let pp ppf t = Format.pp_print_string ppf (describe t)
 
 let to_cli_string = function
   | Single -> "single"

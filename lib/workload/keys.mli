@@ -16,9 +16,6 @@ type t =
       (** Zipfian with exponent [s]: P(key = k) proportional to
           [1/(k+1)^s] — a small set of hot keys takes most of the load. *)
 
-val default_space : int
-(** Key-space size used when [zipf:<s>] omits one (1024). *)
-
 val validate : t -> unit
 (** @raise Invalid_argument on non-positive spaces/exponents. *)
 
@@ -36,8 +33,6 @@ val sample : sampler -> Rng.t -> int
     exactly one [Rng.float] draw (O(log space) CDF binary search). *)
 
 val describe : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 val to_cli_string : t -> string
 (** Round-trips through {!of_string}: ["single"] | ["uniform:<n>"] |

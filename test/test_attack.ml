@@ -18,7 +18,6 @@ let make_env ?(n = 8) ?(f = 2) ?(now = 0.) () =
       lambda_ms = 1000.;
       now = (fun () -> Time.of_ms !now_ref);
       rng = Rng.create 1;
-      topology = Topology.fully_connected n;
       set_timer =
         (fun ~delay_ms ~tag payload ->
           timers := (delay_ms, tag, payload) :: !timers;

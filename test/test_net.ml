@@ -177,50 +177,12 @@ let prop_delay_samples_nonnegative_finite =
 let test_topology_default () =
   let t = Topology.fully_connected 8 in
   Alcotest.(check int) "n" 8 (Topology.n t);
-  Alcotest.(check bool) "all same subnet" true (Topology.same_subnet t 0 7);
-  Alcotest.(check (float 1e-9)) "default scale" 1.0 (Topology.pair_scale t ~src:0 ~dst:1)
-
-let test_topology_split () =
-  let t = Topology.split_in_two 10 ~first_size:4 in
-  Alcotest.(check int) "subnet of node 0" 0 (Topology.subnet_of t 0);
-  Alcotest.(check int) "subnet of node 3" 0 (Topology.subnet_of t 3);
-  Alcotest.(check int) "subnet of node 4" 1 (Topology.subnet_of t 4);
-  Alcotest.(check bool) "cross-subnet differs" false (Topology.same_subnet t 0 9)
-
-let test_topology_pair_scale () =
-  let t = Topology.fully_connected 4 in
-  Topology.set_pair_scale t ~src:1 ~dst:2 3.5;
-  Alcotest.(check (float 1e-9)) "scaled link" 3.5 (Topology.pair_scale t ~src:1 ~dst:2);
-  Alcotest.(check (float 1e-9)) "reverse direction untouched" 1.0 (Topology.pair_scale t ~src:2 ~dst:1);
-  (* Pairs share one int key space, so an out-of-range node must not alias
-     another link. *)
-  match Topology.set_pair_scale t ~src:0 ~dst:4 2.0 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "out-of-range destination accepted"
+  Alcotest.(check int) "no zones" 0 (Topology.zone_count t)
 
 let test_topology_validation () =
-  (match Topology.fully_connected 0 with
+  match Topology.fully_connected 0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "n = 0 accepted");
-  let t = Topology.fully_connected 4 in
-  match Topology.with_subnets t [| 0; 1 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mismatched subnet assignment accepted"
-
-let test_topology_with_subnets_no_aliasing () =
-  (* Regression: with_subnets used to share the scales hashtable with its
-     parent, so scaling a link on the derived topology silently mutated the
-     original. *)
-  let t = Topology.fully_connected 4 in
-  let t' = Topology.with_subnets t [| 0; 0; 1; 1 |] in
-  Topology.set_pair_scale t' ~src:0 ~dst:1 9.0;
-  Alcotest.(check (float 1e-9)) "derived scaled" 9.0 (Topology.pair_scale t' ~src:0 ~dst:1);
-  Alcotest.(check (float 1e-9)) "parent untouched" 1.0 (Topology.pair_scale t ~src:0 ~dst:1);
-  (* And the subnet array is a copy too. *)
-  let assignment = [| 0; 0; 1; 1 |] in
-  let t'' = Topology.with_subnets t assignment in
-  assignment.(0) <- 1;
-  Alcotest.(check int) "assignment copied" 0 (Topology.subnet_of t'' 0)
+  | _ -> Alcotest.fail "n = 0 accepted"
 
 let test_topology_zones () =
   match Topology.of_zone_spec "geo3" ~n:7 with
@@ -296,16 +258,8 @@ let test_network_counters () =
   Network.reset_stats net;
   Alcotest.(check int) "reset" 0 (Network.stats net).Network.sent
 
-let test_network_pair_scaling () =
-  let topology = Topology.fully_connected 4 in
-  Topology.set_pair_scale topology ~src:0 ~dst:1 2.0;
-  let net = Network.create ~delay:(Delay_model.Constant 10.) ~topology ~rng:(rng ()) () in
-  let m = make_msg ~src:0 ~dst:1 in
-  Network.assign_delay net m;
-  Alcotest.(check (float 1e-9)) "scaled delay" 20. m.Message.delay_ms
-
 let test_network_zone_delay_additive () =
-  (* Propagation = jitter * pair_scale + one-way zone delay. *)
+  (* Propagation = jitter + one-way zone delay. *)
   match Topology.of_zone_spec "geo3" ~n:4 with
   | Error e -> Alcotest.failf "geo3 rejected: %s" e
   | Ok topology ->
@@ -506,10 +460,7 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "default" `Quick test_topology_default;
-          Alcotest.test_case "two subnets" `Quick test_topology_split;
-          Alcotest.test_case "pair scaling" `Quick test_topology_pair_scale;
           Alcotest.test_case "validation" `Quick test_topology_validation;
-          Alcotest.test_case "with_subnets copies state" `Quick test_topology_with_subnets_no_aliasing;
           Alcotest.test_case "zones" `Quick test_topology_zones;
           Alcotest.test_case "zone specs" `Quick test_topology_zone_specs;
         ] );
@@ -518,7 +469,6 @@ let () =
           Alcotest.test_case "assigns sampled delay" `Quick test_network_assigns_delay;
           Alcotest.test_case "self messages free and uncounted" `Quick test_network_self_messages_free;
           Alcotest.test_case "counters" `Quick test_network_counters;
-          Alcotest.test_case "per-pair scaling" `Quick test_network_pair_scaling;
           Alcotest.test_case "zone delay additive" `Quick test_network_zone_delay_additive;
           Alcotest.test_case "bandwidth serialization" `Quick test_network_bandwidth_serialization;
           Alcotest.test_case "bandwidth fifo queue" `Quick test_network_bandwidth_fifo_queue;
