@@ -539,7 +539,7 @@ let supervision_overhead () =
     let t0 = Unix.gettimeofday () in
     (match
        Core.Supervisor.supervise t ~key:"bench" (fun ~cancel ->
-           Core.Controller.run ~cancel config)
+           Core.Runner.run_cancellable ~cancel config)
      with
     | Core.Supervisor.Ok _ -> ()
     | _ -> failwith "supervision kernel: the benchmark run must succeed");
@@ -609,11 +609,14 @@ let speedup () =
 
 (* ---------------- Per-event engine cost ---------------- *)
 
-(* events/sec and minor words/event of one Controller.run — the two numbers
-   the hot-path work of DESIGN.md §3.15 moves — on two kernels: the
-   speedup kernel's configuration (PBFT n=20, 100 decisions) and a Fig 2
-   point (PBFT n=256, one decision), whose n^2 broadcast rounds load the
-   delivery path the arrival runs serve.  Minor words come from
+(* events/sec and minor words/event of one run — the two numbers the
+   hot-path work of DESIGN.md §3.15 moves — on three kernels: the speedup
+   kernel's configuration (PBFT n=20, 100 decisions), a Fig 2 point (PBFT
+   n=256, one decision), whose n^2 broadcast rounds load the delivery path
+   the arrival runs serve, and a workload load point (HotStuff-NS n=16,
+   geo5, 100 Mbps, pipeline 4, 4,000 req/s), the one kernel whose client
+   arrivals, batch timers and commit acks go through the workload driver's
+   context wrappers and [Controller.schedule].  Minor words come from
    Gc.minor_words () around the run, so the figure includes protocol
    allocation (payloads), not just the engine: it is an end-to-end
    per-event budget, exact and repeatable on one domain.  Gc.quick_stat
@@ -629,14 +632,14 @@ type event_cost = {
   words_per_event : float;
 }
 
-let event_cost_record : (event_cost * event_cost) option ref = ref None
+let event_cost_record : (event_cost * event_cost * event_cost) option ref = ref None
 
-let measure_event_cost kernel config =
+let measure_event_cost kernel run =
   (* Warm-up run so lane growth and code paths are resident. *)
-  ignore (Core.Controller.run config);
+  ignore (run () : Core.Controller.result);
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let r = Core.Controller.run config in
+  let r = run () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. w0 in
   let events = r.Core.Controller.events_processed in
@@ -660,8 +663,9 @@ let measure_event_cost kernel config =
 
 let event_cost () =
   section
-    "Per-event engine cost — PBFT n=20 (100 decisions) and PBFT n=256 (one\n\
-     decision, Fig 2): wall time, events/second and GC minor words per event";
+    "Per-event engine cost — PBFT n=20 (100 decisions), PBFT n=256 (one\n\
+     decision, Fig 2) and a HotStuff-NS n=16 workload load point at 4,000\n\
+     req/s: wall time, events/second and GC minor words per event";
   let config =
     {
       (Core.Experiments.fig3_config ~protocol:"pbft"
@@ -672,9 +676,26 @@ let event_cost () =
       max_time_ms = 3_600_000.;
     }
   in
-  let base = measure_event_cost "pbft-n20-100dec" config in
-  let fig2 = measure_event_cost "pbft-n256-1dec" (Core.Experiments.fig2_config ~n:256) in
-  event_cost_record := Some (base, fig2)
+  let run config () = Core.Controller.run config in
+  let base = measure_event_cost "pbft-n20-100dec" (run config) in
+  let fig2 = measure_event_cost "pbft-n256-1dec" (run (Core.Experiments.fig2_config ~n:256)) in
+  let load_config =
+    Core.Config.make "hotstuff-ns" ~n:16 ~seed:1 ~lambda_ms:600.
+      ~delay:(Net.Delay_model.normal ~mu:20. ~sigma:5.)
+      ~zones:"geo5" ~bandwidth_mbps:100. ~pipeline:4 ~decisions_target:50
+  in
+  let driver =
+    Wl.Driver.make
+      ~arrival:(Wl.Arrival.poisson ~rate:1.)
+      ~policy:(Wl.Batch.make ~max_batch:256 ~max_wait_ms:30.)
+      ~mempool_capacity:4096 ()
+  in
+  let load_point =
+    measure_event_cost "hotstuff-ns-n16-geo5-4000rps" (fun () ->
+        let _point, _audit, r = Wl.Driver.run_point_audit driver ~rate:4000. load_config in
+        r)
+  in
+  event_cost_record := Some (base, fig2, load_point)
 
 (* ---------------- Workload throughput ---------------- *)
 
@@ -851,14 +872,17 @@ let write_json path =
       (pr2_par /. Float.max par_t 1e-9)
   | None -> ());
   (match !event_cost_record with
-  | Some (base, fig2) ->
+  | Some (base, fig2, lp) ->
     out
       "  \"event_cost\": { \"kernel\": \"%s\", \"events\": %d, \"wall_s\": %.6f, \
        \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \"fig2\": { \"kernel\": \
        \"%s\", \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f, \"minor_words\": \
-       %.0f, \"minor_words_per_event\": %.2f } },\n"
+       %.0f, \"minor_words_per_event\": %.2f }, \"load_point\": { \"kernel\": \"%s\", \
+       \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f, \"minor_words\": %.0f, \
+       \"minor_words_per_event\": %.2f } },\n"
       base.kernel base.events base.wall_s base.events_per_sec base.words_per_event fig2.kernel
-      fig2.events fig2.wall_s fig2.events_per_sec fig2.minor_words fig2.words_per_event
+      fig2.events fig2.wall_s fig2.events_per_sec fig2.minor_words fig2.words_per_event lp.kernel
+      lp.events lp.wall_s lp.events_per_sec lp.minor_words lp.words_per_event
   | None -> ());
   (match !obs_overhead_record with
   | Some (off_s, noise_pct, metrics_pct, tracing_pct) ->

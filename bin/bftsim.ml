@@ -147,9 +147,11 @@ let print_result (r : Core.Controller.result) =
   Format.printf "time usage      : %.3f s@." (r.time_ms /. 1000.);
   Format.printf "message usage   : %d messages (%d bytes est., %d dropped by attacker)@."
     r.messages_sent r.bytes_sent r.messages_dropped;
-  Format.printf "per decision    : %.3f s, %.1f messages@."
-    (r.per_decision_latency_ms /. 1000.)
-    r.per_decision_messages;
+  (* Short of the target, time / target is the cap divided, not a rate. *)
+  if r.outcome = Core.Controller.Reached_target then
+    Format.printf "per decision    : %.3f s, %.1f messages@."
+      (r.per_decision_latency_ms /. 1000.)
+      r.per_decision_messages;
   Format.printf "events          : %d@." r.events_processed;
   Format.printf "safety          : %s@."
     (if r.safety_ok then "ok (agreement holds)"

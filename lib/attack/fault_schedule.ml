@@ -16,8 +16,6 @@ type step = { at_ms : float; action : action }
 
 type t = step list
 
-type Timer.payload += Chaos_step of action
-
 let empty = []
 
 let normalize t = List.stable_sort (fun a b -> Float.compare a.at_ms b.at_ms) t

@@ -18,7 +18,6 @@
     loss stream, chaos runs stay replayable under
     [Validator.check_determinism]. *)
 
-open Bftsim_sim
 open Bftsim_net
 
 type action =
@@ -57,9 +56,6 @@ type step = { at_ms : float; action : action }
 type t = step list
 (** A schedule; {!normalize} sorts it by time (stable, so same-instant
     steps apply in list order). *)
-
-type Timer.payload += Chaos_step of action
-(** The controller alarm each step is armed on. *)
 
 val empty : t
 

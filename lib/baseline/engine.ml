@@ -185,7 +185,6 @@ let run ?(protocol = "pbft") ?(decisions_target = 1) ?(max_time_ms = 600_000.)
             done;
             if !all_done then finished := Some (now_ms ())
           end);
-      probe = (fun ~tag:_ ~detail:_ -> ());
       leader_schedule = None;
       request_proposal = (fun ~slot:_ ~width:_ ~default k -> ignore (k default : bool));
       pipeline_depth = 1;

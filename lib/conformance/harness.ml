@@ -22,7 +22,7 @@ let ok report = report.failures = [] && report.crashed = []
 
 let check_config ?(determinism = true) ?(expect_live = true) ?cancel config =
   let config = { config with Config.record_trace = true } in
-  let result = Controller.run ?cancel config in
+  let result = Runner.run_cancellable ?cancel config in
   let verdicts = Oracle.check_result config result in
   let liveness =
     if expect_live && result.Controller.outcome <> Controller.Reached_target then

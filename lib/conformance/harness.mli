@@ -46,8 +46,8 @@ val check_config :
 (** Run one configuration and judge it.  [determinism] (default [true])
     additionally replays the config twice through the validator;
     [expect_live] (default [true]) turns a non-[Reached_target] outcome
-    into a verdict.  [cancel] is threaded to the main [Controller.run] —
-    the supervision layer's cooperative deadline. *)
+    into a verdict.  The main run goes through [Runner.run_cancellable]
+    with [cancel] — the supervision layer's cooperative deadline. *)
 
 val campaign_cell : ?mode:string -> Scenario.t list -> string
 (** Journal cell (and campaign fingerprint) of a fuzzing batch: a stable

@@ -50,10 +50,10 @@ val default_telemetry : telemetry
 
 type supervision = {
   deadline_ms : float option;
-      (** Per-attempt wall-clock budget for a supervised run; the controller
-          polls the supervisor's cancel flag in its event loop, so a
-          deadline abandons a run between events and never perturbs a run
-          that completes.  [None] = unbounded. *)
+      (** Per-attempt wall-clock budget for a supervised run; the
+          supervised stepping loop polls the supervisor's cancel flag
+          between events, so a deadline abandons a run between events and
+          never perturbs a run that completes.  [None] = unbounded. *)
   max_retries : int;  (** Additional attempts after a failed one. *)
   quarantine_after : int;
       (** Total failures of one run key before it is quarantined. *)

@@ -35,45 +35,16 @@ type result = {
 
 type Timer.payload += Sample_views
 
-(* Workload layer (DESIGN.md §3.16): a run can be driven by client traffic
-   instead of one pre-agreed value.  The hooks live here — not in Config —
-   because they are closures over harness state, and Config must stay a
-   serializable key = value record.  With [?workload] absent every hook site
-   below degenerates to the pre-workload behavior, bit for bit. *)
-type workload_env = {
-  wl_now_ms : unit -> float;
-  wl_schedule : delay_ms:float -> (unit -> unit) -> unit;
-      (** Deterministic one-shot callback on the simulation clock; the
-          workload harness uses it for client arrivals and batch timers. *)
-}
-
-type workload = {
-  on_workload_start : workload_env -> unit;
-  on_request_proposal :
-    node:int ->
-    slot:int ->
-    width:int ->
-    default:Protocols.Context.proposal ->
-    (Protocols.Context.proposal -> bool) ->
-    unit;
-      (** A leader asks for a proposal payload covering [width] consensus
-          slots; the harness may delay the continuation until a batch is
-          cut.  The continuation reports whether the proposal was actually
-          used — [false] means the leader window went stale (view change)
-          and the harness should re-queue the batched requests. *)
-  on_commit : node:int -> index:int -> value:string -> at_ms:float -> unit;
-      (** Every decide by every physical node, in simulation order — the
-          commit-ack stream that closes the request-latency loop. *)
-}
-
-type Timer.payload += Workload_fire of (unit -> unit)
+(* A caller's one-shot alarm ([schedule]): client arrivals, batch timers
+   and the chaos steps. *)
+type Timer.payload += Fire of (unit -> unit)
 
 (* [Arrival] is a delivery popped from the arrival runs (DESIGN.md §3.15);
    [Arrival_runs.current], [current_dst] and [current_id] hold it.  [epoch]
    is the owner's incarnation when the alarm was armed: an alarm set before
    a restart must not fire into the fresh node.  Alarms owned by
-   [Timer.attacker_owner] belong to the attacker, the workload and the
-   controller itself. *)
+   [Timer.attacker_owner] belong to the attacker, the caller's [schedule]
+   and the controller itself. *)
 type event =
   | Arrival
   | Deliver_verified of { msg : Message.t; dst : int; id : int }
@@ -101,12 +72,19 @@ let build_attacker (config : Config.t) =
   | Config.Add_rushing_adaptive { budget } -> Protocols.Addplus_attacks.rushing_adaptive ?budget ()
   | Config.Extra_delay { extra_ms } -> Attack.Attacker.delay_all ~extra_ms
 
-let no_cancel () = false
+(* A run as a value: [create] returns these closures over the run's state,
+   and the exports below apply them at full arity, so a call from another
+   module allocates no partial application. *)
+type t = {
+  step : unit -> bool;
+  finish : unit -> result;
+  close : unit -> unit;
+  schedule : tag:string -> delay_ms:float -> (unit -> unit) -> unit;
+  now_ms : unit -> float;
+}
 
-let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workload
-    (config : Config.t) =
+let create ?delay_override ?attacker:attacker_override ?context (config : Config.t) =
   Config.validate config;
-  Supervisor.inject_faults ~cancel ~seed:config.seed;
   let (module P : Protocols.Protocol_intf.S) = Protocols.Registry.find_exn config.protocol in
   let n = config.n in
   (* Twins (DESIGN.md §3.14): each twinned identity runs a second physical
@@ -190,7 +168,8 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
      decide/check_target path never walks the accumulating lists. *)
   let decision_counts = Array.make pn 0 in
   let finished = ref None in
-  let outcome = ref Queue_drained in
+  (* [None] while the run goes on. *)
+  let outcome = ref None in
   let view_samples = ref [] in
   let attacker = match attacker_override with Some a -> a | None -> build_attacker config in
   (* Twin instances emulate a Byzantine identity: they are excluded from the
@@ -230,13 +209,13 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
       done;
       if !all_done then begin
         finished := Some (now_ms ());
-        outcome := Reached_target
+        outcome := Some Reached_target
       end
     end
   in
 
-  (* Every alarm — protocol, reliable channel, attacker, workload — is
-     armed here. *)
+  (* Every alarm — protocol, reliable channel, attacker, caller — is armed
+     here. *)
   let arm_timer ~owner ~delay_ms ~tag payload =
     incr timer_counter;
     let id = !timer_counter in
@@ -350,21 +329,12 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           decisions.(p) := value :: !(decisions.(p));
           Telemetry.decided tel ~node:p ~index value;
           Invariant.on_decide monitor ~node:p ~index ~value ~at_ms;
-          (match workload with
-          | Some w -> w.on_commit ~node:p ~index ~value ~at_ms
-          | None -> ());
           if counted p then last_progress := Float.max !last_progress at_ms;
           check_target ());
-      probe = (fun ~tag ~detail -> Telemetry.probe tel ~node:p ~tag ~detail);
       leader_schedule;
-      request_proposal =
-        (match workload with
-        | None ->
-          (* No workload: the continuation runs immediately with the
-             protocol's own default — the pre-workload behavior. *)
-          fun ~slot:_ ~width:_ ~default k -> ignore (k default : bool)
-        | Some w ->
-          fun ~slot ~width ~default k -> w.on_request_proposal ~node:p ~slot ~width ~default k);
+      (* The continuation runs at once with the protocol's own default; a
+         client layer replaces this field through [?context]. *)
+      request_proposal = (fun ~slot:_ ~width:_ ~default k -> ignore (k default : bool));
       pipeline_depth = config.Config.pipeline;
       durable = Lifecycle.durable life;
       persist = (fun ~key value -> Lifecycle.persist life p ~key value);
@@ -375,43 +345,15 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     }
   in
 
-  let ctxs = Array.init pn make_ctx in
+  let decorate = match context with Some f -> f | None -> Fun.id in
+  let ctxs = Array.init pn (fun p -> decorate (make_ctx p)) in
   let nodes =
     Array.mapi (fun p ctx -> if Lifecycle.absent life p then None else Some (P.create ctx)) ctxs
   in
 
-  (* One alarm per chaos step, armed before the attacker's so a step runs
-     ahead of any attacker alarm due at the same instant.  The alarms also
-     keep the queue alive up to the last step, so a recovery is observed
-     even when every message in flight was dropped. *)
-  List.iter
-    (fun s ->
-      ignore
-        (arm_timer ~owner:Timer.attacker_owner ~delay_ms:s.Attack.Fault_schedule.at_ms ~tag:"chaos"
-           (Attack.Fault_schedule.Chaos_step s.Attack.Fault_schedule.action)
-          : Timer.id))
-    (Lifecycle.plan life);
-  attacker.Attack.Attacker.on_start attacker_env;
-  (* The workload initializes before the nodes start: a leader's first
-     proposal request must already find the harness listening. *)
-  (match workload with
-  | None -> ()
-  | Some w ->
-    w.on_workload_start
-      {
-        wl_now_ms = now_ms;
-        wl_schedule =
-          (fun ~delay_ms f ->
-            ignore
-              (arm_timer ~owner:Timer.attacker_owner ~delay_ms ~tag:"workload" (Workload_fire f)
-                : Timer.id));
-      });
-  Array.iteri (fun i node -> match node with Some nd -> P.on_start nd ctxs.(i) | None -> ()) nodes;
-
   (* Each node's view; -1 for config-crashed nodes, which never exist.  The
      telemetry-off path must not even call [P.view]. *)
   let views () = Array.map (function Some nd -> P.view nd | None -> -1) nodes in
-  if watching then Telemetry.watch_views tel (views ());
   let handled node =
     if watching then
       match nodes.(node) with Some nd -> Telemetry.view tel ~node (P.view nd) | None -> ()
@@ -425,7 +367,6 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     in
     Event_queue.schedule queue ~at:deadline (Alarm { timer; epoch = 0 })
   in
-  Option.iter (fun period -> sample_views_at (Time.of_ms period)) config.view_sample_ms;
 
   (* At the protocol boundary a message comes from a logical sender: a twin
      half's traffic is indistinguishable from its co-twin's — that is the
@@ -486,7 +427,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     P.on_restart node ctxs.(p);
     handled p
   in
-  let chaos_step = function
+  let apply_chaos = function
     | Attack.Fault_schedule.Gst_shift model ->
       Simlog.info "chaos: delay model shifts to %s" (Delay_model.describe model);
       Network.override_delay network model
@@ -503,8 +444,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
       if consume_timer timer.Timer.id then begin
         Telemetry.alarm tel Telemetry.Fired timer;
         match payload with
-        | Workload_fire f -> f ()
-        | Attack.Fault_schedule.Chaos_step action -> chaos_step action
+        | Fire f -> f ()
         | _ -> attacker.Attack.Attacker.on_time_event attacker_env timer
       end
       else Telemetry.alarm tel Telemetry.Cancelled timer
@@ -562,79 +502,126 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     | Some s -> Some s
     | None -> Option.map (fun k -> k *. config.lambda_ms) config.watchdog
   in
-  let rec loop () =
-    if !finished <> None then ()
-    else if cancel () then
-      (* Cooperative wall-clock deadline (DESIGN.md §3.13): abandon the run
-         between events.  Runs that complete are never perturbed, so their
-         results stay deterministic. *)
-      raise Supervisor.Cancelled
-    else if Event_queue.popped queue >= config.max_events then outcome := Event_cap
-    else if Arrival_runs.is_empty arrivals then outcome := Queue_drained
-    else
-      (* Allocation-free pop: take the event alone, instead of boxing a
-         (time, event) option per event, and compare the advanced clock
-         inside the queue, as reading it here would box a float.  The pop
-         first seals the deliveries the last event scheduled into one run.
-         [limit] is positive, so overdue since the later of the last
-         progress and the last chaos step is also past the step. *)
-      let ev = Arrival_runs.next_exn arrivals in
-      if Event_queue.past queue config.max_time_ms then outcome := Timed_out
-      else begin
-        match watchdog_ms with
-        | Some limit
-          when Event_queue.overdue queue ~since:(Float.max !last_progress last_chaos_ms) ~limit ->
-          Simlog.info "watchdog: no progress since %g ms, aborting at %g ms" !last_progress
-            (now_ms ());
-          outcome := Stalled { last_progress_ms = !last_progress }
-        | _ ->
-          Telemetry.dispatched tel label handle ev;
-          loop ()
-      end
+  let schedule ~tag ~delay_ms f =
+    ignore (arm_timer ~owner:Timer.attacker_owner ~delay_ms ~tag (Fire f) : Timer.id)
   in
-  Fun.protect ~finally:(fun () -> Telemetry.close tel) loop;
+  (* One alarm per chaos step, armed before the attacker's so a step runs
+     ahead of any attacker alarm due at the same instant.  The alarms also
+     keep the queue alive up to the last step, so a recovery is observed
+     even when every message in flight was dropped. *)
+  List.iter
+    (fun s ->
+      schedule ~tag:"chaos" ~delay_ms:s.Attack.Fault_schedule.at_ms (fun () ->
+          apply_chaos s.Attack.Fault_schedule.action))
+    (Lifecycle.plan life);
+  attacker.Attack.Attacker.on_start attacker_env;
+  (* The nodes start at the first step (or at [finish]), after the caller's
+     own alarms: a client's first arrival is armed before any proposal
+     request reaches it. *)
+  let started = ref false in
+  let start () =
+    started := true;
+    Array.iteri (fun i node -> match node with Some nd -> P.on_start nd ctxs.(i) | None -> ()) nodes;
+    if watching then Telemetry.watch_views tel (views ());
+    Option.iter (fun period -> sample_views_at (Time.of_ms period)) config.view_sample_ms
+  in
+  let stop o =
+    outcome := Some o;
+    false
+  in
+  let step () =
+    if not !started then start ();
+    match !outcome with
+    | Some _ -> false
+    | None ->
+      if Event_queue.popped queue >= config.max_events then stop Event_cap
+      else if Arrival_runs.is_empty arrivals then stop Queue_drained
+      else
+        (* Allocation-free pop: take the event alone, instead of boxing a
+           (time, event) option per event, and compare the advanced clock
+           inside the queue, as reading it here would box a float.  The pop
+           first seals the deliveries the last event scheduled into one run.
+           [limit] is positive, so overdue since the later of the last
+           progress and the last chaos step is also past the step. *)
+        let ev = Arrival_runs.next_exn arrivals in
+        if Event_queue.past queue config.max_time_ms then stop Timed_out
+        else begin
+          match watchdog_ms with
+          | Some limit
+            when Event_queue.overdue queue ~since:(Float.max !last_progress last_chaos_ms) ~limit ->
+            Simlog.info "watchdog: no progress since %g ms, aborting at %g ms" !last_progress
+              (now_ms ());
+            stop (Stalled { last_progress_ms = !last_progress })
+          | _ ->
+            Telemetry.dispatched tel label handle ev;
+            true
+        end
+  in
+  let close () = Telemetry.close tel in
+  let finish () =
+    if not !started then start ();
+    close ();
+    let time_ms =
+      match !finished with
+      | Some at -> at
+      | None -> Float.min (now_ms ()) config.max_time_ms
+    in
+    Telemetry.finish tel ~time_ms ~pending_events:(Arrival_runs.pending arrivals)
+      ~twin_instances:(Option.map (fun _ -> pn - n) twins);
+    Simlog.debug "run ended at %g ms: %d alarms pending, %d timer spans open" time_ms
+      (Dense_set.cardinal pending_timers) (Telemetry.open_timer_spans tel);
+    (* The published decision table carries logical ids, so a twin's two
+       halves appear as two rows under one identity. *)
+    let decisions_list = List.init pn (fun p -> (to_logical p, List.rev !(decisions.(p)))) in
+    (* Agreement comes from the online monitor alone: it compares every
+       decision of an aligned node at decide time, and [aligned] only shrinks
+       during a run, so no post-hoc sweep could find more. *)
+    let safety_violation =
+      Option.map (fun v -> v.Invariant.detail) (Invariant.first_violation monitor ~monitor:"agreement")
+    in
+    let stats = Network.stats network in
+    {
+      config;
+      (* A caller that stops stepping early leaves the run short of its end:
+         the same as running out of events. *)
+      outcome = Option.value !outcome ~default:Event_cap;
+      time_ms;
+      messages_sent = stats.Network.sent;
+      bytes_sent = stats.Network.bytes;
+      messages_dropped = !dropped;
+      events_processed = Event_queue.popped queue;
+      decisions = decisions_list;
+      safety_ok = safety_violation = None;
+      safety_violation;
+      violations = Invariant.violations monitor;
+      corrupted = List.sort compare !corrupted_order;
+      per_decision_latency_ms = time_ms /. float_of_int config.decisions_target;
+      per_decision_messages =
+        float_of_int stats.Network.sent /. float_of_int config.decisions_target;
+      final_views = views ();
+      view_samples = List.rev !view_samples;
+      trace = Telemetry.trace tel;
+      metrics = Telemetry.metrics tel;
+      spans = Telemetry.tracer tel;
+    }
+  in
+  { step; finish; close; schedule; now_ms }
 
-  let time_ms =
-    match !finished with
-    | Some at -> at
-    | None -> Float.min (now_ms ()) config.max_time_ms
-  in
-  Telemetry.finish tel ~time_ms ~pending_events:(Arrival_runs.pending arrivals)
-    ~twin_instances:(Option.map (fun _ -> pn - n) twins);
-  Simlog.debug "run ended at %g ms: %d alarms pending, %d timer spans open" time_ms
-    (Dense_set.cardinal pending_timers) (Telemetry.open_timer_spans tel);
-  (* The published decision table carries logical ids, so a twin's two
-     halves appear as two rows under one identity. *)
-  let decisions_list = List.init pn (fun p -> (to_logical p, List.rev !(decisions.(p)))) in
-  (* Agreement comes from the online monitor alone: it compares every
-     decision of an aligned node at decide time, and [aligned] only shrinks
-     during a run, so no post-hoc sweep could find more. *)
-  let safety_violation =
-    Option.map (fun v -> v.Invariant.detail) (Invariant.first_violation monitor ~monitor:"agreement")
-  in
-  let stats = Network.stats network in
-  {
-    config;
-    outcome = !outcome;
-    time_ms;
-    messages_sent = stats.Network.sent;
-    bytes_sent = stats.Network.bytes;
-    messages_dropped = !dropped;
-    events_processed = Event_queue.popped queue;
-    decisions = decisions_list;
-    safety_ok = safety_violation = None;
-    safety_violation;
-    violations = Invariant.violations monitor;
-    corrupted = List.sort compare !corrupted_order;
-    per_decision_latency_ms = time_ms /. float_of_int config.decisions_target;
-    per_decision_messages =
-      float_of_int stats.Network.sent /. float_of_int config.decisions_target;
-    final_views = views ();
-    view_samples = List.rev !view_samples;
-    trace = Telemetry.trace tel;
-    metrics = Telemetry.metrics tel;
-    spans = Telemetry.tracer tel;
-  }
+let step t = t.step ()
+
+let finish t = t.finish ()
+
+let close t = t.close ()
+
+let schedule t ~tag ~delay_ms f = t.schedule ~tag ~delay_ms f
+
+let now_ms t = t.now_ms ()
+
+let run ?delay_override ?attacker ?context config =
+  let t = create ?delay_override ?attacker ?context config in
+  let rec loop () = if step t then loop () in
+  Fun.protect ~finally:(fun () -> close t) loop;
+  finish t
 
 let throughput r =
   if r.time_ms <= 0. then 0.

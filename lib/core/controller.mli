@@ -62,73 +62,65 @@ type result = {
           log, a different artifact. *)
 }
 
-type workload_env = {
-  wl_now_ms : unit -> float;  (** Current simulation time. *)
-  wl_schedule : delay_ms:float -> (unit -> unit) -> unit;
-      (** Deterministic one-shot callback on the simulation clock; the
-          workload harness uses it for client arrivals and batch-wait
-          timers.  Fires through the ordinary event queue, so workload
-          events interleave reproducibly with protocol events. *)
-}
-(** Capabilities handed to a workload harness at run start. *)
+type t
+(** One run in progress.  A run is a value: {!create} builds it, {!step}
+    advances it one event at a time and {!finish} reads its {!result}, so
+    a caller can interleave its own work between events. *)
 
-type workload = {
-  on_workload_start : workload_env -> unit;
-      (** Called after the attacker starts but before any node's
-          [on_start] — a leader's first proposal request must already find
-          the harness listening. *)
-  on_request_proposal :
-    node:int ->
-    slot:int ->
-    width:int ->
-    default:Bftsim_protocols.Context.proposal ->
-    (Bftsim_protocols.Context.proposal -> bool) ->
-    unit;
-      (** A leader asks for the payload of [slot] (physical [node]),
-          covering [width] consensus slots — chained protocols pack their
-          whole pipeline window into one block, slot-windowed protocols
-          pass [1] per slot.  The harness may call the continuation
-          immediately (pass-through) or defer it until a request batch is
-          cut; the protocol's continuation re-checks staleness itself and
-          returns whether the proposal was used, [false] signalling the
-          harness to re-queue the batch rather than drop it. *)
-  on_commit : node:int -> index:int -> value:string -> at_ms:float -> unit;
-      (** Every decide by every physical node in simulation order — the
-          commit-ack stream from which end-to-end request latency
-          (arrival to commit quorum) is measured. *)
-}
-(** Workload hooks (DESIGN.md §3.16).  Passed to {!run} as an optional
-    argument — like [?attacker], not part of {!Config.t}, because the hooks
-    close over harness state and configs must stay serializable.  When
-    absent, every hook site degenerates to the pre-workload behavior and
-    runs are bit-identical to older builds. *)
-
-val run :
-  ?cancel:(unit -> bool) ->
+val create :
   ?delay_override:(int -> float option) ->
   ?attacker:Bftsim_attack.Attacker.t ->
-  ?workload:workload ->
+  ?context:(Bftsim_protocols.Context.t -> Bftsim_protocols.Context.t) ->
   Config.t ->
-  result
-(** Runs one simulation to completion.  [cancel] is polled in the event
-    loop (next to the [max_events] and watchdog checks); once it reports
-    [true] the run raises [Supervisor.Cancelled] between events — the
-    cooperative wall-clock deadline of the supervision layer (DESIGN.md
-    §3.13).  Completed runs are never perturbed by it, so determinism
-    holds.  [delay_override] maps a message id to the delay that message
-    enters the event queue with, replacing the one the stack computed when
-    it returns [Some _] — the replay mechanism of the validator module.
+  t
+(** Builds the network, the attacker and the nodes of one run, and arms the
+    chaos steps and the attacker's first alarms.  The nodes start at the
+    first {!step}, so alarms the caller arms with {!schedule} before it
+    run ahead of every node's [on_start].
+
+    [delay_override] maps a message id to the delay that message enters
+    the event queue with, replacing the one the stack computed when it
+    returns [Some _] — the replay mechanism of the validator module.
     Every message (wire send, duplicate, reliable frame or ack, gossip hop,
     attacker injection) enters the queue at one point, after every stage
-    that sets its delay.  [attacker] overrides the
-    attacker derived from the config, the hook for user-written attack
-    scenarios (paper §III-A5).
+    that sets its delay.  [attacker] overrides the attacker derived from
+    the config, the hook for user-written attack scenarios (paper
+    §III-A5).  [context] decorates each node's context once, before the
+    node is built: the client layer of DESIGN.md §3.16 wraps
+    [request_proposal] and [decide] this way.  Without it a proposal
+    request runs its continuation at once with the protocol's default. *)
 
-    The [BFTSIM_FAULT_INJECT] environment variable (e.g.
-    ["crash@17;hang@23"]) makes the run with base seed 17 raise at startup
-    and the one with seed 23 spin on the wall clock until cancelled — the
-    test knob behind the resilience suite and the CI kill-and-resume
-    job. *)
+val step : t -> bool
+(** Handles the next event and returns whether the run goes on; [false]
+    once the target is reached or a stop check fires (time or event cap,
+    drained queue, watchdog), and on every later call.  Allocates nothing
+    beyond what the handler does. *)
+
+val finish : t -> result
+(** The run's result.  A run stopped before [step] returned [false]
+    reports {!Event_cap}; a run never stepped starts its nodes first. *)
+
+val close : t -> unit
+(** Releases the calling domain's [Simlog] mirror the run installed when
+    tracing.  {!finish} does it; a caller that abandons a run on an
+    exception calls it instead. *)
+
+val schedule : t -> tag:string -> delay_ms:float -> (unit -> unit) -> unit
+(** A one-shot callback [delay_ms] after the current simulation time,
+    fired through the event queue, so it interleaves reproducibly with
+    protocol events.  [tag] names it in traces. *)
+
+val now_ms : t -> float
+(** The run's simulation clock. *)
+
+val run :
+  ?delay_override:(int -> float option) ->
+  ?attacker:Bftsim_attack.Attacker.t ->
+  ?context:(Bftsim_protocols.Context.t -> Bftsim_protocols.Context.t) ->
+  Config.t ->
+  result
+(** Runs one simulation to completion: {!create}, {!step} until it returns
+    [false], then {!finish}. *)
 
 val throughput : result -> float
 (** Decided values per simulated second ([decisions_target / time]); the

@@ -35,6 +35,20 @@ type summary = {
   resumed : int;
 }
 
+(* The supervised stepping loop: the test-only fault injection first, then
+   the cooperative wall-clock deadline (DESIGN.md §3.13) polled between
+   events.  A run that completes is never perturbed, so its result stays
+   deterministic. *)
+let run_cancellable ?(cancel = fun () -> false) (config : Config.t) =
+  Supervisor.inject_faults ~cancel ~seed:config.Config.seed;
+  let t = Controller.create config in
+  let rec loop () =
+    if cancel () then raise Supervisor.Cancelled;
+    if Controller.step t then loop ()
+  in
+  Fun.protect ~finally:(fun () -> Controller.close t) loop;
+  Controller.finish t
+
 let default_reps () =
   match Sys.getenv_opt "BFTSIM_REPS" with
   | Some v -> ( match int_of_string_opt v with Some r when r > 0 -> r | _ -> 20)
@@ -112,7 +126,7 @@ let run_many ?reps ?jobs ?journal ?resumed (config : Config.t) =
       ~encode:(fun (d, _) -> Some (Journal.digest_to_json d))
       ~decode:Journal.digest_of_json
       (fun ~cancel k ->
-        let r = Controller.run ~cancel { config with Config.seed = config.Config.seed + k } in
+        let r = run_cancellable ~cancel { config with Config.seed = config.Config.seed + k } in
         (Journal.digest_of_result ~rep:k r, r))
       (List.init reps Fun.id)
   in

@@ -47,6 +47,14 @@ type summary = {
   resumed : int;  (** Replications skipped thanks to the journal. *)
 }
 
+val run_cancellable : ?cancel:(unit -> bool) -> Config.t -> Controller.result
+(** [Controller.run] under supervision.  It first applies the test-only
+    fault injection ({!Supervisor.inject_faults}), then steps the run and
+    polls [cancel] (default: never) before every event; once [cancel]
+    reports [true] it raises [Supervisor.Cancelled] between events — the
+    cooperative wall-clock deadline of DESIGN.md §3.13.  Completed runs are
+    never perturbed by it, so determinism holds. *)
+
 type ('fresh, 'kept) slot =
   | Resumed of 'kept  (** Decoded from the journal; not run again. *)
   | Ran of 'fresh Supervisor.outcome

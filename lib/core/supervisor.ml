@@ -3,10 +3,9 @@
 
    The supervised function receives a [cancel] polling closure instead of
    being preempted: OCaml domains cannot be killed safely, and preemption
-   would leave half-mutated simulation state behind.  The controller polls
-   it in its event loop (next to the max_events and watchdog checks), so a
-   deadline abandons a run between events — completed runs are never
-   perturbed and stay deterministic.
+   would leave half-mutated simulation state behind.  [Runner.run_cancellable]
+   polls it between the run's steps, so a deadline abandons a run between
+   events — completed runs are never perturbed and stay deterministic.
 
    One supervisor serves every worker of a campaign; the bookkeeping
    (counters, per-key failure counts, quarantine set) is mutex-protected,

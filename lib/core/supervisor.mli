@@ -7,24 +7,26 @@
     thousand-cell campaign.  A supervisor turns each task into a structured
     {!outcome} instead: exceptions are caught with their backtrace, a
     per-attempt wall-clock deadline is enforced {e cooperatively} (the task
-    receives a [cancel] polling function and the controller checks it in
-    its event loop, next to [max_events] and the watchdog — completed runs
-    are never perturbed, so determinism holds), failed attempts are retried
-    on a bounded, seed-derived jitter schedule, and keys that keep failing
-    are quarantined so they cannot eat the whole retry budget.
+    receives a [cancel] polling function, which [Runner.run_cancellable]
+    checks between the run's steps — completed runs are never perturbed,
+    so determinism holds), failed attempts are retried on a bounded,
+    seed-derived jitter schedule, and keys that keep failing are
+    quarantined so they cannot eat the whole retry budget.
 
     A supervisor is shared by every worker of a campaign: recording is
     mutex-protected, the supervised task itself runs outside the lock. *)
 
 exception Cancelled
-(** Raised by cooperative cancellation points (e.g. the controller's event
-    loop) when the supervisor's [cancel] function reports the deadline
-    passed.  Tasks may also keep polling and return normally — a completed
-    result is kept even if it finished over the deadline. *)
+(** Raised by cooperative cancellation points (e.g. the stepping loop of
+    [Runner.run_cancellable]) when the supervisor's [cancel] function
+    reports the deadline passed.  Tasks may also keep polling and return
+    normally — a completed result is kept even if it finished over the
+    deadline. *)
 
 val inject_faults : cancel:(unit -> bool) -> seed:int -> unit
 (** The test knob behind the resilience suite and the CI kill-and-resume
-    job, checked by [Controller.run] at startup: [BFTSIM_FAULT_INJECT]
+    job, applied by [Runner.run_cancellable] before it creates a run, so
+    it covers supervised runs only: [BFTSIM_FAULT_INJECT]
     (e.g. ["crash@17;hang@23"]) makes the run seeded 17 raise, and the one
     seeded 23 spin on the wall clock until [cancel] reports [true], then
     raise {!Cancelled}. *)

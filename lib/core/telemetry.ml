@@ -185,12 +185,6 @@ let decided t ~node ~index value =
       ();
   row t Trace.Decide ~node ~peer:(-1) ~tag:value ~detail:""
 
-let probe t ~node ~tag ~detail =
-  if t.tracing then
-    instant t ~name:tag ~cat:"protocol" ~node
-      ~args:(if detail = "" then [] else [ ("detail", Tracer.Str detail) ])
-      ()
-
 (* View changes: a node's view compared after each of its handlers.  Views
    derive from simulated execution only, so both the counter and the
    instants are replication-deterministic. *)

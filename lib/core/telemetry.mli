@@ -62,9 +62,6 @@ val open_timer_spans : t -> int
 
 val decided : t -> node:int -> index:int -> string -> unit
 
-val probe : t -> node:int -> tag:string -> detail:string -> unit
-(** A protocol's own instant ([Context.probe]). *)
-
 val watch_views : t -> int array -> unit
 (** The nodes' views once they have started. *)
 

@@ -10,41 +10,6 @@ let n t = t.n
 
 (* --- Geographic zones --- *)
 
-let validate_zones ~n ~names ~assignment ~rtt_ms =
-  let z = Array.length names in
-  if z = 0 then invalid_arg "Topology.with_zones: no zones";
-  if Array.length assignment <> n then invalid_arg "Topology.with_zones: assignment length mismatch";
-  Array.iter
-    (fun zi -> if zi < 0 || zi >= z then invalid_arg "Topology.with_zones: zone index out of range")
-    assignment;
-  if Array.length rtt_ms <> z then invalid_arg "Topology.with_zones: rtt matrix not z x z";
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> z then invalid_arg "Topology.with_zones: rtt matrix not square";
-      Array.iteri
-        (fun j v ->
-          if not (Float.is_finite v) || v < 0. then
-            invalid_arg "Topology.with_zones: rtt entries must be finite and >= 0";
-          if Float.abs (v -. rtt_ms.(j).(i)) > 1e-9 then
-            invalid_arg "Topology.with_zones: rtt matrix must be symmetric")
-        row)
-    rtt_ms
-
-(* Node [i] lives in zone [assignment.(i)]; [rtt_ms.(a).(b)] is the RTT
-   between zones [a] and [b] (the diagonal is the intra-zone RTT). *)
-let with_zones t ~names ~assignment ~rtt_ms =
-  validate_zones ~n:t.n ~names ~assignment ~rtt_ms;
-  {
-    t with
-    zones =
-      Some
-        {
-          names = Array.copy names;
-          assignment = Array.copy assignment;
-          rtt_ms = Array.map Array.copy rtt_ms;
-        };
-  }
-
 let zone_count t = match t.zones with None -> 0 | Some z -> Array.length z.names
 
 let zone_of t i = match t.zones with None -> None | Some z -> Some z.assignment.(i)
@@ -62,11 +27,6 @@ let zone_rtt_ms t ~a ~b =
    that case returns the literal, so the per-send call allocates no box. *)
 let zone_delay_ms t ~src ~dst =
   match t.zones with None -> 0. | Some _ -> zone_rtt_ms t ~a:src ~b:dst /. 2.
-
-(* Node [i] in zone [i mod zones]: the default replica placement. *)
-let round_robin_assignment ~n ~zones =
-  if zones <= 0 then invalid_arg "Topology.round_robin_assignment: zones <= 0";
-  Array.init n (fun i -> i mod zones)
 
 (* --- Named presets (approximate inter-region RTTs, ms) --- *)
 
@@ -130,9 +90,14 @@ let zones_of_spec spec =
         | _ -> Error (Printf.sprintf "invalid zone spec %S" spec)))
     | _ -> Error (Printf.sprintf "unknown zone spec %S (try geo3, geo5 or uniform:<k>@<rtt>)" spec))
 
+(* Node [i] lives in zone [i mod zones], the round-robin replica
+   placement; [rtt_ms.(a).(b)] is the RTT between zones [a] and [b] (the
+   diagonal is the intra-zone RTT).  [zones_of_spec] only yields at least
+   one zone and a symmetric matrix of finite, non-negative entries. *)
 let of_zone_spec spec ~n =
-  match zones_of_spec spec with
-  | Error _ as e -> e
-  | Ok (names, rtt_ms) ->
-    let assignment = round_robin_assignment ~n ~zones:(Array.length names) in
-    Ok (with_zones (fully_connected n) ~names ~assignment ~rtt_ms)
+  Result.map
+    (fun (names, rtt_ms) ->
+      let t = fully_connected n in
+      let assignment = Array.init n (fun i -> i mod Array.length names) in
+      { t with zones = Some { names; assignment; rtt_ms } })
+    (zones_of_spec spec)

@@ -31,7 +31,6 @@ type t = {
   set_timer : delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   cancel_timer : Timer.id -> unit;
   decide : string -> unit;
-  probe : tag:string -> detail:string -> unit;
   leader_schedule : int array option;
       (* Per-view leader pinning (twins runs): [leader_schedule.(view)]
          overrides the round-robin rotation for views inside the array;
@@ -67,8 +66,6 @@ type t = {
 }
 
 let send t ~dst ~tag ?(size = Message.default_size) payload = t.send_raw ~dst ~tag ~size payload
-
-let probe t ~tag ?(detail = "") () = t.probe ~tag ~detail
 
 let broadcast t ?(include_self = true) ~tag ?(size = Message.default_size) payload =
   t.broadcast_raw ~include_self ~tag ~size payload

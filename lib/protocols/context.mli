@@ -51,11 +51,6 @@ type t = {
   cancel_timer : Timer.id -> unit;
   decide : string -> unit;
       (** Report one decided value.  SMR protocols call it once per slot. *)
-  probe : tag:string -> detail:string -> unit;
-      (** Telemetry capability: emits a trace instant on the run's timeline
-          when tracing is enabled, and is a no-op otherwise — protocols can
-          sprinkle probes without caring whether telemetry is on.  Prefer
-          the {!probe} wrapper. *)
   leader_schedule : int array option;
       (** Per-view leader pinning (twins runs): for views inside the array,
           {!leader_round_robin} returns [leader_schedule.(view)] instead of
@@ -67,13 +62,13 @@ type t = {
           windows like PBFT's, which request each slot separately).
           Without a workload layer the continuation runs {e immediately}
           with [default], so protocols that adopt the hook behave exactly
-          as before; with one attached (see [Controller]'s [?workload])
-          the callback may be deferred until a request batch is cut.  The
-          continuation must re-check its own staleness (view/leadership
-          may have moved on by the time it fires) and return whether it
-          used the proposal: on [false] the workload layer returns the
-          batched requests to the mempool (re-queue on view change)
-          instead of dropping them. *)
+          as before; a workload layer wraps this field through
+          [Controller.create]'s [?context] and may defer the callback
+          until a request batch is cut.  The continuation must re-check
+          its own staleness (view/leadership may have moved on by the time
+          it fires) and return whether it used the proposal: on [false]
+          the workload layer returns the batched requests to the mempool
+          (re-queue on view change) instead of dropping them. *)
   pipeline_depth : int;
       (** How many consensus heights a leader may keep in flight at once;
           [1] (the default) reproduces the classic sequential behavior. *)
@@ -101,10 +96,6 @@ type t = {
 
 val send : t -> dst:int -> tag:string -> ?size:int -> Message.payload -> unit
 (** Point-to-point send; [size] defaults to {!Message.default_size}. *)
-
-val probe : t -> tag:string -> ?detail:string -> unit -> unit
-(** [probe ctx ~tag ()] marks a protocol-level instant (phase entry,
-    quorum formation, …) on the trace timeline; free when tracing is off. *)
 
 val broadcast : t -> ?include_self:bool -> tag:string -> ?size:int -> Message.payload -> unit
 (** Disseminates to every node through the configured transport.

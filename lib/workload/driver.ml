@@ -1,5 +1,6 @@
 (* Workload driver (DESIGN.md §3.16): wires arrivals, the mempool and the
-   batcher into a [Controller.run] through the workload hooks, measures
+   batcher into a run as a client of the controller — it decorates each
+   node's context and arms its own alarms on the run's clock — measures
    end-to-end request latency (arrival → commit quorum), and sweeps offered
    rates into a throughput-latency curve.
 
@@ -70,7 +71,7 @@ let describe t =
 
 (* {1 One run} *)
 
-(* Per-run harness state, closed over by the workload hooks. *)
+(* Per-run harness state, closed over by the context wrappers. *)
 type harness = {
   rng : Rng.t;
   pool : Mempool.t;
@@ -81,7 +82,6 @@ type harness = {
   keys_sampler : Keys.sampler;
   keyed : bool;  (* false = Single mode: skip conflict accounting *)
   ack_quorum : int;
-  mutable env : Core.Controller.workload_env option;
   mutable next_request : int;
   mutable submitted : int;
   mutable next_batch : int;
@@ -127,7 +127,6 @@ let create_harness ~seed ~n ~rate (t : t) =
     keys_sampler = Keys.sampler t.keys;
     keyed = (match t.keys with Keys.Single -> false | _ -> true);
     ack_quorum = f + 1;
-    env = None;
     next_request = 0;
     submitted = 0;
     next_batch = 0;
@@ -147,11 +146,6 @@ let create_harness ~seed ~n ~rate (t : t) =
     waiting = Queue.create ();
     waiting_armed = 0;
   }
-
-let env_exn h =
-  match h.env with
-  | Some e -> e
-  | None -> invalid_arg "Workload: hook fired before on_workload_start"
 
 (* Return a stale bundle's requests to the front of the mempool.  The
    continuation never broadcast the proposal, so none of these can have
@@ -220,7 +214,7 @@ let fire_ready h ~default_of =
     cut h ~width ~default:(default_of ()) k
   done
 
-let on_request_proposal h ~node:_ ~slot:_ ~width ~default k =
+let on_request_proposal h ctl ~width ~default k =
   if Mempool.length h.pool >= h.policy.Batch.max_batch || h.policy.Batch.max_wait_ms <= 0. then
     cut h ~width ~default k
   else begin
@@ -229,8 +223,7 @@ let on_request_proposal h ~node:_ ~slot:_ ~width ~default k =
        the pairing FIFO even when cuts race with arrivals. *)
     Queue.add (width, k) h.waiting;
     h.waiting_armed <- h.waiting_armed + 1;
-    let env = env_exn h in
-    env.Core.Controller.wl_schedule ~delay_ms:h.policy.Batch.max_wait_ms (fun () ->
+    Core.Controller.schedule ctl ~tag:"workload" ~delay_ms:h.policy.Batch.max_wait_ms (fun () ->
         h.waiting_armed <- h.waiting_armed - 1;
         if not (Queue.is_empty h.waiting) then begin
           let width, k = Queue.pop h.waiting in
@@ -238,9 +231,8 @@ let on_request_proposal h ~node:_ ~slot:_ ~width ~default k =
         end)
   end
 
-let submit h ~client =
-  let env = env_exn h in
-  let arrived_ms = env.Core.Controller.wl_now_ms () in
+let submit h ctl ~client =
+  let arrived_ms = Core.Controller.now_ms ctl in
   let id = h.next_request in
   h.next_request <- id + 1;
   h.submitted <- h.submitted + 1;
@@ -251,7 +243,7 @@ let submit h ~client =
          consulted; a placeholder keeps the types honest. *)
       { Context.value = "noop"; size = Batch.size_bytes ~count:0 })
 
-let on_commit h ~node:_ ~index ~value ~at_ms =
+let on_commit h ctl ~index ~value ~at_ms =
   if not (Hashtbl.mem h.committed_idx index) then begin
     let count =
       match Hashtbl.find_opt h.acks index with
@@ -283,39 +275,50 @@ let on_commit h ~node:_ ~index ~value ~at_ms =
                time) submits its next request, through the event queue so
                the replacement interleaves deterministically. *)
             if r.Mempool.client >= 0 then
-              (env_exn h).Core.Controller.wl_schedule ~delay_ms:0. (fun () ->
-                  submit h ~client:r.Mempool.client))
+              Core.Controller.schedule ctl ~tag:"workload" ~delay_ms:0. (fun () ->
+                  submit h ctl ~client:r.Mempool.client))
           reqs
     end
   end
 
-let on_workload_start h env =
-  h.env <- Some env;
+(* Arms the clients before the run's first step, so a leader's first
+   proposal request already finds the harness listening. *)
+let start h ctl =
   match h.clients with
   | Closed_loop { cap } ->
     (* The whole population submits its full window at t = 0; afterwards
        each commit triggers that client's next request. *)
     for client = 0 to h.client_count - 1 do
       for _ = 1 to cap do
-        submit h ~client
+        submit h ctl ~client
       done
     done
   | Open_loop ->
     let rec pump () =
-      let now_ms = env.Core.Controller.wl_now_ms () in
-      let gap = Arrival.next_gap_ms h.arrival ~now_ms h.rng in
-      env.Core.Controller.wl_schedule ~delay_ms:gap (fun () ->
-          submit h ~client:(-1);
-          pump ())
+      let gap = Arrival.next_gap_ms h.arrival ~now_ms:(Core.Controller.now_ms ctl) h.rng in
+      Core.Controller.schedule ctl ~tag:"workload" ~delay_ms:gap arrive
+    and arrive () =
+      submit h ctl ~client:(-1);
+      pump ()
     in
     pump ()
 
-let workload_of_harness h =
+(* One node's context as the workload sees it: proposal requests go to the
+   batcher, and every decide is an ack toward a commit quorum, indexed by
+   this node's own decision count, as the controller indexes it.  [ctl] is
+   the run being built; the wrappers only force it once it runs. *)
+let decorate h ctl (c : Context.t) =
+  let decided = ref 0 in
   {
-    Core.Controller.on_workload_start = on_workload_start h;
-    on_request_proposal =
-      (fun ~node ~slot ~width ~default k -> on_request_proposal h ~node ~slot ~width ~default k);
-    on_commit = (fun ~node ~index ~value ~at_ms -> on_commit h ~node ~index ~value ~at_ms);
+    c with
+    Context.request_proposal =
+      (fun ~slot:_ ~width ~default k -> on_request_proposal h (Lazy.force ctl) ~width ~default k);
+    decide =
+      (fun value ->
+        c.Context.decide value;
+        let index = !decided in
+        decided := index + 1;
+        on_commit h (Lazy.force ctl) ~index ~value ~at_ms:(Time.to_ms (c.Context.now ())));
   }
 
 (* {1 Points} *)
@@ -478,7 +481,12 @@ type audit = {
 let run_point_audit (t : t) ~rate (config : Core.Config.t) =
   let t = { t with arrival = Arrival.with_rate t.arrival rate } in
   let h = create_harness ~seed:config.Core.Config.seed ~n:config.Core.Config.n ~rate t in
-  let result = Core.Controller.run ~workload:(workload_of_harness h) config in
+  let rec ctl = lazy (Core.Controller.create ~context:(decorate h ctl) config) in
+  let ctl = Lazy.force ctl in
+  start h ctl;
+  let rec loop () = if Core.Controller.step ctl then loop () in
+  Fun.protect ~finally:(fun () -> Core.Controller.close ctl) loop;
+  let result = Core.Controller.finish ctl in
   let duration_ms = result.Core.Controller.time_ms in
   let throughput =
     if duration_ms > 0. then float_of_int h.committed /. (duration_ms /. 1000.) else 0.

@@ -1,6 +1,6 @@
 (** Workload driver (DESIGN.md §3.16): open- or closed-loop clients feeding
-    a bounded mempool, leader-side batching through the controller's
-    workload hooks, and offered-rate sweeps into a throughput-latency
+    a bounded mempool, leader-side batching through each node's decorated
+    context ([Controller.create]'s [?context]), and offered-rate sweeps into a throughput-latency
     curve.
 
     End-to-end request latency is measured from client arrival to the

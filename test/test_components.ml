@@ -158,7 +158,6 @@ let test_rbc_spoofed_init_ignored () =
       set_timer = (fun ~delay_ms:_ ~tag:_ _ -> 0);
       cancel_timer = ignore;
       decide = (fun v -> delivered := v :: !delivered);
-      probe = (fun ~tag:_ ~detail:_ -> ());
       leader_schedule = None;
       request_proposal = (fun ~slot:_ ~width:_ ~default k -> ignore (k default : bool));
       pipeline_depth = 1;
@@ -202,7 +201,6 @@ let test_rbc_delivery_thresholds () =
       set_timer = (fun ~delay_ms:_ ~tag:_ _ -> 0);
       cancel_timer = ignore;
       decide = ignore;
-      probe = (fun ~tag:_ ~detail:_ -> ());
       leader_schedule = None;
       request_proposal = (fun ~slot:_ ~width:_ ~default k -> ignore (k default : bool));
       pipeline_depth = 1;

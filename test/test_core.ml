@@ -767,6 +767,37 @@ let test_runner_distinct_seeds () =
   let times = List.map (fun (r : Core.Controller.result) -> r.time_ms) summary.results in
   Alcotest.(check bool) "seeds vary" true (List.length (List.sort_uniq compare times) > 1)
 
+(* The supervised stepping loop polls [cancel] between events and abandons
+   the run with [Cancelled]; a traced run's Simlog mirror must not outlive
+   it.  A mirrored warning is formatted even with logging off, so the [%t]
+   printer below runs exactly when a mirror is installed. *)
+let test_runner_cancellable () =
+  let config =
+    {
+      (base_config ()) with
+      Core.Config.telemetry = { Core.Config.default_telemetry with tracing = true };
+    }
+  in
+  let polls = ref 0 in
+  let cancel () =
+    incr polls;
+    !polls > 5
+  in
+  (match Core.Runner.run_cancellable ~cancel config with
+  | _ -> Alcotest.fail "expected Supervisor.Cancelled"
+  | exception Core.Supervisor.Cancelled -> ());
+  Alcotest.(check int) "cancelled at the sixth poll" 6 !polls;
+  let level = Logs.Src.level Bftsim_sim.Simlog.src in
+  Logs.Src.set_level Bftsim_sim.Simlog.src None;
+  let formatted = ref 0 in
+  Bftsim_sim.Simlog.warn "%t" (fun _ -> incr formatted);
+  Logs.Src.set_level Bftsim_sim.Simlog.src level;
+  Alcotest.(check int) "no mirror left installed" 0 !formatted;
+  let full = Core.Runner.run_cancellable config in
+  Alcotest.(check bool) "an uncancelled run matches Controller.run" true
+    (Bftsim_conformance.Fingerprint.of_result full
+    = Bftsim_conformance.Fingerprint.of_result (Core.Controller.run config))
+
 (* --- Trace & Validator --- *)
 
 let traced_config ?(protocol = "pbft") () =
@@ -883,6 +914,66 @@ let prop_replay_reproduces =
         if report.decisions_match && report.trace_match = Some true then true
         else
           QCheck.Test.fail_reportf "%a" Core.Validator.pp_report report)
+
+(* A run is its steps: [create], [k] steps and [finish] end where a run
+   capped at [k] events ends, whether the cap cuts the run short (both
+   report [Event_cap]) or the run ends first; and stepping until [step]
+   says stop, then finishing, is [run]. *)
+let prop_stepping_equals_capped_run =
+  let gen =
+    let open QCheck.Gen in
+    let* protocol = oneofl (Bftsim_protocols.Registry.names ())
+    and* n = oneofl [ 4; 7 ]
+    and* seed = int_range 1 10_000
+    and* restart = opt (int_range 1 3)
+    and* channel = oneofl [ []; [ ("loss", "0.05"); ("reliable", "true") ]; [ ("transport", "gossip:2") ] ]
+    and* twins = bool
+    and* k = int_range 1 2_000 in
+    (* Twins need the direct transport. *)
+    let twins = if twins && not (List.mem_assoc "transport" channel) then [ ("twins", "0") ] else [] in
+    let plan =
+      match restart with
+      | Some p -> [ ("chaos", Printf.sprintf "crash:%d@200;restart:%d@700" p p) ]
+      | None -> []
+    in
+    return
+      ( [
+          ("protocol", protocol);
+          ("n", string_of_int n);
+          ("seed", string_of_int seed);
+          ("target", "2");
+          ("max_time_ms", "30000");
+        ]
+        @ channel @ twins @ plan,
+        k )
+  in
+  let print (kvs, k) =
+    String.concat "; " (List.map (fun (key, v) -> key ^ " = " ^ v) kvs) ^ Printf.sprintf "; k = %d" k
+  in
+  let fingerprint = Bftsim_conformance.Fingerprint.of_result in
+  QCheck.Test.make ~name:"stepping equals a capped run" ~count:100 (QCheck.make ~print gen)
+    (fun (kvs, k) ->
+      match Core.Config.of_keyvalues kvs with
+      | Error e -> QCheck.Test.fail_reportf "invalid config drawn: %s" e
+      | Ok config ->
+        let stepped = Core.Controller.create config in
+        for _ = 1 to k do
+          ignore (Core.Controller.step stepped : bool)
+        done;
+        let capped = Core.Controller.run { config with Core.Config.max_events = k } in
+        let whole = Core.Controller.create config in
+        while Core.Controller.step whole do
+          ()
+        done;
+        let stepped = Core.Controller.finish stepped and whole = Core.Controller.finish whole in
+        if fingerprint stepped <> fingerprint capped then
+          QCheck.Test.fail_reportf "%d steps:@.%s@.capped run:@.%s" k
+            (Bftsim_conformance.Fingerprint.canonical stepped)
+            (Bftsim_conformance.Fingerprint.canonical capped)
+        else if fingerprint whole <> fingerprint (Core.Controller.run config) then
+          QCheck.Test.fail_reportf "stepping to the end differs from run:@.%s"
+            (Bftsim_conformance.Fingerprint.canonical whole)
+        else true)
 
 let test_validator_detects_difference () =
   let a = Core.Controller.run (base_config ~seed:1 ()) in
@@ -1045,6 +1136,7 @@ let () =
         [
           Alcotest.test_case "aggregation" `Quick test_runner_aggregates;
           Alcotest.test_case "distinct seeds" `Quick test_runner_distinct_seeds;
+          Alcotest.test_case "cancellable stepping loop" `Quick test_runner_cancellable;
         ] );
       ( "trace+validator",
         [
@@ -1055,6 +1147,7 @@ let () =
           Alcotest.test_case "trace replay" `Quick test_validator_replay;
           Alcotest.test_case "difference detection" `Quick test_validator_detects_difference;
           qc prop_replay_reproduces;
+          qc prop_stepping_equals_capped_run;
         ] );
       ( "view_tracker",
         [
