@@ -613,7 +613,7 @@ let speedup () =
    hot-path work of DESIGN.md §3.15 moves — on three kernels: the speedup
    kernel's configuration (PBFT n=20, 100 decisions), a Fig 2 point (PBFT
    n=256, one decision), whose n^2 broadcast rounds load the delivery path
-   the arrival runs serve, and a workload load point (HotStuff-NS n=16,
+   the arrival calendar serves, and a workload load point (HotStuff-NS n=16,
    geo5, 100 Mbps, pipeline 4, 4,000 req/s), the one kernel whose client
    arrivals, batch timers and commit acks go through the workload driver's
    context wrappers and [Controller.schedule].  Minor words come from

@@ -39,7 +39,7 @@ type Timer.payload += Sample_views
    and the chaos steps. *)
 type Timer.payload += Fire of (unit -> unit)
 
-(* [Arrival] is a delivery popped from the arrival runs (DESIGN.md §3.15);
+(* [Arrival] is a delivery popped from the arrival calendar (DESIGN.md §3.15);
    [Arrival_runs.current], [current_dst] and [current_id] hold it.  [epoch]
    is the owner's incarnation when the alarm was armed: an alarm set before
    a restart must not fire into the fresh node.  Alarms owned by
@@ -112,10 +112,9 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
   let attacker_rng = Rng.split root_rng in
   let node_rngs = Array.init pn (fun _ -> Rng.split root_rng) in
   let queue : event Event_queue.t = Event_queue.create () in
-  let arrivals = Arrival_runs.create queue ~arrival:Arrival ~width:pn in
+  let arrivals = Arrival_runs.create queue ~arrival:Arrival in
   let now () = Event_queue.now queue in
   let now_ms () = Event_queue.now_ms queue in
-  Simlog.set_now now;
   let topology =
     match config.Config.zones with
     | None -> Topology.fully_connected pn
@@ -136,6 +135,11 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
   let cpus = Array.init pn (fun _ -> Cost_model.make_cpu ()) in
   let life = Lifecycle.create config ~cpus ~now_ms in
   let tel = Telemetry.create config ~now_ms ~restarts:(Lifecycle.durable life) in
+  (* The log hooks are domain-local: a run re-installs its own whenever it
+     is stepped, so runs stepped in turn on one domain each log with their
+     own clock and trace into their own tracer. *)
+  let hooks = Simlog.hooks ~now ?mirror:(Telemetry.mirror tel) () in
+  Simlog.install hooks;
   let watching = Telemetry.watching tel in
   let corrupted = Array.make pn false in
   let corrupted_order = ref [] in
@@ -530,6 +534,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     false
   in
   let step () =
+    Simlog.install hooks;
     if not !started then start ();
     match !outcome with
     | Some _ -> false
@@ -539,8 +544,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       else
         (* Allocation-free pop: take the event alone, instead of boxing a
            (time, event) option per event, and compare the advanced clock
-           inside the queue, as reading it here would box a float.  The pop
-           first seals the deliveries the last event scheduled into one run.
+           inside the queue, as reading it here would box a float.
            [limit] is positive, so overdue since the later of the last
            progress and the last chaos step is also past the step. *)
         let ev = Arrival_runs.next_exn arrivals in
@@ -557,10 +561,13 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
             true
         end
   in
-  let close () = Telemetry.close tel in
+  (* A cancellation or crash escaping the run must not leave the mirror
+     pointing into this run's dead tracer for whatever logs next on the
+     domain. *)
+  let close () = Simlog.uninstall hooks in
   let finish () =
+    Simlog.install hooks;
     if not !started then start ();
-    close ();
     let time_ms =
       match !finished with
       | Some at -> at
@@ -570,6 +577,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       ~twin_instances:(Option.map (fun _ -> pn - n) twins);
     Simlog.debug "run ended at %g ms: %d alarms pending, %d timer spans open" time_ms
       (Dense_set.cardinal pending_timers) (Telemetry.open_timer_spans tel);
+    close ();
     (* The published decision table carries logical ids, so a twin's two
        halves appear as two rows under one identity. *)
     let decisions_list = List.init pn (fun p -> (to_logical p, List.rev !(decisions.(p)))) in

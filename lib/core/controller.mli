@@ -93,17 +93,19 @@ val create :
 val step : t -> bool
 (** Handles the next event and returns whether the run goes on; [false]
     once the target is reached or a stop check fires (time or event cap,
-    drained queue, watchdog), and on every later call.  Allocates nothing
-    beyond what the handler does. *)
+    drained queue, watchdog), and on every later call.  Installs the run's
+    [Simlog] hooks first when the domain holds another run's, so runs
+    stepped in turn log with their own clocks.  Allocates nothing beyond
+    what the handler does. *)
 
 val finish : t -> result
 (** The run's result.  A run stopped before [step] returned [false]
     reports {!Event_cap}; a run never stepped starts its nodes first. *)
 
 val close : t -> unit
-(** Releases the calling domain's [Simlog] mirror the run installed when
-    tracing.  {!finish} does it; a caller that abandons a run on an
-    exception calls it instead. *)
+(** Releases the calling domain's [Simlog] hooks (the run's clock, and its
+    mirror when tracing) if they are this run's.  {!finish} does it; a
+    caller that abandons a run on an exception calls it instead. *)
 
 val schedule : t -> tag:string -> delay_ms:float -> (unit -> unit) -> unit
 (** A one-shot callback [delay_ms] after the current simulation time,

@@ -73,23 +73,20 @@ let create (config : Config.t) ~now_ms ~restarts =
       h_catchup = None;
     }
   in
-  (* Warnings and errors are mirrored onto the trace timeline so anomalies
-     appear next to the events that caused them. *)
-  if t.tracing then
-    Simlog.set_mirror
-      (Some
-         (fun ~level s ->
-           let name =
-             match level with Logs.Error -> "error" | Logs.Warning -> "warning" | _ -> "log"
-           in
-           instant t ~name ~cat:"log" ~node:(-1) ~args:[ ("msg", Tracer.Str s) ] ()));
   (* Restart-to-caught-up latency; present only when the plan restarts. *)
   if restarts then { t with h_catchup = histogram t "recovery.catchup_ms" } else t
 
-(* The mirror is domain-local: a cancellation or crash escaping the run
-   must not leave it pointing into this run's dead tracer for the next run
-   scheduled on the same domain. *)
-let close t = if t.tracing then Simlog.set_mirror None
+(* Warnings and errors are mirrored onto the trace timeline so anomalies
+   appear next to the events that caused them. *)
+let mirror t =
+  if not t.tracing then None
+  else
+    Some
+      (fun ~level s ->
+        let name =
+          match level with Logs.Error -> "error" | Logs.Warning -> "warning" | _ -> "log"
+        in
+        instant t ~name ~cat:"log" ~node:(-1) ~args:[ ("msg", Tracer.Str s) ] ())
 
 let trace t = t.trace
 

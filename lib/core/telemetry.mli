@@ -11,10 +11,11 @@ type t
 
 val create : Config.t -> now_ms:(unit -> float) -> restarts:bool -> t
 (** [restarts]: the run can restart a node, so restart-to-caught-up times
-    are recorded.  Installs the [Simlog] mirror when tracing; {!close}
-    removes it. *)
+    are recorded. *)
 
-val close : t -> unit
+val mirror : t -> (level:Logs.level -> string -> unit) option
+(** The [Simlog] mirror that puts warn/err lines on the trace timeline, when
+    tracing. *)
 
 val trace : t -> Trace.t option
 

@@ -5,18 +5,26 @@
 type 'a t = {
   queue : 'a Pqueue.t;
   clock : float array;
-  (* Boxed mirror of [clock.(0)], refreshed once per clock advance so the
-     many [now] callers (protocol handlers, senders) share one box instead
-     of boxing per call. *)
+  (* Boxed mirror of [clock.(0)] for the [now] callers (protocol handlers,
+     senders), who share one box.  It is refreshed at the first [now] after
+     the clock advances, not at the advance: most events, such as a vote
+     whose handler sends nothing, never read it. *)
   mutable clock_t : Time.t;
+  mutable stale : bool;
   mutable popped : int;
 }
 
-let create () = { queue = Pqueue.create (); clock = [| 0. |]; clock_t = Time.zero; popped = 0 }
+let create () =
+  { queue = Pqueue.create (); clock = [| 0. |]; clock_t = Time.zero; stale = false; popped = 0 }
 
 let now_ms q = Array.unsafe_get q.clock 0
 
-let now q = q.clock_t
+let now q =
+  if q.stale then begin
+    q.clock_t <- Time.unsafe_of_ms (now_ms q);
+    q.stale <- false
+  end;
+  q.clock_t
 
 let past q ms = now_ms q > ms
 
@@ -31,16 +39,19 @@ let schedule q ~at ev =
 
 let reserve_seq q = Pqueue.reserve_seq q.queue
 
-let next_before q other = Pqueue.min_before q.queue other
+let precedes q lane i ~seq = Pqueue.min_precedes q.queue lane i ~seq
 
-let[@inline] advance_to q at =
-  if at > now_ms q then begin
-    Array.unsafe_set q.clock 0 at;
-    q.clock_t <- Time.unsafe_of_ms at
-  end;
-  q.popped <- q.popped + 1
-
-let advance q lane i = advance_to q (Array.get lane i)
+let advance q lane i =
+  let at = Array.get lane i in
+  at >= now_ms q
+  && begin
+       if at > now_ms q then begin
+         Array.unsafe_set q.clock 0 at;
+         q.stale <- true
+       end;
+       q.popped <- q.popped + 1;
+       true
+     end
 
 let schedule_after q ~delay_ms ev =
   let delay_ms = if delay_ms < 0. then 0. else delay_ms in
@@ -48,10 +59,17 @@ let schedule_after q ~delay_ms ev =
 
 let is_empty q = Pqueue.is_empty q.queue
 
+(* [Pqueue.min_priority] returns the time boxed, as a float returned from
+   another module is, so that box becomes the mirror at once. *)
 let next_exn q =
   let at = Pqueue.min_priority q.queue in
   let ev = Pqueue.pop_exn q.queue in
-  advance_to q at;
+  if at > now_ms q then begin
+    Array.unsafe_set q.clock 0 at;
+    q.clock_t <- Time.unsafe_of_ms at;
+    q.stale <- false
+  end;
+  q.popped <- q.popped + 1;
   ev
 
 let next q =

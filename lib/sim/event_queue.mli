@@ -23,19 +23,21 @@ val reserve_seq : 'a t -> int
 
 (** {1 Merging a second queue}
 
-    A caller may keep events of its own in a {!Pqueue.t} keyed by
-    [(ms, seq)] with sequence numbers from {!reserve_seq}, and pop the two
-    queues as one: {!next_before} picks the queue to pop, and {!advance}
-    stands in for {!next_exn} when the caller's queue wins. *)
+    A caller may keep events of its own, keyed by [(ms, seq)] with
+    sequence numbers from {!reserve_seq}, and pop them with this queue's
+    as one: {!precedes} picks the queue to pop, and {!advance} stands in
+    for {!next_exn} when the caller's event wins. *)
 
-val next_before : 'a t -> 'b Pqueue.t -> bool
-(** [next_before q other] holds when [q]'s next event pops before
-    [other]'s minimum entry.
-    @raise Invalid_argument if either queue is empty. *)
+val precedes : 'a t -> float array -> int -> seq:int -> bool
+(** [precedes q lane i ~seq] holds when [q]'s next event pops before the
+    caller's event keyed by [lane.(i)] ms and [seq]; false when [q] is
+    empty. *)
 
-val advance : 'a t -> float array -> int -> unit
+val advance : 'a t -> float array -> int -> bool
 (** [advance q lane i] advances the clock to [lane.(i)] ms, the time of an
-    event popped from the caller's queue, and counts it in {!popped}. *)
+    event popped from the caller's queue, counts it in {!popped} and
+    holds.  It is false, and changes nothing, when [lane.(i)] is earlier
+    than the clock: the caller scheduled that event in the past. *)
 
 val schedule_after : 'a t -> delay_ms:float -> 'a -> unit
 (** [schedule_after q ~delay_ms ev] enqueues [ev] at [now + delay_ms];

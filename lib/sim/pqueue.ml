@@ -140,23 +140,11 @@ let push q ~priority value = insert q priority (reserve_seq q) value
 
 (* The priority is read here, from the caller's lane: a float passed to a
    function of another module would be boxed. *)
-let push_keyed q lane i ~seq value = insert q (Array.get lane i) seq value
-
-(* The new key goes into the root, whose entry then sinks to its place. *)
-let rekey_min q lane i ~seq =
-  if q.size = 0 then invalid_arg "Pqueue.rekey_min: empty queue";
-  Array.unsafe_set q.prio 0 (Array.get lane i);
-  Array.unsafe_set q.seq 0 seq;
-  sift_down_from q ~from:0
-
-let min_before a b =
-  if a.size = 0 || b.size = 0 then invalid_arg "Pqueue.min_before: empty queue";
-  let pa = Array.unsafe_get a.prio 0 and pb = Array.unsafe_get b.prio 0 in
-  pa < pb || (pa = pb && Array.unsafe_get a.seq 0 < Array.unsafe_get b.seq 0)
-
-let min_exn q =
-  if q.size = 0 then invalid_arg "Pqueue.min_exn: empty queue";
-  Array.unsafe_get q.vals 0
+let min_precedes q lane i ~seq =
+  q.size > 0
+  &&
+  let p = Array.unsafe_get q.prio 0 and key = Array.get lane i in
+  p < key || (p = key && Array.unsafe_get q.seq 0 < seq)
 
 let min_priority q =
   if q.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";

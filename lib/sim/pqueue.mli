@@ -35,29 +35,15 @@ val push : 'a t -> priority:float -> 'a -> unit
 
 val reserve_seq : 'a t -> int
 (** [reserve_seq q] takes the next insertion sequence number without
-    pushing anything: the caller holds an entry back and inserts it later
-    with {!push_keyed}, ordered as if it had been pushed now. *)
+    pushing anything: the caller keeps an entry in a queue of its own,
+    ordered against [q]'s as if it had been pushed now. *)
 
-val push_keyed : 'a t -> float array -> int -> seq:int -> 'a -> unit
-(** [push_keyed q lane i ~seq v] inserts [v] with priority [lane.(i)] and
-    the sequence number [seq], taken with {!reserve_seq} from [q] or from
-    the queue [q] is merged with, and in [q] at most once.  Reading the
-    priority from a float lane keeps the hot path free of boxed floats. *)
-
-val rekey_min : 'a t -> float array -> int -> seq:int -> unit
-(** [rekey_min q lane i ~seq] gives the minimum entry the priority
-    [lane.(i)] and the sequence number [seq] (which must not be in the
-    queue), keeping its payload, and moves it to its new place.
-    @raise Invalid_argument if the queue is empty. *)
-
-val min_before : 'a t -> 'b t -> bool
-(** [min_before a b] holds when the minimum entry of [a] pops before that
-    of [b], both keyed in one sequence-number space.
-    @raise Invalid_argument if either queue is empty. *)
-
-val min_exn : 'a t -> 'a
-(** Payload of the minimum entry, without removing it.
-    @raise Invalid_argument if the queue is empty. *)
+val min_precedes : 'a t -> float array -> int -> seq:int -> bool
+(** [min_precedes q lane i ~seq] holds when the minimum entry of [q] pops
+    before an entry keyed by priority [lane.(i)] and sequence number [seq]
+    (taken with {!reserve_seq}), and is false when [q] is empty.  Reading
+    the priority from a float lane keeps the hot path free of boxed
+    floats. *)
 
 val pop : 'a t -> (float * 'a) option
 (** [pop q] removes and returns the minimum entry, or [None] if empty. *)

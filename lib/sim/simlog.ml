@@ -1,24 +1,23 @@
 let src = Logs.Src.create "bftsim" ~doc:"BFT simulator events"
 
 
-(* The clock hook is domain-local storage, not a global ref: concurrent
-   simulations (Parallel.map fanning Controller.run across domains) each
-   install their own clock without racing on a shared cell. *)
-let now_key = Domain.DLS.new_key (fun () -> fun () -> Time.zero)
+(* A run's hooks: its clock, and, when a tracer is active, a mirror that
+   also puts warn/err lines on the trace timeline.  They live in
+   domain-local storage, not a global ref: concurrent simulations
+   (Parallel.map fanning Controller.run across domains) each install their
+   own without racing on a shared cell.  They are hooks, not dependencies:
+   Simlog stays below the telemetry library. *)
+type hooks = { now : unit -> Time.t; mirror : (level:Logs.level -> string -> unit) option }
 
-let set_now f = Domain.DLS.set now_key f
+let idle = { now = (fun () -> Time.zero); mirror = None }
 
-let now () = (Domain.DLS.get now_key) ()
+let key = Domain.DLS.new_key (fun () -> idle)
 
-(* Telemetry mirror: when a tracer is active, the controller installs a
-   callback here so warn/err lines also land on the trace timeline.  Like
-   the clock it is domain-local — concurrent runs mirror into their own
-   tracers — and like the clock it is a hook, not a dependency: Simlog
-   stays below the telemetry library. *)
-let mirror_key : (level:Logs.level -> string -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let hooks ~now ?mirror () = { now; mirror }
 
-let set_mirror m = Domain.DLS.set mirror_key m
+let install h = if Domain.DLS.get key != h then Domain.DLS.set key h
+
+let uninstall h = if Domain.DLS.get key == h then Domain.DLS.set key idle
 
 let level_to_int = function
   | Logs.App -> 0
@@ -37,8 +36,9 @@ let enabled level =
    warn/err line is formatted even when the log level suppresses it: the
    trace timeline must show warnings whatever the console verbosity. *)
 let log level fmt =
+  let hooks = Domain.DLS.get key in
   let mirror =
-    match Domain.DLS.get mirror_key with
+    match hooks.mirror with
     | Some m when level_to_int level <= level_to_int Logs.Warning -> Some m
     | Some _ | None -> None
   in
@@ -46,7 +46,7 @@ let log level fmt =
   if log_on || mirror <> None then
     Format.kasprintf
       (fun s ->
-        if log_on then Logs.msg ~src level (fun m -> m "[%a] %s" Time.pp (now ()) s);
+        if log_on then Logs.msg ~src level (fun m -> m "[%a] %s" Time.pp (hooks.now ()) s);
         match mirror with Some m -> m ~level s | None -> ())
       fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt

@@ -351,12 +351,9 @@ let test_merged_metrics_jobs_independent () =
     (Format.asprintf "%a" Obs.Metrics.pp m1)
     (Format.asprintf "%a" Obs.Metrics.pp m4)
 
-(* A traced run ends with one open timer span per pending alarm: every path
-   that consumes an alarm without firing it (a retransmission whose frame
-   was acked or abandoned, an alarm lost with a node that never restarts)
-   closes its span as well.  The controller's debug line at run end reports
-   both counts. *)
-let test_timer_spans_match_pending_alarms () =
+(* Runs [f lines] with the bftsim log source at debug level; [lines]
+   collects every reported line, newest first. *)
+let with_debug_lines f =
   let lines = ref [] in
   let report _src _level ~over k msgf =
     msgf (fun ?header:_ ?tags:_ fmt ->
@@ -371,6 +368,18 @@ let test_timer_spans_match_pending_alarms () =
   let reporter = Logs.reporter () and level = Logs.Src.level src in
   Logs.set_reporter { Logs.report };
   Logs.Src.set_level src (Some Logs.Debug);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level src level)
+    (fun () -> f lines)
+
+(* A traced run ends with one open timer span per pending alarm: every path
+   that consumes an alarm without firing it (a retransmission whose frame
+   was acked or abandoned, an alarm lost with a node that never restarts)
+   closes its span as well.  The controller's debug line at run end reports
+   both counts. *)
+let test_timer_spans_match_pending_alarms () =
   let config =
     {
       (Core.Config.make "pbft" ~n:7 ~seed:42 ~delay:(Net.Delay_model.Constant 100.)) with
@@ -383,11 +392,11 @@ let test_timer_spans_match_pending_alarms () =
       telemetry = { Core.Config.metrics = false; tracing = true; trace_capacity = 1024 };
     }
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter reporter;
-      Logs.Src.set_level src level)
-    (fun () -> ignore (Core.Controller.run config : Core.Controller.result));
+  let lines =
+    with_debug_lines (fun lines ->
+        ignore (Core.Controller.run config : Core.Controller.result);
+        !lines)
+  in
   let counts line =
     match String.index_opt line ':' with
     | Some i when String.length line > i + 2 ->
@@ -395,7 +404,7 @@ let test_timer_spans_match_pending_alarms () =
       Scanf.sscanf_opt rest "%d alarms pending, %d timer spans open" (fun a b -> (a, b))
     | _ -> None
   in
-  match List.find_map counts !lines with
+  match List.find_map counts lines with
   | None -> Alcotest.fail "no run-end debug line"
   | Some (pending, open_spans) ->
     Alcotest.(check bool) "alarms still pending at run end" true (pending > 0);
@@ -403,16 +412,20 @@ let test_timer_spans_match_pending_alarms () =
 
 let test_simlog_mirror () =
   let tr = Obs.Tracer.create ~capacity:16 () in
-  Bftsim_sim.Simlog.set_mirror
-    (Some
-       (fun ~level s ->
-         let name = match level with Logs.Error -> "error" | _ -> "warning" in
-         Obs.Tracer.instant tr ~name ~cat:"log" ~node:(-1) ~ts_us:0.
-           ~args:[ ("msg", Obs.Tracer.Str s) ]
-           ()));
+  let hooks =
+    Bftsim_sim.Simlog.hooks
+      ~now:(fun () -> Bftsim_sim.Time.zero)
+      ~mirror:(fun ~level s ->
+        let name = match level with Logs.Error -> "error" | _ -> "warning" in
+        Obs.Tracer.instant tr ~name ~cat:"log" ~node:(-1) ~ts_us:0.
+          ~args:[ ("msg", Obs.Tracer.Str s) ]
+          ())
+      ()
+  in
+  Bftsim_sim.Simlog.install hooks;
   Bftsim_sim.Simlog.warn "mirrored %d" 1;
   Bftsim_sim.Simlog.info "not mirrored";
-  Bftsim_sim.Simlog.set_mirror None;
+  Bftsim_sim.Simlog.uninstall hooks;
   Bftsim_sim.Simlog.warn "after removal";
   let entries = Obs.Tracer.entries tr in
   Alcotest.(check int) "only warn+ mirrored, only while installed" 1 (List.length entries);
@@ -423,6 +436,46 @@ let test_simlog_mirror () =
     | Obs.Tracer.Str s -> Alcotest.(check string) "formatted" "mirrored 1" s
     | _ -> Alcotest.fail "msg arg")
   | _ -> assert false
+
+(* Two runs stepped in turn on one domain: each logs with its own clock,
+   whichever was created last.  The run-end debug line of each carries the
+   clock of that run at [finish]. *)
+let test_per_run_log_clocks () =
+  let run_end lines t =
+    lines := [];
+    ignore (Core.Controller.finish t : Core.Controller.result);
+    let clock =
+      Format.asprintf "[%a]" Bftsim_sim.Time.pp
+        (Bftsim_sim.Time.of_ms (Core.Controller.now_ms t))
+    in
+    let needle = "] run ended at" in
+    let k = String.length needle in
+    let mentions l =
+      let rec from i = i + k <= String.length l && (String.sub l i k = needle || from (i + 1)) in
+      from 0
+    in
+    match List.find_opt mentions !lines with
+    | Some line -> (clock, String.sub line 0 (String.index line ']' + 1))
+    | None -> Alcotest.fail "no run-end debug line"
+  in
+  let ends =
+    with_debug_lines (fun lines ->
+        let a = Core.Controller.create (Core.Config.make "pbft" ~n:4 ~seed:1) in
+        let b = Core.Controller.create (Core.Config.make "pbft" ~n:4 ~seed:2) in
+        let rec alternate live_a live_b =
+          if live_a || live_b then begin
+            let live_a = live_a && Core.Controller.step a in
+            alternate live_a (live_b && Core.Controller.step b)
+          end
+        in
+        alternate true true;
+        [ run_end lines a; run_end lines b ])
+  in
+  (match ends with
+  | [ (clock_a, _); (clock_b, _) ] ->
+    Alcotest.(check bool) "the runs end at different times" true (clock_a <> clock_b)
+  | _ -> assert false);
+  List.iter (fun (clock, prefix) -> Alcotest.(check string) "own clock" clock prefix) ends
 
 let () =
   Alcotest.run "obs"
@@ -458,6 +511,7 @@ let () =
           Alcotest.test_case "merged metrics jobs-independent" `Quick
             test_merged_metrics_jobs_independent;
           Alcotest.test_case "simlog mirror" `Quick test_simlog_mirror;
+          Alcotest.test_case "per-run log clocks" `Quick test_per_run_log_clocks;
           Alcotest.test_case "timer spans match pending alarms" `Quick
             test_timer_spans_match_pending_alarms;
         ] );

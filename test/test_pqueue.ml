@@ -1,6 +1,6 @@
 (* Property tests for the flat-lane Pqueue, the Event_queue built on it and
-   the arrival runs merged with it: the heap must pop in exactly the order a
-   sorted-by-(priority, seq) reference model predicts, whatever
+   the arrival calendar merged with it: each must pop in exactly the order
+   a sorted-by-(priority, seq) reference model predicts, whatever
    interleaving of pushes and pops built it — this is the determinism
    contract the whole simulator rests on (§III-A2, DESIGN.md §3.15). *)
 
@@ -201,23 +201,49 @@ let prop_event_queue_matches_model =
       in
       check 0.)
 
-(* --- Arrival runs: the controller's delivery path --- *)
+(* --- The arrival calendar: the controller's delivery path --- *)
 
-(* One step models one handled event: a burst of deliveries and alarms at
-   small offsets from the current time (0 included, so arrivals at "now"
-   and ties are frequent), then one pop.  The first burst is the start-up
-   phase.  The reference schedules every delivery as an event of its own,
-   as the event queue did before runs existed. *)
-type sched = Delivery of int | Alarm_in of int
+(* One step models one handled event: a burst of deliveries and alarms,
+   then one pop.  The first burst is the start-up phase.  Delays mix
+   scales so the calendar's paths all run: small whole offsets (0
+   included, so arrivals at "now" and exact ties are frequent), fractions
+   of a ms, 10-1,000 ms and up to 10^6 ms, in bursts of up to thousands,
+   which make it rebuild, wrap its ring and overflow.  An alarm carries
+   deliveries it schedules when it pops, at small offsets, which often
+   land earlier than the bucket the calendar is popping.  The reference
+   schedules every delivery as an event of its own, as the event queue
+   did before the calendar existed. *)
+type sched = Delivery of float | Alarm_in of float * float list
 
 type step = { burst : sched list; pop : bool }
+
+let small_delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map float_of_int (int_range 0 3));
+        (1, map (fun k -> float_of_int k /. 16.) (int_range 0 15));
+      ])
+
+let delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, small_delay_gen);
+        (2, map float_of_int (int_range 10 1000));
+        (1, map float_of_int (int_range 0 1_000_000));
+      ])
 
 let sched_gen =
   QCheck.Gen.(
     frequency
       [
-        (4, map (fun d -> Delivery d) (int_range 0 3));
-        (1, map (fun d -> Alarm_in d) (int_range 0 3));
+        (8, map (fun d -> Delivery d) delay_gen);
+        ( 1,
+          map2
+            (fun d kids -> Alarm_in (d, kids))
+            delay_gen
+            (list_size (int_range 0 6) small_delay_gen) );
       ])
 
 let step_gen =
@@ -225,11 +251,19 @@ let step_gen =
     map2
       (fun burst pop -> { burst; pop })
       (frequency
-         [ (3, list_size (int_range 0 4) sched_gen); (1, list_size (int_range 5 40) sched_gen) ])
+         [
+           (12, list_size (int_range 0 4) sched_gen);
+           (4, list_size (int_range 5 40) sched_gen);
+           (1, list_size (int_range 100 2000) sched_gen);
+         ])
       (frequency [ (4, return true); (1, return false) ]))
 
 let steps_arb =
   QCheck.make
+    ~shrink:
+      QCheck.Shrink.(
+        list ~shrink:(fun { burst; pop } yield ->
+            list burst (fun burst -> yield { burst; pop })))
     ~print:(fun steps ->
       String.concat " | "
         (List.map
@@ -237,8 +271,10 @@ let steps_arb =
              String.concat ","
                (List.map
                   (function
-                    | Delivery d -> Printf.sprintf "d%d" d
-                    | Alarm_in d -> Printf.sprintf "a%d" d)
+                    | Delivery d -> Printf.sprintf "d%g" d
+                    | Alarm_in (d, kids) ->
+                      Printf.sprintf "a%g[%s]" d
+                        (String.concat ";" (List.map (Printf.sprintf "%g") kids)))
                   burst)
              ^ if pop then " pop" else "")
            steps))
@@ -248,28 +284,36 @@ type ev = Arrival | Alarm of int
 
 let run_steps steps =
   let q = Event_queue.create () in
-  let runs = Arrival_runs.create q ~arrival:Arrival ~width:4 in
+  let runs = Arrival_runs.create q ~arrival:Arrival in
   let reference = Event_queue.create () in
   let next_id = ref 0 in
-  let schedule s =
+  let kids_of = Hashtbl.create 16 in
+  let deliver d =
     incr next_id;
     let id = !next_id in
-    match s with
-    | Delivery d ->
-      let msg = Message.envelope ~src:0 ~sent_at:(Event_queue.now q) (Message.Blob "") in
-      Arrival_runs.add runs msg ~dst:0 ~id ~delay_ms:(float_of_int d);
-      Event_queue.schedule_after reference ~delay_ms:(float_of_int d) id
-    | Alarm_in d ->
-      Event_queue.schedule_after q ~delay_ms:(float_of_int d) (Alarm id);
-      Event_queue.schedule_after reference ~delay_ms:(float_of_int d) id
+    let msg = Message.envelope ~src:0 ~sent_at:(Event_queue.now q) (Message.Blob "") in
+    Arrival_runs.add runs msg ~dst:0 ~id ~delay_ms:d;
+    Event_queue.schedule_after reference ~delay_ms:d id
+  in
+  let schedule = function
+    | Delivery d -> deliver d
+    | Alarm_in (d, kids) ->
+      incr next_id;
+      let id = !next_id in
+      Hashtbl.replace kids_of id kids;
+      Event_queue.schedule_after q ~delay_ms:d (Alarm id);
+      Event_queue.schedule_after reference ~delay_ms:d id
   in
   let pop () =
-    let id =
-      match Arrival_runs.next_exn runs with
-      | Arrival -> Arrival_runs.current_id runs
-      | Alarm id -> id
-    in
+    let ev = Arrival_runs.next_exn runs in
     let expected = Event_queue.next_exn reference in
+    let id =
+      match ev with
+      | Arrival -> Arrival_runs.current_id runs
+      | Alarm id ->
+        List.iter deliver (Hashtbl.find kids_of id);
+        id
+    in
     id = expected && Event_queue.now_ms q = Event_queue.now_ms reference
   in
   let in_step { burst; pop = popping } =
@@ -286,11 +330,19 @@ let prop_arrival_runs_match_model =
   QCheck.Test.make ~count:500 ~name:"Arrival_runs pops in (time, seq) order" steps_arb
     run_steps
 
-(* A delivery scheduled before the current time is refused when its run is
-   sealed, as [Event_queue.schedule] refuses an event in the past. *)
+(* A delivery filed beyond the ring's horizon is overtaken by one filed
+   within it after the ring moved on: the next bucket is then past the
+   overflow's earliest, and the calendar rebuilds before popping it. *)
+let test_overflow_overtaken () =
+  let step burst = { burst = List.map (fun d -> Delivery d) burst; pop = true } in
+  Alcotest.(check bool) "pops in (time, seq) order" true
+    (run_steps [ step [ 2.; 3. ]; step [ 2.; 0.625 ]; step []; step [ 1. ] ])
+
+(* A delivery scheduled before the current time is refused when it pops,
+   as [Event_queue.schedule] refuses an event in the past. *)
 let test_arrival_in_past () =
   let q = Event_queue.create () in
-  let runs = Arrival_runs.create q ~arrival:Arrival ~width:4 in
+  let runs = Arrival_runs.create q ~arrival:Arrival in
   Event_queue.schedule q ~at:(Time.of_ms 10.) (Alarm 0);
   ignore (Arrival_runs.next_exn runs : ev);
   let msg = Message.envelope ~src:0 ~sent_at:(Time.of_ms 5.) (Message.Blob "") in
@@ -299,23 +351,26 @@ let test_arrival_in_past () =
     (Invalid_argument "Arrival_runs: a delivery is scheduled in the past")
     (fun () -> ignore (Arrival_runs.next_exn runs : ev))
 
-(* The lane primitives the runs use: a push with a reserved sequence number
-   orders as if pushed at reservation time, and re-keying the minimum moves
-   it behind later entries. *)
-let test_keyed_push_and_rekey () =
-  let q = Pqueue.create () in
-  let lane = [| 5.; 5.; 9. |] in
-  let early = Pqueue.reserve_seq q in
-  Pqueue.push q ~priority:5. "pushed";
-  Pqueue.push_keyed q lane 0 ~seq:early "reserved";
-  Alcotest.(check string) "reserved seq wins the tie" "reserved" (Pqueue.min_exn q);
-  Pqueue.rekey_min q lane 2 ~seq:(Pqueue.reserve_seq q);
-  Alcotest.(check string) "re-keyed entry sinks" "pushed" (Pqueue.pop_exn q);
-  Alcotest.(check (float 0.)) "re-keyed priority" 9. (Pqueue.min_priority q);
-  let other = Pqueue.create () in
-  Pqueue.push_keyed other lane 1 ~seq:(Pqueue.reserve_seq q) ();
-  Alcotest.(check bool) "min_before across queues" false (Pqueue.min_before q other);
-  Alcotest.(check bool) "min_before reversed" true (Pqueue.min_before other q)
+(* The merge primitives the calendar uses: a caller's event keyed with a
+   reserved sequence number orders as if pushed at reservation time, and
+   advancing to it moves the clock but refuses the past. *)
+let test_precedes_and_advance () =
+  let q = Event_queue.create () in
+  let lane = [| 5.; 9.; 1. |] in
+  Alcotest.(check bool) "empty queue never precedes" false (Event_queue.precedes q lane 0 ~seq:0);
+  let early = Event_queue.reserve_seq q in
+  Event_queue.schedule q ~at:(Time.of_ms 5.) "pushed";
+  Alcotest.(check bool)
+    "reserved seq wins the tie" false
+    (Event_queue.precedes q lane 0 ~seq:early);
+  Alcotest.(check bool) "later seq loses the tie" true
+    (Event_queue.precedes q lane 0 ~seq:(Event_queue.reserve_seq q));
+  Alcotest.(check bool) "later time loses" true (Event_queue.precedes q lane 1 ~seq:early);
+  Alcotest.(check bool) "advance" true (Event_queue.advance q lane 0);
+  Alcotest.(check (float 0.)) "clock" 5. (Event_queue.now_ms q);
+  Alcotest.(check (float 0.)) "boxed clock" 5. (Time.to_ms (Event_queue.now q));
+  Alcotest.(check bool) "advance into the past" false (Event_queue.advance q lane 2);
+  Alcotest.(check int) "popped" 1 (Event_queue.popped q)
 
 let () =
   Alcotest.run "pqueue"
@@ -333,7 +388,8 @@ let () =
           Alcotest.test_case "grow boundary" `Quick test_grow_boundary;
           Alcotest.test_case "min_priority / pop_exn" `Quick test_min_priority_pop_exn;
           Alcotest.test_case "no payload retention" `Quick test_no_payload_retention;
-          Alcotest.test_case "keyed push / rekey_min" `Quick test_keyed_push_and_rekey;
+          Alcotest.test_case "precedes / advance" `Quick test_precedes_and_advance;
           Alcotest.test_case "arrival in the past" `Quick test_arrival_in_past;
+          Alcotest.test_case "overflow overtaken" `Quick test_overflow_overtaken;
         ] );
     ]

@@ -175,7 +175,6 @@ let run_script ops =
         if i >= before_drain then given_up_late := (e.node, e.peer, e.tag) :: !given_up_late
       end)
     (Core.Trace.entries trace);
-  Core.Telemetry.close telemetry;
   let count table k = Option.value ~default:0 (Hashtbl.find_opt table k) in
   List.for_all
     (fun k -> count unwrapped k = 1 || (count unwrapped k = 0 && Hashtbl.mem given_up k))
