@@ -17,15 +17,15 @@ type env = {
   now : unit -> Time.t;
   lifecycle : Lifecycle.t;
   cpus : Cost_model.cpu array;
-  attack : Message.t -> dst:int -> delay_ms:float -> Attack.Attacker.verdict;
+  attack : (Message.t -> dst:int -> delay_ms:float -> Attack.Attacker.verdict) option;
   next_id : unit -> int;
-  deliver_at : Message.t -> dst:int -> id:int -> delay_ms:float -> unit;
+  deliver_at : Message.t -> dst:int -> id:int -> float array -> unit;
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   telemetry : Telemetry.t;
   dropped : int ref;
 }
 
-type up = Message.t -> dst:int -> id:int -> unit
+type up = Message.t -> dst:int -> unit
 
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
@@ -94,7 +94,7 @@ let reliable e rng lower =
       arm src ~dst ~seq ~attempt:0
     end
   in
-  let receive up (msg : Message.t) ~dst ~id =
+  let receive up (msg : Message.t) ~dst =
     let src = msg.Message.src in
     match msg.Message.payload with
     | Rc_frame { seq; tag; size; inner } when not (Lifecycle.absent e.lifecycle dst) ->
@@ -105,14 +105,16 @@ let reliable e rng lower =
       if Hashtbl.mem seen (src, dst, seq) then incr c_dup_dropped
       else begin
         Hashtbl.replace seen (src, dst, seq) ();
-        (* The unwrapped payload is a message of its own: its own id. *)
-        up { msg with Message.tag; size; payload = inner } ~dst ~id:(e.next_id ())
+        (* The unwrapped payload is a message of its own and takes an id,
+           so the ids issued after it keep their numbers. *)
+        ignore (e.next_id () : int);
+        up { msg with Message.tag; size; payload = inner } ~dst
       end
     | Rc_ack { seq } ->
       (* The channel key is (sender, receiver): the acked sender is this
          message's destination. *)
       Hashtbl.remove out (dst, src, seq)
-    | _ -> up msg ~dst ~id
+    | _ -> up msg ~dst
   in
   let on_timer (timer : Timer.t) =
     match timer.Timer.payload with
@@ -175,16 +177,17 @@ let gossip e rng ~fanout lower =
     Hashtbl.replace seen.(src) (src, !gid) ();
     forward src (Gossip_frame { origin = src; gid = !gid; tag; size; inner = payload }) ~tag ~size
   in
-  let receive up (msg : Message.t) ~dst ~id =
+  let receive up (msg : Message.t) ~dst =
     match msg.Message.payload with
     | Gossip_frame { origin; gid; tag; size; inner } ->
       if not (Hashtbl.mem seen.(dst) (origin, gid)) then begin
         Hashtbl.replace seen.(dst) (origin, gid) ();
         if not (Lifecycle.absent e.lifecycle dst) then forward dst msg.Message.payload ~tag ~size;
+        (* The unwrapped message takes an id, as the reliable channel's. *)
+        ignore (e.next_id () : int);
         up (Message.envelope ~src:origin ~sent_at:msg.Message.sent_at ~tag ~size inner) ~dst
-          ~id:(e.next_id ())
       end
-    | _ -> up msg ~dst ~id
+    | _ -> up msg ~dst
   in
   { lower with broadcast; deliver = (fun up -> lower.deliver (receive up)) }
 
@@ -240,15 +243,20 @@ let create e =
     incr counter;
     Telemetry.message tel what msg ~dst
   in
-  let enqueue (msg : Message.t) ~dst ~id ~delay_ms =
+  (* The delay of the delivery being routed: [Network.sample] draws it
+     here, the CPU charge, a verdict's [Delay] and the loss model's reorder
+     add to it, and [deliver_at] reads it, so it is never boxed on the
+     way. *)
+  let cell = [| 0. |] in
+  let enqueue (msg : Message.t) ~dst ~id =
     (match h_delay with
     | Some h when msg.Message.src <> dst -> (
-      Obs.Metrics.observe_h h delay_ms;
+      Obs.Metrics.observe_h h (Array.unsafe_get cell 0);
       match h_queue with
       | Some q -> Obs.Metrics.observe_h q (Network.last_queue_ms e.network)
       | None -> ())
     | _ -> ());
-    e.deliver_at msg ~dst ~id ~delay_ms
+    e.deliver_at msg ~dst ~id cell
   in
   (* Stochastic per-link faults run after the adversary: the attacker models
      intent, this models the wire itself.  The chaos plan's loss and dup
@@ -270,21 +278,23 @@ let create e =
           Loss_model.sample ~model state rng ~src ~dst
       in
       let c_lost = counter "net.loss_dropped" and c_dup = counter "net.dup_created" in
-      fun (msg : Message.t) ~dst ~id ~delay_ms ->
-        if msg.Message.src = dst then enqueue msg ~dst ~id ~delay_ms
+      fun (msg : Message.t) ~dst ~id ->
+        if msg.Message.src = dst then enqueue msg ~dst ~id
         else
           let v = sample ~src:msg.Message.src ~dst in
           if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg ~dst
           else begin
-            let delay_ms = delay_ms +. v.Loss_model.reorder_extra_ms in
-            enqueue msg ~dst ~id ~delay_ms;
+            let delay_ms = Array.unsafe_get cell 0 +. v.Loss_model.reorder_extra_ms in
+            Array.unsafe_set cell 0 delay_ms;
+            enqueue msg ~dst ~id;
             if v.Loss_model.duplicate then begin
               (* A network artifact, not traffic the sender paid for: the
                  same envelope under its own message id, but no send
-                 stats. *)
+                 stats.  Its delay comes from [delay_ms], not from the
+                 cell, which [enqueue] handed on. *)
               incr c_dup;
-              e.deliver_at msg ~dst ~id:(e.next_id ())
-                ~delay_ms:(delay_ms +. (0.5 *. cfg.Config.lambda_ms))
+              Array.unsafe_set cell 0 (delay_ms +. (0.5 *. cfg.Config.lambda_ms));
+              e.deliver_at msg ~dst ~id:(e.next_id ()) cell
             end
           end
     end
@@ -314,18 +324,19 @@ let create e =
   let judges =
     (if plan = [] then [] else [ plan_verdict ])
     @ (match cfg.Config.twins with Some tw -> [ round_verdict tw ] | None -> [])
-    @ [ e.attack ]
+    @ Option.to_list e.attack
   in
-  let rec judge judges msg ~dst ~id ~delay_ms =
+  let rec judge judges msg ~dst ~id =
     match judges with
-    | [] -> transmit msg ~dst ~id ~delay_ms
+    | [] -> transmit msg ~dst ~id
     | verdict :: rest -> (
-      match verdict msg ~dst ~delay_ms with
+      match verdict msg ~dst ~delay_ms:(Array.unsafe_get cell 0) with
       | Attack.Attacker.Drop -> discard c_dropped Telemetry.Dropped msg ~dst
-      | Attack.Attacker.Deliver -> judge rest msg ~dst ~id ~delay_ms
-      | Attack.Attacker.Delay delay_ms -> judge rest msg ~dst ~id ~delay_ms)
+      | Attack.Attacker.Deliver -> judge rest msg ~dst ~id
+      | Attack.Attacker.Delay delay_ms ->
+        Array.unsafe_set cell 0 delay_ms;
+        judge rest msg ~dst ~id)
   in
-  let cell = [| 0. |] in
   (* One delivery of [msg]: its id, delay draw and CPU charge, then the
      verdicts. *)
   let route (msg : Message.t) dst =
@@ -343,15 +354,12 @@ let create e =
     end;
     Network.sample e.network msg ~dst cell;
     Telemetry.message tel Telemetry.Sent msg ~dst;
-    let delay_ms =
-      if charge_cpu then begin
-        let now = Time.to_ms (e.now ()) in
-        let finish = Cost_model.charge e.cpus.(src) ~now_ms:now ~cost_ms:sign_ms in
-        Array.unsafe_get cell 0 +. (finish -. now)
-      end
-      else Array.unsafe_get cell 0
-    in
-    judge judges msg ~dst ~id ~delay_ms
+    if charge_cpu then begin
+      let now = Time.to_ms (e.now ()) in
+      let finish = Cost_model.charge e.cpus.(src) ~now_ms:now ~cost_ms:sign_ms in
+      Array.unsafe_set cell 0 (Array.unsafe_get cell 0 +. (finish -. now))
+    end;
+    judge judges msg ~dst ~id
   in
   (* One envelope per send or broadcast, shared by every recipient; a
      unicast is a broadcast to one. *)
@@ -371,10 +379,10 @@ let create e =
      delays, which no send-time verdict can see.  Present only when the
      plan crashes a node. *)
   let down lower =
-    let receive up (msg : Message.t) ~dst ~id =
+    let receive up (msg : Message.t) ~dst =
       if Lifecycle.down e.lifecycle ~node:dst ~at_ms:(Time.to_ms (e.now ())) then
         discard c_dropped Telemetry.Lost_at_down_node msg ~dst
-      else up msg ~dst ~id
+      else up msg ~dst
     in
     { lower with deliver = (fun up -> lower.deliver (receive up)) }
   in

@@ -9,11 +9,12 @@
     counters (DESIGN.md §3.6, §3.17).
 
     The wire builds one envelope per send or broadcast, shared by every
-    recipient; a unicast is a broadcast to one.  A delivery's destination,
-    message id and delay travel beside the envelope as arguments, through
-    the chaos plan's verdict, the attacker's and the loss model, into the
-    controller's arrival lanes.  Ids are issued one per recipient, in send
-    order. *)
+    recipient; a unicast is a broadcast to one.  A delivery's destination
+    and message id travel beside the envelope as arguments, through the
+    chaos plan's verdict, the attacker's and the loss model, into the
+    controller's arrival calendar; its delay travels in a float cell the
+    wire owns, from the network's draw to the calendar, so it is boxed only
+    for a verdict.  Ids are issued one per recipient, in send order. *)
 
 open Bftsim_sim
 open Bftsim_net
@@ -40,15 +41,18 @@ type env = {
       (** Which nodes never run, which are down when, and the chaos plan
           the wire asks for its send-time verdict and loss windows. *)
   cpus : Cost_model.cpu array;  (** Per-node sequential CPUs; a send waits for signing. *)
-  attack : Message.t -> dst:int -> delay_ms:float -> Bftsim_attack.Attacker.verdict;
-      (** The adversary's verdict on one delivery.  The wire asks it last:
-          after the chaos plan admits the delivery and, under twins, after
-          the round's partition ({!Bftsim_attack.Twins_schedule.separated},
-          set up once per run) lets it through. *)
+  attack : (Message.t -> dst:int -> delay_ms:float -> Bftsim_attack.Attacker.verdict) option;
+      (** The adversary's verdict on one delivery, or [None] without an
+          adversary.  The wire asks it last: after the chaos plan admits
+          the delivery and, under twins, after the round's partition
+          ({!Bftsim_attack.Twins_schedule.separated}, set up once per run)
+          lets it through.  With no plan, no twins and no adversary, no
+          verdict is asked. *)
   next_id : unit -> int;  (** A fresh message id. *)
-  deliver_at : Message.t -> dst:int -> id:int -> delay_ms:float -> unit;
-      (** Enqueue the delivery of message [id] to [dst] after [delay_ms],
-          which is final. *)
+  deliver_at : Message.t -> dst:int -> id:int -> float array -> unit;
+      (** [deliver_at msg ~dst ~id delay] enqueues the delivery of message
+          [id] to [dst] after [delay.(0)] ms, which is final.  It reads the
+          cell and does not write it. *)
   arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
   telemetry : Telemetry.t;
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)
@@ -57,8 +61,8 @@ type env = {
     lifecycle and chaos plan, the event queue, the attacker verdict, timers
     and the run's telemetry. *)
 
-type up = Message.t -> dst:int -> id:int -> unit
-(** A handler for arriving deliveries: envelope, destination, message id. *)
+type up = Message.t -> dst:int -> unit
+(** A handler for arriving deliveries: envelope and destination. *)
 
 type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
@@ -66,8 +70,9 @@ type stage = {
   deliver : up -> up;
       (** [deliver up] is the handler for deliveries arriving from the
           wire: the stages below run first, then this stage consumes its
-          own frames and passes the rest (and what it unwraps, under a
-          fresh message id) to [up]. *)
+          own frames and passes the rest, and what it unwraps, to [up].
+          An unwrapped message still draws a message id, so the ids of
+          later messages keep their numbers. *)
   on_timer : Timer.t -> bool;  (** [true] when a stage consumed the alarm. *)
 }
 

@@ -9,15 +9,17 @@ type t =
   | LogNormal of { mu : float; sigma : float }
   | Bounded of { base : t; bound : float }
 
-let rec sample t rng =
+let rec sample t rng cell =
   match t with
-  | Constant ms -> Float.max 0. ms
-  | Uniform { lo; hi } -> Rng.uniform rng ~lo ~hi
-  | Normal { mu; sigma } -> Rng.truncated_normal rng ~mu ~sigma ~lo:0.
-  | Exponential { mean } -> Rng.exponential rng ~mean
-  | Poisson { mean } -> float_of_int (Rng.poisson rng ~mean)
-  | LogNormal { mu; sigma } -> Float.exp (Rng.normal rng ~mu ~sigma)
-  | Bounded { base; bound } -> Float.min bound (sample base rng)
+  | Constant ms -> cell.(0) <- Float.max 0. ms
+  | Uniform { lo; hi } -> cell.(0) <- Rng.uniform rng ~lo ~hi
+  | Normal { mu; sigma } -> Rng.truncated_normal_into rng ~mu ~sigma ~lo:0. cell
+  | Exponential { mean } -> cell.(0) <- Rng.exponential rng ~mean
+  | Poisson { mean } -> cell.(0) <- float_of_int (Rng.poisson rng ~mean)
+  | LogNormal { mu; sigma } -> cell.(0) <- Float.exp (Rng.normal rng ~mu ~sigma)
+  | Bounded { base; bound } ->
+    sample base rng cell;
+    cell.(0) <- Float.min bound cell.(0)
 
 let rec upper_bound = function
   | Constant ms -> Some ms
@@ -39,11 +41,12 @@ let mean = function
        the whole upper tail down to [bound], not just the part above the
        mean).  Estimate it numerically from a fixed-seed stream so the
        result stays a pure function of the model. *)
-    let rng = Rng.create 0x7ac1de5 in
+    let rng = Rng.create 0x7ac1de5 and cell = [| 0. |] in
     let k = 4096 in
     let acc = ref 0. in
     for _ = 1 to k do
-      acc := !acc +. sample t rng
+      sample t rng cell;
+      acc := !acc +. cell.(0)
     done;
     !acc /. float_of_int k
 

@@ -28,8 +28,10 @@ type t =
       (** [base] clipped from above: realizes (partially-)synchronous
           networks with a hard delay bound. *)
 
-val sample : t -> Rng.t -> float
-(** One delay draw, always [>= 0] and finite. *)
+val sample : t -> Rng.t -> float array -> unit
+(** [sample t rng cell] writes one delay draw, always [>= 0] and finite,
+    to [cell.(0)].  A [Normal] draw allocates nothing; a float returned
+    from another module would be boxed. *)
 
 val upper_bound : t -> float option
 (** Static upper bound if one exists ([Constant], [Uniform], [Bounded]). *)

@@ -5,8 +5,9 @@
     builds one envelope, shared by every recipient.  What differs per
     recipient — the destination, the message id and the delay the network
     samples and the attacker may rewrite — travels beside the envelope as
-    plain arguments and is stored in the event core's arrival lanes, never
-    as a record per recipient.  Payloads are an extensible variant so each
+    plain arguments and a float cell, and the destination and delay are
+    stored in the event core's arrival calendar, never as a record per
+    recipient.  Payloads are an extensible variant so each
     protocol contributes its own constructors without any central registry
     of message types — mirroring the duck-typed JS objects of the reference
     implementation, but statically typed per protocol. *)

@@ -42,8 +42,8 @@ let sample t (msg : Message.t) ~dst cell =
     t.last_queue_ms <- 0.
   end
   else begin
-    let jitter = Delay_model.sample t.delay t.rng in
-    let propagation = jitter +. Topology.zone_delay_ms t.topology ~src ~dst in
+    Delay_model.sample t.delay t.rng cell;
+    let propagation = Array.unsafe_get cell 0 +. Topology.zone_delay_ms t.topology ~src ~dst in
     let transport =
       match t.bandwidth_mbps with
       | None ->

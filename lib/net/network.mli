@@ -37,8 +37,9 @@ val sample : t -> Message.t -> dst:int -> float array -> unit
     [dst] into [cell.(0)] and updates the counters.  The delay is egress
     queue wait + serialization + zone one-way latency + sampled jitter; a
     self-addressed delivery gets 0 (local delivery does not traverse the
-    wire).  Writing into the caller's unboxed cell keeps the
-    per-recipient send path free of a boxed float result. *)
+    wire).  The jitter is drawn into the same cell ({!Delay_model.sample}),
+    so with the paper's normal delays and no zones or bandwidth model a
+    call allocates nothing. *)
 
 val assign_delay : t -> Message.addressed -> unit
 (** {!sample} for one addressed copy, written to its [delay_ms]. *)

@@ -75,8 +75,8 @@ let[@inline] gaussian t ~mu ~sigma =
 
 let normal t ~mu ~sigma = gaussian t ~mu ~sigma
 
-let truncated_normal t ~mu ~sigma ~lo =
-  (* Up to 65 attempts (k = 0 .. 64), then clamp to [lo]. *)
+(* Up to 65 attempts (k = 0 .. 64), then clamp to [lo]. *)
+let[@inline] truncated_draw t ~mu ~sigma ~lo =
   let result = ref lo and k = ref 0 and searching = ref true in
   while !searching do
     let x = gaussian t ~mu ~sigma in
@@ -88,6 +88,11 @@ let truncated_normal t ~mu ~sigma ~lo =
     else incr k
   done;
   !result
+
+let truncated_normal t ~mu ~sigma ~lo = truncated_draw t ~mu ~sigma ~lo
+
+let truncated_normal_into t ~mu ~sigma ~lo cell =
+  cell.(0) <- truncated_draw t ~mu ~sigma ~lo
 
 let exponential t ~mean = -.mean *. log (nonzero_unit t)
 

@@ -12,7 +12,8 @@
 type t
 (** A mutable generator.  Not thread-safe; each simulation owns its own.
     The 64-bit state is held unboxed, so drawing allocates nothing beyond
-    the boxed result a caller in another module receives. *)
+    the boxed result a caller in another module receives, and
+    {!truncated_normal_into} not even that. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds yield equal streams. *)
@@ -48,6 +49,11 @@ val truncated_normal : t -> mu:float -> sigma:float -> lo:float -> float
 (** Gaussian resampled (then clamped after 64 attempts) to be [>= lo]; the
     paper samples network delays from [N(mu, sigma)], which must be
     non-negative to be meaningful as delays. *)
+
+val truncated_normal_into : t -> mu:float -> sigma:float -> lo:float -> float array -> unit
+(** [truncated_normal_into t ~mu ~sigma ~lo cell] draws what
+    {!truncated_normal} would and writes it to [cell.(0)], so the draw
+    allocates nothing: a float returned to another module is boxed. *)
 
 val exponential : t -> mean:float -> float
 (** Exponential with the given mean. *)

@@ -337,6 +337,13 @@ let test_rng_pinned_streams () =
       Alcotest.(check (list string))
         (name "truncated_normal") truncs
         (hex (fun rng -> Rng.truncated_normal rng ~mu:10. ~sigma:50. ~lo:0.));
+      (* The network's draw writes the same stream into a cell. *)
+      Alcotest.(check (list string))
+        (name "truncated_normal_into") truncs
+        (hex (fun rng ->
+             let cell = [| nan |] in
+             Rng.truncated_normal_into rng ~mu:10. ~sigma:50. ~lo:0. cell;
+             cell.(0)));
       Alcotest.(check (list string))
         (name "exponential") exps
         (hex (fun rng -> Rng.exponential rng ~mean:250.));
@@ -376,17 +383,21 @@ let test_rng_poisson_large_mean () =
 
 (* Minor words per call over 1,000 calls: the state is unboxed and the
    samplers build no closures, so a draw allocates only the boxed float it
-   returns across the module boundary. *)
+   returns across the module boundary, and a draw into a cell nothing. *)
 let test_rng_alloc_budget () =
-  let rng = Rng.create 3 in
-  let f () = ignore (Rng.truncated_normal rng ~mu:10. ~sigma:50. ~lo:0. : float) in
-  f ();
-  let before = Gc.minor_words () in
-  for _ = 1 to 1_000 do
-    f ()
-  done;
-  let w = (Gc.minor_words () -. before) /. 1_000. in
-  if w > 8. then Alcotest.failf "Rng.truncated_normal: %.1f minor words per call > 8" w
+  let rng = Rng.create 3 and cell = [| 0. |] in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. 1_000.
+  in
+  let w = words (fun () -> ignore (Rng.truncated_normal rng ~mu:10. ~sigma:50. ~lo:0. : float)) in
+  if w > 8. then Alcotest.failf "Rng.truncated_normal: %.1f minor words per call > 8" w;
+  let w = words (fun () -> Rng.truncated_normal_into rng ~mu:10. ~sigma:50. ~lo:0. cell) in
+  if w > 0. then Alcotest.failf "Rng.truncated_normal_into: %.3f minor words per call > 0" w
 
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"rng int covers the full range" ~count:50
