@@ -106,12 +106,14 @@ type message = Sent | Injected | Delivered | Dropped | Lost | Lost_at_down_node
 (* A delivery entering the event queue: its final delay goes to the replay
    table, and its span runs from send to arrival on the receiver's track;
    the simulated timestamps make it line up with dispatch spans in the
-   Chrome/Perfetto rendering. *)
-let in_flight t (m : Message.t) ~dst ~id ~delay_ms =
-  (match t.trace with Some tr -> Trace.record_delay tr ~id delay_ms | None -> ());
+   Chrome/Perfetto rendering.  The delay comes in its cell and is read only
+   when something records it, so a run that records nothing boxes no
+   float here. *)
+let in_flight t (m : Message.t) ~dst ~id (delay : float array) =
+  (match t.trace with Some tr -> Trace.record_delay tr ~id delay.(0) | None -> ());
   match t.tracer with
   | Some tr ->
-    span tr ~name:m.tag ~cat:"net" ~node:dst ~ts_ms:(Time.to_ms m.sent_at) ~dur_ms:delay_ms
+    span tr ~name:m.tag ~cat:"net" ~node:dst ~ts_ms:(Time.to_ms m.sent_at) ~dur_ms:delay.(0)
       ~args:[ ("src", Tracer.Int m.src); ("size", Tracer.Int m.size) ]
       ()
   | None -> ()

@@ -42,9 +42,10 @@ type message =
 val message : t -> message -> Message.t -> dst:int -> unit
 (** What happened to the delivery of an envelope to [dst]. *)
 
-val in_flight : t -> Message.t -> dst:int -> id:int -> delay_ms:float -> unit
+val in_flight : t -> Message.t -> dst:int -> id:int -> float array -> unit
 (** The delivery of message [id] entered the event queue to arrive after
-    its final [delay_ms], which a recorded trace keeps for replay. *)
+    its final delay, in the cell's slot 0, which a recorded trace keeps
+    for replay. *)
 
 val gave_up : t -> src:int -> dst:int -> tag:string -> unit
 (** The reliable channel abandoned a frame. *)
