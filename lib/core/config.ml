@@ -356,6 +356,7 @@ let fields =
       ~flag:(flag Base [ "max-time" ] ~docv:"MS" "Simulated-time cap (ms).")
       float (fun t -> t.max_time_ms) (fun t max_time_ms -> { t with max_time_ms });
     field "max_events" ~always ~valid:("the event cap must be positive", fun m -> m > 0)
+      ~flag:(flag Base [ "max-events" ] ~docv:"INT" "Event cap: the run stops after this many events.")
       int (fun t -> t.max_events) (fun t max_events -> { t with max_events });
     field "target" ~always ~valid:("nothing to wait for", fun d -> d > 0)
       ~flag:(flag Scenario [ "target" ] ~docv:"INT" "Decisions per node before stopping.")

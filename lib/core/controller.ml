@@ -35,20 +35,24 @@ type result = {
 
 type Timer.payload += Sample_views
 
-(* A caller's one-shot alarm ([schedule]): client arrivals, batch timers
-   and the chaos steps. *)
-type Timer.payload += Fire of (unit -> unit)
-
 (* [Arrival] is a delivery popped from the arrival calendar (DESIGN.md §3.15);
    [Arrival_runs.current] and [current_dst] hold it.  [epoch]
    is the owner's incarnation when the alarm was armed: an alarm set before
    a restart must not fire into the fresh node.  Alarms owned by
-   [Timer.attacker_owner] belong to the attacker, the caller's [schedule]
-   and the controller itself. *)
+   [Timer.attacker_owner] belong to the attacker and the controller itself.
+   [Call] is a caller's one-shot alarm ({!schedule}: client arrivals, batch
+   timers, the chaos steps): no timer, no id, as nobody cancels it and no
+   lifecycle defers it, so an event built once can be armed again and
+   again.  [armed_ms] is its arming instant, kept only when tracing. *)
 type event =
   | Arrival
   | Deliver_verified of { msg : Message.t; dst : int }
   | Alarm of { timer : Timer.t; epoch : int }
+  | Call of { tag : string; run : unit -> unit; armed_ms : float }
+
+type alarm = event
+
+let alarm ~tag run = Call { tag; run; armed_ms = 0. }
 
 let pp_outcome ppf = function
   | Reached_target -> Format.pp_print_string ppf "reached-target"
@@ -79,7 +83,7 @@ type t = {
   step : unit -> bool;
   finish : unit -> result;
   close : unit -> unit;
-  schedule : tag:string -> delay_ms:float -> (unit -> unit) -> unit;
+  arm : alarm -> float array -> unit;
   now_ms : unit -> float;
 }
 
@@ -114,7 +118,8 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
   let queue : event Event_queue.t = Event_queue.create () in
   let arrivals = Arrival_runs.create queue ~arrival:Arrival in
   let now () = Event_queue.now queue in
-  let now_ms () = Event_queue.now_ms queue in
+  (* The boxed mirror, shared by every reader of one instant. *)
+  let now_ms () = Time.to_ms (now ()) in
   let topology =
     match config.Config.zones with
     | None -> Topology.fully_connected pn
@@ -218,8 +223,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     end
   in
 
-  (* Every alarm — protocol, reliable channel, attacker, caller — is armed
-     here. *)
+  (* Every timer — protocol, reliable channel, attacker — is armed here. *)
   let arm_timer ~owner ~delay_ms ~tag payload =
     incr timer_counter;
     let id = !timer_counter in
@@ -457,12 +461,10 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     | Sample_views ->
       view_samples := (now_ms (), views ()) :: !view_samples;
       sample_views_at (Time.add_ms timer.Timer.deadline (Option.get config.view_sample_ms))
-    | payload ->
+    | _ ->
       if consume_timer timer.Timer.id then begin
         Telemetry.alarm tel Telemetry.Fired timer;
-        match payload with
-        | Fire f -> f ()
-        | _ -> attacker.Attack.Attacker.on_time_event attacker_env timer
+        attacker.Attack.Attacker.on_time_event attacker_env timer
       end
       else Telemetry.alarm tel Telemetry.Cancelled timer
   in
@@ -481,6 +483,9 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     | Alarm { timer; epoch } ->
       if timer.Timer.owner = Timer.attacker_owner then controller_alarm timer
       else node_alarm timer epoch
+    | Call { tag; run; armed_ms } ->
+      Telemetry.call_fired tel ~tag ~armed_ms;
+      run ()
   in
   (* Dispatch spans: named after the handler the event reaches. *)
   let msg_label (m : Message.t) dst = ("on_msg:" ^ m.Message.tag, dst) in
@@ -490,6 +495,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     | Alarm { timer = t; _ } ->
       let kind = if t.Timer.owner = Timer.attacker_owner then "attacker:" else "on_time:" in
       (kind ^ t.Timer.tag, t.Timer.owner)
+    | Call { tag; _ } -> ("attacker:" ^ tag, Timer.attacker_owner)
   in
 
   (* Liveness watchdog: the simulation has stalled when the clock has run
@@ -518,17 +524,28 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     | Some s -> Some s
     | None -> Option.map (fun k -> k *. config.lambda_ms) config.watchdog
   in
-  let schedule ~tag ~delay_ms f =
-    ignore (arm_timer ~owner:Timer.attacker_owner ~delay_ms ~tag (Fire f) : Timer.id)
+  (* A caller's alarm takes its sequence number here, when it is armed, as
+     a timer does. *)
+  let tracing = Telemetry.tracer tel <> None in
+  let arm ev delay =
+    Telemetry.call_armed tel;
+    let ev =
+      match ev with
+      | Call c when tracing -> Call { c with armed_ms = now_ms () }
+      | ev -> ev
+    in
+    Event_queue.schedule_in queue delay ev
   in
+
   (* One alarm per chaos step, armed before the attacker's so a step runs
      ahead of any attacker alarm due at the same instant.  The alarms also
      keep the queue alive up to the last step, so a recovery is observed
      even when every message in flight was dropped. *)
   List.iter
     (fun s ->
-      schedule ~tag:"chaos" ~delay_ms:s.Attack.Fault_schedule.at_ms (fun () ->
-          apply_chaos s.Attack.Fault_schedule.action))
+      arm
+        (alarm ~tag:"chaos" (fun () -> apply_chaos s.Attack.Fault_schedule.action))
+        [| s.Attack.Fault_schedule.at_ms |])
     (Lifecycle.plan life);
   attacker.Attack.Attacker.on_start attacker_env;
   (* The nodes start at the first step (or at [finish]), after the caller's
@@ -625,7 +642,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       spans = Telemetry.tracer tel;
     }
   in
-  { step; finish; close; schedule; now_ms }
+  { step; finish; close; arm; now_ms }
 
 let step t = t.step ()
 
@@ -633,7 +650,9 @@ let finish t = t.finish ()
 
 let close t = t.close ()
 
-let schedule t ~tag ~delay_ms f = t.schedule ~tag ~delay_ms f
+let arm t ev delay = t.arm ev delay
+
+let schedule t ~tag ~delay_ms f = t.arm (alarm ~tag f) [| delay_ms |]
 
 let now_ms t = t.now_ms ()
 

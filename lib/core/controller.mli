@@ -110,7 +110,20 @@ val close : t -> unit
 val schedule : t -> tag:string -> delay_ms:float -> (unit -> unit) -> unit
 (** A one-shot callback [delay_ms] after the current simulation time,
     fired through the event queue, so it interleaves reproducibly with
-    protocol events.  [tag] names it in traces. *)
+    protocol events.  [tag] names it in traces.  It counts in the
+    [timer.set] and [timer.fired] metrics and, when tracing, spans
+    [timer:<tag>] from arming to firing. *)
+
+type alarm
+(** A callback built once, for a caller that arms it again and again. *)
+
+val alarm : tag:string -> (unit -> unit) -> alarm
+(** [alarm ~tag f] is the event {!schedule} would push for [f]. *)
+
+val arm : t -> alarm -> float array -> unit
+(** [arm t a delay] is {!schedule} of [a]'s callback and tag, [delay.(0)]
+    ms from now; the cell keeps the delay unboxed on its way from the
+    caller's draw. *)
 
 val now_ms : t -> float
 (** The run's simulation clock. *)

@@ -9,11 +9,9 @@ type t = {
   p99 : float;
 }
 
-let percentile samples p =
-  if samples = [] then invalid_arg "Stats.percentile: empty";
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let sorted = List.sort Float.compare samples in
-  let arr = Array.of_list sorted in
+(* Linear interpolation at rank [p/100 * (n-1)] of a sorted, non-empty
+   array. *)
+let interpolate arr p =
   let n = Array.length arr in
   if n = 1 then arr.(0)
   else begin
@@ -26,23 +24,48 @@ let percentile samples p =
       (arr.(lo) *. (1. -. w)) +. (arr.(hi) *. w)
   end
 
+(* One stable sort, with the comparator [List.sort] was given, so equal
+   samples keep their list order and every percentile read from the array
+   is the one a sort per percentile gave. *)
+let sort arr = Array.stable_sort Float.compare arr
+
+let percentile samples p =
+  if samples = [] then invalid_arg "Stats.percentile: empty";
+  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
+  let arr = Array.of_list samples in
+  sort arr;
+  interpolate arr p
+
+(* The sums run in list order, as folds over the list would, before the
+   array is sorted. *)
 let of_list samples =
   if samples = [] then invalid_arg "Stats.of_list: empty";
-  let count = List.length samples in
+  let arr = Array.of_list samples in
+  let count = Array.length arr in
   let fcount = float_of_int count in
-  let mean = List.fold_left ( +. ) 0. samples /. fcount in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. samples /. fcount
-  in
+  let sum = ref 0. and lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to count - 1 do
+    let x = arr.(i) in
+    sum := !sum +. x;
+    lo := Float.min !lo x;
+    hi := Float.max !hi x
+  done;
+  let mean = !sum /. fcount in
+  let sq = ref 0. in
+  for i = 0 to count - 1 do
+    let d = arr.(i) -. mean in
+    sq := !sq +. (d *. d)
+  done;
+  sort arr;
   {
     count;
     mean;
-    stddev = sqrt var;
-    min = List.fold_left Float.min infinity samples;
-    max = List.fold_left Float.max neg_infinity samples;
-    median = percentile samples 50.;
-    p95 = percentile samples 95.;
-    p99 = percentile samples 99.;
+    stddev = sqrt (!sq /. fcount);
+    min = !lo;
+    max = !hi;
+    median = interpolate arr 50.;
+    p95 = interpolate arr 95.;
+    p99 = interpolate arr 99.;
   }
 
 let pp ppf t =

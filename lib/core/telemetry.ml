@@ -174,6 +174,19 @@ let alarm t what (timer : Timer.t) =
     end
   | Released -> if t.tracing then Hashtbl.remove t.armed_at id
 
+(* A caller's alarm carries no timer and no id: nobody cancels it, so it
+   only counts, and its span's start comes with it. *)
+let call_armed t = incr t.c_timer_set
+
+let call_fired t ~tag ~armed_ms =
+  incr t.c_timer_fired;
+  match t.tracer with
+  | Some tr ->
+    let now_ms = t.now_ms () in
+    span tr ~name:("timer:" ^ tag) ~cat:"timer" ~node:Timer.attacker_owner ~ts_ms:armed_ms
+      ~dur_ms:(now_ms -. armed_ms) ()
+  | None -> ()
+
 let open_timer_spans t = Hashtbl.length t.armed_at
 
 let decided t ~node ~index value =

@@ -53,9 +53,14 @@ let advance q lane i =
        true
      end
 
-let schedule_after q ~delay_ms ev =
-  let delay_ms = if delay_ms < 0. then 0. else delay_ms in
-  schedule q ~at:(Time.add_ms (now q) delay_ms) ev
+(* The deadline is summed from the unboxed clock, so the only float boxed
+   is the priority handed to the heap. *)
+let[@inline] push_after q delay_ms ev =
+  Pqueue.push q.queue ~priority:(now_ms q +. (if delay_ms < 0. then 0. else delay_ms)) ev
+
+let schedule_after q ~delay_ms ev = push_after q delay_ms ev
+
+let schedule_in q delay ev = push_after q (Array.unsafe_get delay 0) ev
 
 let is_empty q = Pqueue.is_empty q.queue
 

@@ -44,6 +44,11 @@ val schedule_after : 'a t -> delay_ms:float -> 'a -> unit
     negative delays clamp to zero (deliver "immediately", i.e. at the current
     instant but after all earlier-queued simultaneous events). *)
 
+val schedule_in : 'a t -> float array -> 'a -> unit
+(** [schedule_in q delay ev] is [schedule_after q ~delay_ms:delay.(0) ev]
+    with the delay in a cell, so that no float is boxed on its way from
+    the caller's draw. *)
+
 val next : 'a t -> (Time.t * 'a) option
 (** Pops the earliest event and advances the clock to its timestamp. *)
 

@@ -94,7 +94,11 @@ let truncated_normal t ~mu ~sigma ~lo = truncated_draw t ~mu ~sigma ~lo
 let truncated_normal_into t ~mu ~sigma ~lo cell =
   cell.(0) <- truncated_draw t ~mu ~sigma ~lo
 
-let exponential t ~mean = -.mean *. log (nonzero_unit t)
+let[@inline] exponential_draw t mean = -.mean *. log (nonzero_unit t)
+
+let exponential t ~mean = exponential_draw t mean
+
+let exponential_into t cell = cell.(0) <- exponential_draw t cell.(0)
 
 (* Knuth's method: multiply uniforms until the product drops to e^-mean.
    Exact while e^-mean is a normal double, which [poisson_chunk] keeps. *)

@@ -58,6 +58,10 @@ val truncated_normal_into : t -> mu:float -> sigma:float -> lo:float -> float ar
 val exponential : t -> mean:float -> float
 (** Exponential with the given mean. *)
 
+val exponential_into : t -> float array -> unit
+(** [exponential_into t cell] replaces the mean in [cell.(0)] with what
+    {!exponential} would draw for it, so the draw allocates nothing. *)
+
 val poisson : t -> mean:float -> int
 (** Poisson-distributed count (Knuth's algorithm; O(mean)).  Means above
     500 are drawn as a sum of independent draws of mean at most 500, so

@@ -68,13 +68,21 @@ let skip_off_windows ~on_ms ~off_ms ~now_ms gap_on_time =
   in
   go now_ms gap_on_time -. now_ms
 
-let next_gap_ms t ~now_ms rng =
+let next_gap_into t ~now_ms rng cell =
   match t with
-  | Constant { rate } -> 1000. /. rate
-  | Poisson { rate } -> Rng.exponential rng ~mean:(1000. /. rate)
+  | Constant { rate } -> cell.(0) <- 1000. /. rate
+  | Poisson { rate } ->
+    cell.(0) <- 1000. /. rate;
+    Rng.exponential_into rng cell
   | On_off { rate; on_ms; off_ms } ->
-    let gap = Rng.exponential rng ~mean:(1000. /. rate) in
-    skip_off_windows ~on_ms ~off_ms ~now_ms gap
+    cell.(0) <- 1000. /. rate;
+    Rng.exponential_into rng cell;
+    cell.(0) <- skip_off_windows ~on_ms ~off_ms ~now_ms cell.(0)
+
+let next_gap_ms t ~now_ms rng =
+  let cell = [| 0. |] in
+  next_gap_into t ~now_ms rng cell;
+  cell.(0)
 
 let describe = function
   | Constant { rate } -> Printf.sprintf "constant(%g/s)" rate

@@ -32,6 +32,10 @@ val next_gap_ms : t -> now_ms:float -> Rng.t -> float
 (** Time until the next arrival after [now_ms].  For on/off the drawn gap
     elapses over on-time only: arrivals never land in an off window. *)
 
+val next_gap_into : t -> now_ms:float -> Rng.t -> float array -> unit
+(** [next_gap_into t ~now_ms rng cell] writes what {!next_gap_ms} would
+    return to [cell.(0)], so the draw boxes no float. *)
+
 val describe : t -> string
 (** Human rendering, e.g. ["Poisson(500/s)"]. *)
 

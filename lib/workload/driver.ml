@@ -231,13 +231,15 @@ let on_request_proposal h ctl ~width ~default k =
         end)
   end
 
-let submit h ctl ~client =
-  let arrived_ms = Core.Controller.now_ms ctl in
+(* The key is drawn for every arrival, so the stream does not depend on
+   the pool's state; a request the full pool drops is never built. *)
+let submit h ~now_ms ~client =
   let id = h.next_request in
   h.next_request <- id + 1;
   h.submitted <- h.submitted + 1;
   let key = Keys.sample h.keys_sampler h.rng in
-  ignore (Mempool.add h.pool { Mempool.id; arrived_ms; key; client } : bool);
+  if Mempool.full h.pool then Mempool.reject h.pool
+  else ignore (Mempool.add h.pool { Mempool.id; arrived_ms = now_ms; key; client } : bool);
   fire_ready h ~default_of:(fun () ->
       (* An early cut always finds a full pool, so the default is never
          consulted; a placeholder keeps the types honest. *)
@@ -276,7 +278,7 @@ let on_commit h ctl ~index ~value ~at_ms =
                the replacement interleaves deterministically. *)
             if r.Mempool.client >= 0 then
               Core.Controller.schedule ctl ~tag:"workload" ~delay_ms:0. (fun () ->
-                  submit h ctl ~client:r.Mempool.client))
+                  submit h ~now_ms:(Core.Controller.now_ms ctl) ~client:r.Mempool.client))
           reqs
     end
   end
@@ -288,20 +290,25 @@ let start h ctl =
   | Closed_loop { cap } ->
     (* The whole population submits its full window at t = 0; afterwards
        each commit triggers that client's next request. *)
+    let now_ms = Core.Controller.now_ms ctl in
     for client = 0 to h.client_count - 1 do
       for _ = 1 to cap do
-        submit h ctl ~client
+        submit h ~now_ms ~client
       done
     done
   | Open_loop ->
-    let rec pump () =
-      let gap = Arrival.next_gap_ms h.arrival ~now_ms:(Core.Controller.now_ms ctl) h.rng in
-      Core.Controller.schedule ctl ~tag:"workload" ~delay_ms:gap arrive
+    (* One alarm for the whole run, re-armed after each arrival, which
+       reads the clock once and draws its gap into a cell. *)
+    let gap = [| 0. |] in
+    let rec pump now_ms =
+      Arrival.next_gap_into h.arrival ~now_ms h.rng gap;
+      Core.Controller.arm ctl (Lazy.force alarm) gap
     and arrive () =
-      submit h ctl ~client:(-1);
-      pump ()
-    in
-    pump ()
+      let now_ms = Core.Controller.now_ms ctl in
+      submit h ~now_ms ~client:(-1);
+      pump now_ms
+    and alarm = lazy (Core.Controller.alarm ~tag:"workload" arrive) in
+    pump (Core.Controller.now_ms ctl)
 
 (* One node's context as the workload sees it: proposal requests go to the
    batcher, and every decide is an ack toward a commit quorum, indexed by

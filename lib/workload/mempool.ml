@@ -10,7 +10,8 @@
    returned to the *front* of the pool so they keep their original FIFO
    position relative to younger requests.  The front stash is a plain list
    (LIFO push, so requeueing a batch's list restores its internal order)
-   drained before the queue. *)
+   drained before the queue.  [length] is kept as a count, as the driver
+   reads it on every arrival and a re-queued stash can be long. *)
 
 type request = { id : int; arrived_ms : float; key : int; client : int }
 
@@ -18,6 +19,7 @@ type t = {
   capacity : int;
   q : request Queue.t;
   mutable front : request list;  (* re-queued requests, served before [q] *)
+  mutable length : int;  (* [List.length front + Queue.length q] *)
   mutable dropped : int;
   mutable requeued : int;
   mutable peak : int;
@@ -25,22 +27,26 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Mempool.create: capacity must be > 0";
-  { capacity; q = Queue.create (); front = []; dropped = 0; requeued = 0; peak = 0 }
+  { capacity; q = Queue.create (); front = []; length = 0; dropped = 0; requeued = 0; peak = 0 }
 
-let length t = List.length t.front + Queue.length t.q
+let length t = t.length
 
-let bump_peak t =
-  let len = length t in
-  if len > t.peak then t.peak <- len
+let grow t k =
+  t.length <- t.length + k;
+  if t.length > t.peak then t.peak <- t.length
+
+let full t = t.length >= t.capacity
+
+let reject t = t.dropped <- t.dropped + 1
 
 let add t r =
-  if length t >= t.capacity then begin
-    t.dropped <- t.dropped + 1;
+  if full t then begin
+    reject t;
     false
   end
   else begin
     Queue.add r t.q;
-    bump_peak t;
+    grow t 1;
     true
   end
 
@@ -49,9 +55,10 @@ let add t r =
    admission decision.  [rs] must be in FIFO order; pushing in reverse keeps
    that order at the front of the pool. *)
 let requeue t rs =
+  let k = List.length rs in
   t.front <- List.rev_append (List.rev rs) t.front;
-  t.requeued <- t.requeued + List.length rs;
-  bump_peak t
+  t.requeued <- t.requeued + k;
+  grow t k
 
 let take t ~max =
   if max < 0 then invalid_arg "Mempool.take: max must be >= 0";
@@ -64,7 +71,9 @@ let take t ~max =
       in
       from_q acc k
   in
-  from_front [] max t.front
+  let taken = from_front [] max t.front in
+  t.length <- t.length - List.length taken;
+  taken
 
 let to_list t = t.front @ List.of_seq (Queue.to_seq t.q)
 

@@ -23,6 +23,13 @@ val add : t -> request -> bool
 (** Enqueue; [false] means the pool was full and the request was dropped
     (the drop is counted). *)
 
+val full : t -> bool
+(** {!add} would drop a request now. *)
+
+val reject : t -> unit
+(** Counts a request dropped without being built: what {!add} does to one
+    when the pool is {!full}. *)
+
 val requeue : t -> request list -> unit
 (** Return a stale batch's requests (given in FIFO order) to the front of
     the pool, ahead of younger requests.  Deliberately bypasses the

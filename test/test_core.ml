@@ -752,6 +752,71 @@ let prop_stats_mean_bounded =
       let s = Core.Stats.of_list xs in
       s.min <= s.mean +. 1e-9 && s.mean <= s.max +. 1e-9)
 
+(* The three-sort statistics [Stats] replaced: a [List.sort] per
+   percentile, folds over the list for the rest.  Kept as the reference
+   the one-sort code must match bit for bit. *)
+let reference_percentile samples p =
+  let arr = Array.of_list (List.sort Float.compare samples) in
+  let n = Array.length arr in
+  if n = 1 then arr.(0)
+  else begin
+    let rank = p /. 100. *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = int_of_float (Float.ceil rank) in
+    if lo = hi then arr.(lo)
+    else
+      let w = rank -. float_of_int lo in
+      (arr.(lo) *. (1. -. w)) +. (arr.(hi) *. w)
+  end
+
+let reference_of_list samples =
+  let count = List.length samples in
+  let fcount = float_of_int count in
+  let mean = List.fold_left ( +. ) 0. samples /. fcount in
+  let var =
+    List.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. samples /. fcount
+  in
+  {
+    Core.Stats.count;
+    mean;
+    stddev = sqrt var;
+    min = List.fold_left Float.min infinity samples;
+    max = List.fold_left Float.max neg_infinity samples;
+    median = reference_percentile samples 50.;
+    p95 = reference_percentile samples 95.;
+    p99 = reference_percentile samples 99.;
+  }
+
+(* Samples with duplicates (small integers), negatives, signed zeros and
+   wide magnitudes; single samples included. *)
+let gen_samples =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (3, map float_of_int (int_range (-5) 5));
+           (3, float_range (-1e6) 1e6);
+           (1, oneofl [ 0.; -0.; 1e-300; -1e300 ]);
+         ]))
+
+let prop_stats_match_reference =
+  let bits = Int64.bits_of_float in
+  let same (a : Core.Stats.t) (b : Core.Stats.t) =
+    a.count = b.count
+    && List.for_all2
+         (fun x y -> bits x = bits y)
+         [ a.mean; a.stddev; a.min; a.max; a.median; a.p95; a.p99 ]
+         [ b.mean; b.stddev; b.min; b.max; b.median; b.p95; b.p99 ]
+  in
+  QCheck.Test.make ~name:"one sort equals the three-sort reference" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (list float) float)
+        Gen.(pair gen_samples (oneof [ float_range 0. 100.; oneofl [ 0.; 50.; 95.; 99.; 100. ] ])))
+    (fun (xs, p) ->
+      same (Core.Stats.of_list xs) (reference_of_list xs)
+      && bits (Core.Stats.percentile xs p) = bits (reference_percentile xs p))
+
 (* --- Runner --- *)
 
 let test_runner_aggregates () =
@@ -1131,6 +1196,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_stats_percentile;
           Alcotest.test_case "errors" `Quick test_stats_errors;
           qc prop_stats_mean_bounded;
+          qc prop_stats_match_reference;
         ] );
       ( "runner",
         [

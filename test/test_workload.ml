@@ -160,6 +160,50 @@ let prop_requeue_conserves_ids =
       && List.length (List.sort_uniq compare all) = List.length all
       && Wl.Mempool.peak p = !expected_peak)
 
+(* QCheck: after every add, take, re-queue of a stale batch and rejection
+   of an unbuilt request (the driver's path when the pool is full), the
+   pool's length, peak, drop count and service order equal a list
+   model's. *)
+let prop_mempool_matches_list_model =
+  QCheck.Test.make ~count:300 ~name:"mempool length, peak and order match a list model"
+    QCheck.(
+      pair (int_range 1 16) (list_of_size Gen.(int_range 1 150) (pair (int_range 0 3) (int_range 0 6))))
+    (fun (capacity, ops) ->
+      let p = Wl.Mempool.create ~capacity in
+      let model = ref [] and peak = ref 0 and dropped = ref 0 and next = ref 0 in
+      let stale = Queue.create () in
+      let ids = List.map (fun (r : Wl.Mempool.request) -> r.Wl.Mempool.id) in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+          | 0 ->
+            let id = !next in
+            incr next;
+            if List.length !model >= capacity then incr dropped else model := !model @ [ id ];
+            ignore (Wl.Mempool.add p (req id) : bool)
+          | 1 ->
+            let taken = Wl.Mempool.take p ~max:k in
+            model := List.filteri (fun i _ -> i >= k) !model;
+            if taken <> [] then Queue.add taken stale
+          | 2 ->
+            if List.length !model >= capacity then begin
+              incr dropped;
+              Wl.Mempool.reject p
+            end
+          | _ ->
+            if not (Queue.is_empty stale) then begin
+              let batch = Queue.pop stale in
+              model := ids batch @ !model;
+              Wl.Mempool.requeue p batch
+            end);
+          peak := Stdlib.max !peak (List.length !model);
+          Wl.Mempool.length p = List.length !model
+          && ids (Wl.Mempool.to_list p) = !model
+          && Wl.Mempool.peak p = !peak
+          && Wl.Mempool.dropped p = !dropped
+          && Wl.Mempool.full p = (List.length !model >= capacity))
+        ops)
+
 (* --- Keys --- *)
 
 let test_keys_roundtrip () =
@@ -349,6 +393,64 @@ let test_driver_metrics_injected () =
       (fun name ->
         Alcotest.(check bool) name true (List.mem name names))
       [ "wl.submitted"; "wl.committed"; "wl.batch_occupancy"; "wl.request_latency_ms" ]
+
+(* One small overdriven point, pinned: the caller-alarm counters, every
+   wl.* cell and the traced timer:workload spans.  A client request's
+   alarm must keep counting in timer.set and timer.fired and keep its
+   span however the controller carries it; the pool drops most arrivals
+   here, so the path that never builds a dropped request is covered. *)
+let test_driver_alarm_counters_pinned () =
+  let config =
+    {
+      (load_config ()) with
+      Core.Config.telemetry =
+        { Core.Config.metrics = true; tracing = true; trace_capacity = 1_000_000 };
+    }
+  in
+  let driver =
+    Wl.Driver.make ~arrival:(Wl.Arrival.poisson ~rate:1.)
+      ~policy:(Wl.Batch.make ~max_batch:64 ~max_wait_ms:20.)
+      ~mempool_capacity:64 ()
+  in
+  let _, _, result = Wl.Driver.run_point_audit driver ~rate:6400. config in
+  let cells =
+    List.filter_map
+      (fun (name, v) ->
+        let open Bftsim_obs.Metrics in
+        if String.starts_with ~prefix:"timer." name || String.starts_with ~prefix:"wl." name then
+          Some
+            (match v with
+            | Counter_v i -> Printf.sprintf "%s %d" name i
+            | Gauge_v g -> Printf.sprintf "%s %g" name g
+            | Histogram_v h -> Printf.sprintf "%s count=%d sum=%h" name h.s_count h.s_sum)
+        else None)
+      (Bftsim_obs.Metrics.snapshot (Option.get result.Core.Controller.metrics))
+  in
+  Alcotest.(check (list string)) "alarm and wl.* cells"
+    [
+      "timer.cancelled 16";
+      "timer.fired 3772";
+      "timer.set 3817";
+      "wl.batch_occupancy count=11 sum=0x1.6p+9";
+      "wl.committed 640";
+      "wl.committed_per_s 1085.47";
+      "wl.dropped 3067";
+      "wl.empty_batches 0";
+      "wl.in_flight 64";
+      "wl.key_conflicts 0";
+      "wl.mempool_peak 64";
+      "wl.request_latency_ms count=640 sum=0x1.097ef517dcb2ep+16";
+      "wl.requeued 0";
+      "wl.submitted 3771";
+    ]
+    cells;
+  let spans = Option.get result.Core.Controller.spans in
+  let workload = ref 0 in
+  Bftsim_obs.Tracer.iter spans (fun e ->
+      if e.Bftsim_obs.Tracer.name = "timer:workload" then incr workload);
+  Alcotest.(check int) "nothing shed" 0 (Bftsim_obs.Tracer.dropped spans);
+  Alcotest.(check int) "timer:workload spans" 3772 !workload;
+  Alcotest.(check int) "events" 4146 result.Core.Controller.events_processed
 
 let test_workload_disabled_identical () =
   (* A run without the workload hook must be bit-identical to the
@@ -583,6 +685,7 @@ let () =
           Alcotest.test_case "bound drops newest" `Quick test_mempool_bound;
           Alcotest.test_case "requeue front order" `Quick test_mempool_requeue_front;
           QCheck_alcotest.to_alcotest prop_requeue_conserves_ids;
+          QCheck_alcotest.to_alcotest prop_mempool_matches_list_model;
         ] );
       ( "keys",
         [
@@ -602,6 +705,7 @@ let () =
           Alcotest.test_case "point json roundtrip" `Quick test_driver_point_json_roundtrip;
           Alcotest.test_case "pipelined liveness" `Quick test_driver_pipeline_commits;
           Alcotest.test_case "wl metrics injected" `Quick test_driver_metrics_injected;
+          Alcotest.test_case "alarm counters pinned" `Quick test_driver_alarm_counters_pinned;
           Alcotest.test_case "disabled path deterministic" `Quick test_workload_disabled_identical;
           Alcotest.test_case "closed loop self-limits" `Quick test_closed_loop_self_limits;
           Alcotest.test_case "keyed conflicts counted" `Quick test_keyed_conflicts_counted;
