@@ -633,13 +633,17 @@ let speedup () =
 (* ---------------- Per-event engine cost ---------------- *)
 
 (* events/sec and minor words/event of one run — the two numbers the
-   hot-path work of DESIGN.md §3.15 moves — on three kernels: the speedup
+   hot-path work of DESIGN.md §3.15 moves — on four kernels: the speedup
    kernel's configuration (PBFT n=20, 100 decisions), a Fig 2 point (PBFT
    n=256, one decision), whose n^2 broadcast rounds load the delivery path
    the arrival calendar serves, and a workload load point (HotStuff-NS n=16,
    geo5, 100 Mbps, pipeline 4, 4,000 req/s), the one kernel whose client
    arrivals, batch timers and commit acks go through the workload driver's
-   context wrappers and [Controller.schedule].  Minor words come from
+   context wrappers and [Controller.schedule], and a recovery run (PBFT
+   n=16 over lossy links and the reliable channel with metrics on, one
+   replica crashed and restarted), the one kernel whose loss draws,
+   frames, acks and retransmission alarms cross DESIGN.md §3.17's channel.
+   Minor words come from
    Gc.minor_words () around the run, so the figure includes protocol
    allocation (payloads), not just the engine: it is an end-to-end
    per-event budget, exact and repeatable on one domain.  Gc.quick_stat
@@ -655,7 +659,7 @@ type event_cost = {
   words_per_event : float;
 }
 
-let event_cost_record : (event_cost * event_cost * event_cost) option ref = ref None
+let event_cost_record : (event_cost * event_cost * event_cost * event_cost) option ref = ref None
 
 let measure_event_cost kernel run =
   (* Warm-up run so lane growth and code paths are resident. *)
@@ -687,8 +691,9 @@ let measure_event_cost kernel run =
 let event_cost () =
   section
     "Per-event engine cost — PBFT n=20 (100 decisions), PBFT n=256 (one\n\
-     decision, Fig 2) and a HotStuff-NS n=16 workload load point at 4,000\n\
-     req/s: wall time, events/second and GC minor words per event";
+     decision, Fig 2), a HotStuff-NS n=16 workload load point at 4,000\n\
+     req/s and a PBFT n=16 recovery run (loss, reliable channel, a restart):\n\
+     wall time, events/second and GC minor words per event";
   let config =
     {
       (Core.Experiments.fig3_config ~protocol:"pbft"
@@ -718,7 +723,19 @@ let event_cost () =
         let _point, _audit, r = Wl.Driver.run_point_audit driver ~rate:4000. load_config in
         r)
   in
-  event_cost_record := Some (base, fig2, load_point)
+  let recovery_config =
+    Core.Config.make "pbft" ~n:16 ~seed:1 ~lambda_ms:200.
+      ~delay:(Net.Delay_model.normal ~mu:50. ~sigma:10.)
+      ~decisions_target:30 ~max_time_ms:120_000.
+      ~loss:(Net.Loss_model.make ~drop:0.05 ~dup:0.01 ~reorder_ms:50. ())
+      ~reliable:true
+      ~chaos:
+        (Bftsim_attack.Fault_schedule.crash_and_restart ~nodes:[ 5 ] ~crash_ms:1000.
+           ~restart_ms:2500.)
+      ~telemetry:{ Core.Config.default_telemetry with metrics = true }
+  in
+  let recovery = measure_event_cost "pbft-n16-loss-reliable-restart" (run recovery_config) in
+  event_cost_record := Some (base, fig2, load_point, recovery)
 
 (* ---------------- Workload throughput ---------------- *)
 
@@ -895,17 +912,20 @@ let write_json path =
       (pr2_par /. Float.max par_t 1e-9)
   | None -> ());
   (match !event_cost_record with
-  | Some (base, fig2, lp) ->
+  | Some (base, fig2, lp, rc) ->
     out
       "  \"event_cost\": { \"kernel\": \"%s\", \"events\": %d, \"wall_s\": %.6f, \
        \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \"fig2\": { \"kernel\": \
        \"%s\", \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f, \"minor_words\": \
        %.0f, \"minor_words_per_event\": %.2f }, \"load_point\": { \"kernel\": \"%s\", \
        \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f, \"minor_words\": %.0f, \
+       \"minor_words_per_event\": %.2f }, \"recovery\": { \"kernel\": \"%s\", \"events\": \
+       %d, \"wall_s\": %.6f, \"events_per_sec\": %.0f, \"minor_words\": %.0f, \
        \"minor_words_per_event\": %.2f } },\n"
       base.kernel base.events base.wall_s base.events_per_sec base.words_per_event fig2.kernel
       fig2.events fig2.wall_s fig2.events_per_sec fig2.minor_words fig2.words_per_event lp.kernel
-      lp.events lp.wall_s lp.events_per_sec lp.minor_words lp.words_per_event
+      lp.events lp.wall_s lp.events_per_sec lp.minor_words lp.words_per_event rc.kernel rc.events
+      rc.wall_s rc.events_per_sec rc.minor_words rc.words_per_event
   | None -> ());
   (match !obs_overhead_record with
   | Some (off_s, noise_pct, metrics_pct, tracing_pct) ->

@@ -84,9 +84,10 @@ val crashed_at : t -> node:int -> at_ms:float -> bool
     crash/recover/restart step at or before [at_ms] wins.) *)
 
 val ever_crashed : t -> node:int -> bool
-(** Does the plan crash [node] at any point?  Recovered nodes have sparse
-    decision logs (no state transfer), so per-index agreement checks only
-    apply to nodes for which this is [false]. *)
+(** Does the plan crash [node] at any point?  A recovered node's decision
+    log misses what was decided while it was down until it catches up,
+    which only pbft and the chained family do, so per-index agreement
+    checks only apply to nodes for which this is [false]. *)
 
 val next_recovery_after : t -> node:int -> at_ms:float -> float option
 (** Earliest [Recover node] or [Restart node] step strictly after [at_ms],

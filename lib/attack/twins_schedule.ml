@@ -45,7 +45,8 @@ let separated t ~src ~dst ~at_ms =
 (* Liveness is only a fair expectation when no honest identity is ever cut
    off from a quorum-weight block: a drop-round that isolates an honest
    node lets the quorum side commit blocks the isolated node will never
-   receive (the engine models no state transfer), which permanently stalls
+   receive (a chained replica fetches blocks only after a restart, not when
+   one is missing), which permanently stalls
    chained protocols' commit rule on that node — the same reason
    crash-recover scenarios are exempt from liveness judgment. *)
 let isolated_below_quorum ~n ~quorum t ~node =

@@ -63,8 +63,8 @@ val preserves_liveness : n:int -> quorum:int -> t -> bool
     in a block of at least [quorum] distinct logical identities (twin
     halves count their shared identity once).  An honest node isolated in a
     sub-quorum block during a drop round can miss committed blocks forever
-    — the engine models no state transfer — so such schedules are judged
-    for safety only. *)
+    — a chained replica fetches blocks only after a restart, not when one
+    is missing — so such schedules are judged for safety only. *)
 
 val validate : n:int -> t -> unit
 (** Raises [Invalid_argument] with an actionable message on malformed

@@ -37,9 +37,12 @@ let counted (config : Config.t) (result : Controller.result) node =
   && (not (List.mem node result.Controller.corrupted))
   && not (twinned config node)
 
-(* Per-index agreement additionally presumes a complete decision log, which
-   chaos-crashed-and-recovered nodes do not have (no state transfer), and
-   neither does an honest node a twins round ever cut off from a quorum. *)
+(* Per-index agreement additionally presumes a complete decision log,
+   which a chaos-crashed node lacks until it catches up — and only pbft
+   and the chained family fetch the decisions they missed; the other
+   protocols restart from [on_start] — and neither does an honest node a
+   twins round ever cut off from a quorum.  {!recovery} checks restarted
+   nodes against the aligned ones. *)
 let aligned (config : Config.t) (result : Controller.result) node =
   counted config result node
   && (not (Attack.Fault_schedule.ever_crashed config.Config.chaos ~node))

@@ -43,12 +43,17 @@ type Timer.payload += Sample_views
    [Call] is a caller's one-shot alarm ({!schedule}: client arrivals, batch
    timers, the chaos steps): no timer, no id, as nobody cancels it and no
    lifecycle defers it, so an event built once can be armed again and
-   again.  [armed_ms] is its arming instant, kept only when tracing. *)
+   again.  [armed_ms] is its arming instant, kept only when tracing.
+   [Retransmit] is a reliable-channel frame's retransmission alarm, built
+   the same way: the frame's sender record is the alarm, the sender's
+   lifecycle defers or loses it, and no incarnation retires it, as the
+   channel survives restarts. *)
 type event =
   | Arrival
   | Deliver_verified of { msg : Message.t; dst : int }
   | Alarm of { timer : Timer.t; epoch : int }
   | Call of { tag : string; run : unit -> unit; armed_ms : float }
+  | Retransmit of Transport.outbound
 
 type alarm = event
 
@@ -187,10 +192,13 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
      look for is disagreement among the remaining honest nodes. *)
   let counted node = not (Lifecycle.gone life node || corrupted.(node) || twinned node) in
   (* Per-index agreement presumes complete logs; a node the plan crashes
-     and restarts misses the decisions made while it was down (there is no
-     state transfer), so only never-crashed nodes are index-aligned — and
-     neither is an honest node a twins round cut off from a quorum, which
-     misses the quorum side's decisions the same way. *)
+     misses the decisions made while it was down until it catches up, and
+     only pbft and the chained family fetch them (DESIGN.md §3.17): the
+     other protocols restart from [on_start].  So only never-crashed nodes
+     are index-aligned, and the recovery oracle checks a restarted node's
+     log against theirs — and neither is an honest node a twins round cut
+     off from a quorum, which misses the quorum side's decisions the same
+     way. *)
   let aligned node =
     counted node
     && (not (Lifecycle.ever_down life node))
@@ -223,7 +231,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
     end
   in
 
-  (* Every timer — protocol, reliable channel, attacker — is armed here. *)
+  (* Every protocol and attacker timer is armed here. *)
   let arm_timer ~owner ~delay_ms ~tag payload =
     incr timer_counter;
     let id = !timer_counter in
@@ -305,7 +313,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
            else Some (attacker.Attack.Attacker.attack attacker_env));
         next_id;
         deliver_at;
-        arm_timer;
+        arm_retransmit = (fun o delay -> Event_queue.schedule_in queue delay (Retransmit o));
         telemetry = tel;
         dropped;
       }
@@ -423,9 +431,6 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       Telemetry.alarm tel Telemetry.Released timer
     | Lifecycle.Runs -> (
       if not (consume_timer id) then Telemetry.alarm tel Telemetry.Cancelled timer
-      (* Transport alarms are exempt from the incarnation check: the channel
-         survives restarts. *)
-      else if transport.Transport.on_timer timer then ()
       else if epoch <> Lifecycle.incarnation life owner then
         (* Armed by a previous incarnation of a restarted node: the volatile
            state it referred to no longer exists. *)
@@ -484,8 +489,13 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       if timer.Timer.owner = Timer.attacker_owner then controller_alarm timer
       else node_alarm timer epoch
     | Call { tag; run; armed_ms } ->
-      Telemetry.call_fired tel ~tag ~armed_ms;
+      Telemetry.call_fired tel ~tag ~node:Timer.attacker_owner ~armed_ms;
       run ()
+    | Retransmit o as ev -> (
+      match Lifecycle.alarm life ~owner:(Transport.sender o) ~at_ms:(now_ms ()) with
+      | Lifecycle.Runs -> Transport.retransmit o
+      | Lifecycle.Deferred restart_ms -> Event_queue.schedule queue ~at:(Time.of_ms restart_ms) ev
+      | Lifecycle.Lost -> ())
   in
   (* Dispatch spans: named after the handler the event reaches. *)
   let msg_label (m : Message.t) dst = ("on_msg:" ^ m.Message.tag, dst) in
@@ -496,6 +506,7 @@ let create ?delay_override ?attacker:attacker_override ?context (config : Config
       let kind = if t.Timer.owner = Timer.attacker_owner then "attacker:" else "on_time:" in
       (kind ^ t.Timer.tag, t.Timer.owner)
     | Call { tag; _ } -> ("attacker:" ^ tag, Timer.attacker_owner)
+    | Retransmit o -> ("on_time:rc-retransmit", Transport.sender o)
   in
 
   (* Liveness watchdog: the simulation has stalled when the clock has run

@@ -8,8 +8,10 @@
     - {b agreement}: for every decision index, all aligned honest nodes
       must decide the same value (first decider fixes the expectation).
       Per-index comparison presumes complete logs, so nodes that crashed
-      and recovered mid-run (sparse logs — there is no state transfer) are
-      excluded via the [aligned] predicate;
+      and recovered mid-run are excluded via the [aligned] predicate: their
+      logs miss what was decided while they were down until they catch up,
+      and only pbft and the chained family fetch it (the recovery oracle
+      checks their logs instead);
     - {b validity}: when enabled, every decided value must derive from a
       configured proposal (contain some proposed value verbatim — protocols
       encode decisions differently, e.g. PBFT's ["<input>/slot<k>"]).

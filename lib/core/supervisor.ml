@@ -37,6 +37,11 @@ let injected_faults =
                  (Printf.sprintf "BFTSIM_FAULT_INJECT: cannot parse %S (want crash@N or hang@N)"
                     directive)))
 
+(* Runs on a domain pool start at once: a lazy value forced by two domains
+   together raises [CamlinternalLazy.Undefined] in one of them, so the
+   first force is serialized. *)
+let injected_faults_lock = Mutex.create ()
+
 let inject_faults ~cancel ~seed =
   List.iter
     (fun (kind, s) ->
@@ -51,7 +56,7 @@ let inject_faults ~cancel ~seed =
             Unix.sleepf 0.005
           done;
           raise Cancelled)
-    (Lazy.force injected_faults)
+    (Mutex.protect injected_faults_lock (fun () -> Lazy.force injected_faults))
 
 type policy = {
   deadline_ms : float option;

@@ -32,8 +32,8 @@ type t = {
 let counter t name =
   match t.metrics with Some r -> Metrics.counter r name | None -> Metrics.null_counter ()
 
-(* Histogram observes mutate boxed-float fields, so unlike the dead
-   counters they allocate; without a registry there is no histogram. *)
+(* Without a registry there is no histogram: a dead one would still bucket
+   every observation. *)
 let histogram t ?buckets name = Option.map (fun r -> Metrics.histogram ?buckets r name) t.metrics
 
 let instant t ?args ~name ~cat ~node () =
@@ -174,17 +174,17 @@ let alarm t what (timer : Timer.t) =
     end
   | Released -> if t.tracing then Hashtbl.remove t.armed_at id
 
-(* A caller's alarm carries no timer and no id: nobody cancels it, so it
-   only counts, and its span's start comes with it. *)
+(* A caller's alarm or a retransmission carries no timer and no id: nobody
+   cancels it, so it only counts, and its span's start comes with it. *)
 let call_armed t = incr t.c_timer_set
 
-let call_fired t ~tag ~armed_ms =
+let call_fired t ~tag ~node ~armed_ms =
   incr t.c_timer_fired;
   match t.tracer with
   | Some tr ->
     let now_ms = t.now_ms () in
-    span tr ~name:("timer:" ^ tag) ~cat:"timer" ~node:Timer.attacker_owner ~ts_ms:armed_ms
-      ~dur_ms:(now_ms -. armed_ms) ()
+    span tr ~name:("timer:" ^ tag) ~cat:"timer" ~node ~ts_ms:armed_ms ~dur_ms:(now_ms -. armed_ms)
+      ()
   | None -> ()
 
 let open_timer_spans t = Hashtbl.length t.armed_at

@@ -60,11 +60,13 @@ type alarm =
 val alarm : t -> alarm -> Timer.t -> unit
 
 val call_armed : t -> unit
-(** A caller's alarm was armed: it counts in [timer.set]. *)
+(** An alarm without a timer — a caller's, or a reliable-channel
+    retransmission — was armed: it counts in [timer.set]. *)
 
-val call_fired : t -> tag:string -> armed_ms:float -> unit
-(** A caller's alarm armed at [armed_ms] fires: it counts in [timer.fired]
-    and, when tracing, spans [timer:<tag>] from its arming. *)
+val call_fired : t -> tag:string -> node:int -> armed_ms:float -> unit
+(** Such an alarm of [node]'s, armed at [armed_ms], fires: it counts in
+    [timer.fired] and, when tracing, spans [timer:<tag>] on [node]'s track
+    from its arming. *)
 
 val open_timer_spans : t -> int
 (** Alarms armed and not yet consumed (counted only when tracing). *)

@@ -8,7 +8,26 @@ type Message.payload +=
   | Rc_frame of { seq : int; tag : string; size : int; inner : Message.payload }
   | Rc_ack of { seq : int }
 
-type Timer.payload += Rc_retransmit of { dst : int; seq : int }
+(* One unacked reliable frame at its sender, and the state of its
+   retransmission alarm: the frame built at the first send, which every
+   retransmission re-sends, its attempts so far, the arming instant of its
+   alarm (kept only when tracing, for the timer span) and the channel's
+   resend, shared by every frame. *)
+type outbound = {
+  src : int;
+  dst : int;
+  seq : int;
+  tag : string;
+  size : int;
+  frame : Message.payload;
+  mutable attempts : int;
+  mutable armed_ms : float;
+  resend : outbound -> unit;
+}
+
+let sender o = o.src
+
+let retransmit o = o.resend o
 
 type env = {
   config : Config.t;
@@ -20,7 +39,7 @@ type env = {
   attack : (Message.t -> dst:int -> delay_ms:float -> Attack.Attacker.verdict) option;
   next_id : unit -> int;
   deliver_at : Message.t -> dst:int -> id:int -> float array -> unit;
-  arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
+  arm_retransmit : outbound -> float array -> unit;
   telemetry : Telemetry.t;
   dropped : int ref;
 }
@@ -31,7 +50,6 @@ type stage = {
   send : src:int -> dst:int -> tag:string -> size:int -> Message.payload -> unit;
   broadcast : src:int -> include_self:bool -> tag:string -> size:int -> Message.payload -> unit;
   deliver : up -> up;
-  on_timer : Timer.t -> bool;
 }
 
 (* Physical fan-out: twin halves receive broadcasts independently.
@@ -42,56 +60,94 @@ let fan_out ~pn ~src ~include_self f =
     if include_self || dst <> src then f dst
   done
 
-(* Per-link frame numbers from 0. *)
-let next_seq table key =
-  match Hashtbl.find_opt table key with
-  | Some r ->
-    incr r;
-    !r
-  | None ->
-    Hashtbl.replace table key (ref 0);
-    0
-
-(* Sender-side bookkeeping for one unacked reliable frame. *)
-type pending = { p_tag : string; p_size : int; p_inner : Message.payload; mutable attempts : int }
-
 let rc_header_bytes = 16
+
+(* An empty slot of a link's unacked frames. *)
+let vacant =
+  {
+    src = -1;
+    dst = -1;
+    seq = -1;
+    tag = "";
+    size = 0;
+    frame = Message.Blob "";
+    attempts = 0;
+    armed_ms = 0.;
+    resend = ignore;
+  }
 
 let reliable e rng lower =
   let cfg = e.config in
   let pn = Config.physical_n cfg in
-  let c_retrans = Telemetry.counter e.telemetry "net.retrans" in
-  let c_dup_dropped = Telemetry.counter e.telemetry "net.dup_dropped" in
+  let tel = e.telemetry in
+  let tracing = Telemetry.tracer tel <> None in
+  let c_retrans = Telemetry.counter tel "net.retrans" in
+  let c_dup_dropped = Telemetry.counter tel "net.dup_dropped" in
   let base_ms =
     if cfg.Config.retrans_base_ms > 0. then cfg.Config.retrans_base_ms else 2. *. cfg.lambda_ms
   in
   (* Channel state models the NIC/kernel pair, not the replica process, so
      it survives [restart@] events; retransmission of unacked frames is
-     exactly what bridges a receiver's downtime. *)
-  let seqs : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let out : (int * int * int, pending) Hashtbl.t = Hashtbl.create 256 in
-  let seen : (int * int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-  (* Retransmit alarms are owned by the sending node, so crash deferral
+     exactly what bridges a receiver's downtime.  It is kept per link
+     [src * pn + dst]: the next frame number, the unacked frames indexed by
+     their number (a slot is cleared on ack or give-up) and the numbers
+     received, one bit each, created with the link's first frame. *)
+  let next_seq = Array.make (pn * pn) 0 in
+  let unacked = Array.make (pn * pn) [||] in
+  let received = Array.make (pn * pn) None in
+  (* The alarm delay handed to [arm_retransmit]. *)
+  let delay = [| 0. |] in
+  (* A retransmission alarm is owned by the sending node, so crash deferral
      pauses retransmission while the sender is down. *)
-  let arm src ~dst ~seq ~attempt =
-    let backoff = cfg.Config.retrans_backoff ** float_of_int attempt in
-    let jitter = Rng.float rng (0.25 *. base_ms) in
-    ignore
-      (e.arm_timer ~owner:src ~delay_ms:((base_ms *. backoff) +. jitter) ~tag:"rc-retransmit"
-         (Rc_retransmit { dst; seq })
-        : Timer.id)
+  let arm o =
+    let backoff = cfg.Config.retrans_backoff ** float_of_int o.attempts in
+    Rng.float_into rng (0.25 *. base_ms) delay;
+    delay.(0) <- (base_ms *. backoff) +. delay.(0);
+    Telemetry.call_armed tel;
+    if tracing then o.armed_ms <- Time.to_ms (e.now ());
+    e.arm_retransmit o delay
+  in
+  let resend o =
+    let slots = unacked.((o.src * pn) + o.dst) in
+    (* A cleared slot: acked in the meantime, the channel is quiet. *)
+    if slots.(o.seq) == o then
+      if o.attempts >= cfg.Config.retrans_max then begin
+        (* Retry budget exhausted: the channel declares the peer
+           unreachable and abandons the frame. *)
+        slots.(o.seq) <- vacant;
+        Telemetry.gave_up tel ~src:o.src ~dst:o.dst ~tag:o.tag
+      end
+      else begin
+        o.attempts <- o.attempts + 1;
+        incr c_retrans;
+        Telemetry.call_fired tel ~tag:"rc-retransmit" ~node:o.src ~armed_ms:o.armed_ms;
+        lower.send ~src:o.src ~dst:o.dst ~tag:o.tag ~size:(o.size + rc_header_bytes) o.frame;
+        arm o
+      end
   in
   let send ~src ~dst ~tag ~size payload =
     if dst = src || dst < 0 || dst >= pn then
       (* Local deliveries cross no wire; nothing to make reliable. *)
       lower.send ~src ~dst ~tag ~size payload
     else begin
-      let seq = next_seq seqs (src, dst) in
-      Hashtbl.replace out (src, dst, seq)
-        { p_tag = tag; p_size = size; p_inner = payload; attempts = 0 };
-      lower.send ~src ~dst ~tag ~size:(size + rc_header_bytes)
-        (Rc_frame { seq; tag; size; inner = payload });
-      arm src ~dst ~seq ~attempt:0
+      let link = (src * pn) + dst in
+      let seq = next_seq.(link) in
+      next_seq.(link) <- seq + 1;
+      let frame = Rc_frame { seq; tag; size; inner = payload } in
+      let o = { src; dst; seq; tag; size; frame; attempts = 0; armed_ms = 0.; resend } in
+      let slots = unacked.(link) in
+      let slots =
+        if seq < Array.length slots then slots
+        else begin
+          let grown = Array.make (Stdlib.max 8 (2 * seq)) vacant in
+          Array.blit slots 0 grown 0 seq;
+          unacked.(link) <- grown;
+          grown
+        end
+      in
+      slots.(seq) <- o;
+      lower.send ~src ~dst ~tag ~size:(size + rc_header_bytes) frame;
+      arm o
     end
   in
   let receive up (msg : Message.t) ~dst =
@@ -102,43 +158,29 @@ let reliable e rng lower =
          usually means the previous ack was lost on the way back.  Acks are
          sent raw — a lost ack is repaired by the frame's retransmission. *)
       lower.send ~src:dst ~dst:src ~tag:"rc-ack" ~size:rc_header_bytes (Rc_ack { seq });
-      if Hashtbl.mem seen (src, dst, seq) then incr c_dup_dropped
+      let link = (src * pn) + dst in
+      let seen =
+        match received.(link) with
+        | Some seen -> seen
+        | None ->
+          let seen = Dense_set.create () in
+          received.(link) <- Some seen;
+          seen
+      in
+      if Dense_set.mem seen seq then incr c_dup_dropped
       else begin
-        Hashtbl.replace seen (src, dst, seq) ();
+        Dense_set.add seen seq;
         (* The unwrapped payload is a message of its own and takes an id,
            so the ids issued after it keep their numbers. *)
         ignore (e.next_id () : int);
         up { msg with Message.tag; size; payload = inner } ~dst
       end
     | Rc_ack { seq } ->
-      (* The channel key is (sender, receiver): the acked sender is this
+      (* The link is (sender, receiver): the acked sender is this
          message's destination. *)
-      Hashtbl.remove out (dst, src, seq)
+      let slots = unacked.((dst * pn) + src) in
+      if seq < Array.length slots then slots.(seq) <- vacant
     | _ -> up msg ~dst
-  in
-  let on_timer (timer : Timer.t) =
-    match timer.Timer.payload with
-    | Rc_retransmit { dst; seq } ->
-      let owner = timer.Timer.owner in
-      (match Hashtbl.find_opt out (owner, dst, seq) with
-      | None ->
-        (* Acked in the meantime; the channel is quiet. *)
-        Telemetry.alarm e.telemetry Telemetry.Released timer
-      | Some frame when frame.attempts >= cfg.Config.retrans_max ->
-        (* Retry budget exhausted: the channel declares the peer
-           unreachable and abandons the frame. *)
-        Hashtbl.remove out (owner, dst, seq);
-        Telemetry.alarm e.telemetry Telemetry.Released timer;
-        Telemetry.gave_up e.telemetry ~src:owner ~dst ~tag:frame.p_tag
-      | Some frame ->
-        frame.attempts <- frame.attempts + 1;
-        incr c_retrans;
-        Telemetry.alarm e.telemetry Telemetry.Fired timer;
-        lower.send ~src:owner ~dst ~tag:frame.p_tag ~size:(frame.p_size + rc_header_bytes)
-          (Rc_frame { seq; tag = frame.p_tag; size = frame.p_size; inner = frame.p_inner });
-        arm owner ~dst ~seq ~attempt:frame.attempts);
-      true
-    | _ -> lower.on_timer timer
   in
   {
     send;
@@ -148,7 +190,6 @@ let reliable e rng lower =
       (fun ~src ~include_self ~tag ~size payload ->
         fan_out ~pn ~src ~include_self (fun dst -> send ~src ~dst ~tag ~size payload));
     deliver = (fun up -> lower.deliver (receive up));
-    on_timer;
   }
 
 (* Epidemic broadcast: the origin sends a [Gossip_frame] to [fanout] random
@@ -221,22 +262,20 @@ let create e =
      model, so the registry of other configs is unchanged. *)
   let h_queue = if cfg.Config.bandwidth_mbps = None then None else histogram "net.queue_ms" in
   (* Per-tag send counters ride on the registry, resolved through a private
-     cache: one registry lookup per distinct tag, not per message. *)
+     cache: one registry lookup per distinct tag, not per message, and a
+     cache hit allocates no option. *)
   let count_tag =
     match h_size with
     | None -> fun _ -> ()
     | Some _ ->
       let cache : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
       fun tag ->
-        let cell =
-          match Hashtbl.find_opt cache tag with
-          | Some c -> c
-          | None ->
-            let c = counter ("net.sent." ^ tag) in
-            Hashtbl.replace cache tag c;
-            c
-        in
-        incr cell
+        match Hashtbl.find cache tag with
+        | cell -> incr cell
+        | exception Not_found ->
+          let cell = counter ("net.sent." ^ tag) in
+          Hashtbl.replace cache tag cell;
+          incr cell
   in
   let discard counter what msg ~dst =
     incr e.dropped;
@@ -251,7 +290,7 @@ let create e =
   let enqueue (msg : Message.t) ~dst ~id =
     (match h_delay with
     | Some h when msg.Message.src <> dst -> (
-      Obs.Metrics.observe_h h (Array.unsafe_get cell 0);
+      Obs.Metrics.observe_cell h cell;
       match h_queue with
       | Some q -> Obs.Metrics.observe_h q (Network.last_queue_ms e.network)
       | None -> ())
@@ -267,27 +306,29 @@ let create e =
   let transmit =
     if Loss_model.is_none cfg.Config.loss && not windows then enqueue
     else begin
-      let rng = Rng.split e.rng and state = Loss_model.state cfg.Config.loss in
-      let sample =
-        if not windows then Loss_model.sample state rng
+      let base = cfg.Config.loss in
+      let rng = Rng.split e.rng and state = Loss_model.state base in
+      (* The verdict's reorder extra. *)
+      let extra = [| 0. |] in
+      let draw =
+        if not windows then fun ~src ~dst -> Loss_model.draw state ~model:base rng ~src ~dst extra
         else fun ~src ~dst ->
           let model =
-            Attack.Fault_schedule.loss_model plan ~base:cfg.Config.loss
-              ~at_ms:(Time.to_ms (e.now ()))
+            Attack.Fault_schedule.loss_model plan ~base ~at_ms:(Time.to_ms (e.now ()))
           in
-          Loss_model.sample ~model state rng ~src ~dst
+          Loss_model.draw state ~model rng ~src ~dst extra
       in
       let c_lost = counter "net.loss_dropped" and c_dup = counter "net.dup_created" in
       fun (msg : Message.t) ~dst ~id ->
         if msg.Message.src = dst then enqueue msg ~dst ~id
         else
-          let v = sample ~src:msg.Message.src ~dst in
-          if not v.Loss_model.deliver then discard c_lost Telemetry.Lost msg ~dst
+          let verdict = draw ~src:msg.Message.src ~dst in
+          if verdict = Loss_model.lost then discard c_lost Telemetry.Lost msg ~dst
           else begin
-            let delay_ms = Array.unsafe_get cell 0 +. v.Loss_model.reorder_extra_ms in
+            let delay_ms = Array.unsafe_get cell 0 +. Array.unsafe_get extra 0 in
             Array.unsafe_set cell 0 delay_ms;
             enqueue msg ~dst ~id;
-            if v.Loss_model.duplicate then begin
+            if verdict = Loss_model.duplicated then begin
               (* A network artifact, not traffic the sender paid for: the
                  same envelope under its own message id, but no send
                  stats.  Its delay comes from [delay_ms], not from the
@@ -348,9 +389,7 @@ let create e =
       incr c_sent;
       c_bytes := !c_bytes + msg.Message.size;
       count_tag msg.Message.tag;
-      match h_size with
-      | Some h -> Obs.Metrics.observe_h h (float_of_int msg.Message.size)
-      | None -> ()
+      match h_size with Some h -> Obs.Metrics.observe_int h msg.Message.size | None -> ()
     end;
     Network.sample e.network msg ~dst cell;
     Telemetry.message tel Telemetry.Sent msg ~dst;
@@ -373,7 +412,7 @@ let create e =
     if not (Lifecycle.absent e.lifecycle src) then
       fan_out ~pn ~src ~include_self (route (envelope ~src ~tag ~size payload))
   in
-  let wire = { send; broadcast; deliver = (fun up -> up); on_timer = (fun _ -> false) } in
+  let wire = { send; broadcast; deliver = (fun up -> up) } in
   (* A message reaching a node the chaos plan has down is lost at its
      actual arrival instant — after the loss model's reorder and duplicate
      delays, which no send-time verdict can see.  Present only when the

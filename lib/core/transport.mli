@@ -5,8 +5,8 @@
     a node), the reliable channel, gossip and the twins stage are stacked
     on it only when configured, so a feature that is off is absent rather
     than branched around.  Sends go down the stack, deliveries come up it.
-    Each stage owns its frame payloads, its timer payloads and its [net.*]
-    counters (DESIGN.md §3.6, §3.17).
+    Each stage owns its frame payloads and its [net.*] counters (DESIGN.md
+    §3.6, §3.17).
 
     The wire builds one envelope per send or broadcast, shared by every
     recipient; a unicast is a broadcast to one.  A delivery's destination
@@ -28,9 +28,20 @@ type Message.payload +=
           wrapped payload with its original tag and size. *)
   | Rc_ack of { seq : int }
 
-type Timer.payload += Rc_retransmit of { dst : int; seq : int }
-(** The reliable channel's retransmission alarm, owned by the sending
-    node. *)
+type outbound
+(** An unacked reliable frame at its sender.  It is also the frame's
+    retransmission alarm: the channel hands it to [env.arm_retransmit],
+    and the controller queues it as one event and, when the alarm is due,
+    runs {!retransmit}. *)
+
+val sender : outbound -> int
+(** The node that sent the frame and owns its alarm: while it is down the
+    alarm is deferred to its restart, or lost with it. *)
+
+val retransmit : outbound -> unit
+(** The frame's alarm fires: nothing if it was acked meanwhile, a give-up
+    once its retry budget is spent, else the frame goes out again and the
+    alarm is armed anew, with backoff and jitter. *)
 
 type env = {
   config : Config.t;  (** Node ids below the protocol are physical ([Config.physical_n]). *)
@@ -53,12 +64,15 @@ type env = {
       (** [deliver_at msg ~dst ~id delay] enqueues the delivery of message
           [id] to [dst] after [delay.(0)] ms, which is final.  It reads the
           cell and does not write it. *)
-  arm_timer : owner:int -> delay_ms:float -> tag:string -> Timer.payload -> Timer.id;
+  arm_retransmit : outbound -> float array -> unit;
+      (** [arm_retransmit o delay] queues [o]'s alarm [delay.(0)] ms from
+          now; it reads the cell and does not write it.  The channel
+          counts the alarm in [timer.set] and [timer.fired] itself. *)
   telemetry : Telemetry.t;
   dropped : int ref;  (** Messages the stack discarded: the run's [messages_dropped]. *)
 }
 (** What the controller hands the stack: configuration, clock, the node
-    lifecycle and chaos plan, the event queue, the attacker verdict, timers
+    lifecycle and chaos plan, the event queue, the attacker verdict, retransmission alarms
     and the run's telemetry. *)
 
 type up = Message.t -> dst:int -> unit
@@ -73,7 +87,6 @@ type stage = {
           own frames and passes the rest, and what it unwraps, to [up].
           An unwrapped message still draws a message id, so the ids of
           later messages keep their numbers. *)
-  on_timer : Timer.t -> bool;  (** [true] when a stage consumed the alarm. *)
 }
 
 val create : env -> stage
@@ -86,4 +99,6 @@ val reliable : env -> Rng.t -> stage -> stage
 (** The reliable-channel stage over [lower]: remote sends are wrapped in
     sequence-numbered {!Rc_frame}s, acked and deduplicated by the receiver,
     and retransmitted with exponential backoff and jitter until
-    [retrans_max] attempts.  Exposed so it can run over a fake wire. *)
+    [retrans_max] attempts.  Its state is kept per link in arrays: frame
+    numbers, the unacked frames by number, and one bit per frame
+    received.  Exposed so it can run over a fake wire. *)

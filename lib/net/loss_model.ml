@@ -71,48 +71,74 @@ let describe t =
            | None -> "");
          ])
 
-(* Per-link Gilbert–Elliott chains, keyed by (src, dst) and created lazily
-   on first traffic so link count never affects the RNG stream of links
-   that carry no messages. *)
-type state = { model : t; links : (int * int, bool ref) Hashtbl.t }
+(* Per-link Gilbert–Elliott chains: a link is in the bad state when its
+   bit is set.  A link that has carried no message reads as good, as a
+   chain created on first traffic does, so the link count never affects
+   the RNG stream of links that carry no messages. *)
+type state = { model : t; bad : Bftsim_sim.Dense_set.t }
 
-let state model = { model; links = Hashtbl.create 64 }
+let state model = { model; bad = Bftsim_sim.Dense_set.create () }
 
-type verdict = { deliver : bool; duplicate : bool; reorder_extra_ms : float }
+(* Cantor pairing: one small index per (src, dst) link. *)
+let link ~src ~dst =
+  let s = src + dst in
+  (s * (s + 1) / 2) + dst
+
+let lost = 0
+
+let delivered = 1
+
+let duplicated = 2
 
 (* Draw order is part of the determinism contract: burst-state transition,
    then drop, then (if delivered) duplication, then reordering.  Changing it
-   changes every lossy fingerprint. *)
+   changes every lossy fingerprint.  Every draw is compared or written in
+   place, so a verdict allocates nothing. *)
+let draw st ~model rng ~src ~dst extra =
+  let module Rng = Bftsim_sim.Rng in
+  let module Dense_set = Bftsim_sim.Dense_set in
+  let burst_dropped =
+    match model.burst with
+    | None -> false
+    | Some b ->
+      (* [b]'s fields are unboxed, as in any all-float record, and passing
+         one to [Rng.chance] would box it: the uniform goes into [extra]
+         and is compared here. *)
+      let key = link ~src ~dst in
+      Rng.float_into rng 1. extra;
+      let bad =
+        if Dense_set.mem st.bad key then
+          if extra.(0) < b.p_bg then begin
+            Dense_set.remove st.bad key;
+            false
+          end
+          else true
+        else if extra.(0) < b.p_gb then begin
+          Dense_set.add st.bad key;
+          true
+        end
+        else false
+      in
+      bad
+      && begin
+           Rng.float_into rng 1. extra;
+           extra.(0) < b.p_bad
+         end
+  in
+  if burst_dropped || (model.drop > 0. && Rng.chance rng model.drop) then begin
+    extra.(0) <- 0.;
+    lost
+  end
+  else begin
+    let duplicate = model.dup > 0. && Rng.chance rng model.dup in
+    if model.reorder_ms > 0. then Rng.float_into rng model.reorder_ms extra else extra.(0) <- 0.;
+    if duplicate then duplicated else delivered
+  end
+
+type verdict = { deliver : bool; duplicate : bool; reorder_extra_ms : float }
+
 let sample ?model st rng ~src ~dst =
   let model = match model with Some m -> m | None -> st.model in
-  let dropped =
-    let burst_dropped =
-      match model.burst with
-      | None -> false
-      | Some b ->
-          let bad =
-            match Hashtbl.find_opt st.links (src, dst) with
-            | Some r -> r
-            | None ->
-                let r = ref false in
-                Hashtbl.add st.links (src, dst) r;
-                r
-          in
-          let flip = Bftsim_sim.Rng.float rng 1. in
-          (if !bad then (if flip < b.p_bg then bad := false)
-           else if flip < b.p_gb then bad := true);
-          !bad && Bftsim_sim.Rng.float rng 1. < b.p_bad
-    in
-    burst_dropped
-    || (model.drop > 0. && Bftsim_sim.Rng.float rng 1. < model.drop)
-  in
-  if dropped then { deliver = false; duplicate = false; reorder_extra_ms = 0. }
-  else
-    let duplicate =
-      model.dup > 0. && Bftsim_sim.Rng.float rng 1. < model.dup
-    in
-    let reorder_extra_ms =
-      if model.reorder_ms > 0. then Bftsim_sim.Rng.float rng model.reorder_ms
-      else 0.
-    in
-    { deliver = true; duplicate; reorder_extra_ms }
+  let extra = [| 0. |] in
+  let code = draw st ~model rng ~src ~dst extra in
+  { deliver = code <> lost; duplicate = code = duplicated; reorder_extra_ms = extra.(0) }

@@ -52,6 +52,23 @@ type state
 
 val state : t -> state
 
+val lost : int
+(** {!draw}'s code for a message the link loses. *)
+
+val delivered : int
+(** {!draw}'s code for a message delivered once. *)
+
+val duplicated : int
+(** {!draw}'s code for a message delivered and duplicated. *)
+
+val draw : state -> model:t -> Bftsim_sim.Rng.t -> src:int -> dst:int -> float array -> int
+(** One per-message draw for link [src -> dst] under [model] (the state's
+    burst chains are used whatever the model): {!lost}, {!delivered} or
+    {!duplicated}, with the reordering delay written to [extra.(0)] (0 when
+    lost or not reordered).  Draw order (burst transition, drop, dup,
+    reorder) is fixed: it is part of the lossy-fingerprint determinism
+    contract.  Allocates nothing. *)
+
 type verdict = {
   deliver : bool;
   duplicate : bool;  (** meaningful only when [deliver] *)
@@ -59,7 +76,4 @@ type verdict = {
 }
 
 val sample : ?model:t -> state -> Bftsim_sim.Rng.t -> src:int -> dst:int -> verdict
-(** One per-message draw for link [src -> dst], under [model] (default: the
-    state's own; its burst chains are used either way).  Draw order (burst
-    transition, drop, dup, reorder) is fixed: it is part of the
-    lossy-fingerprint determinism contract. *)
+(** {!draw} as a record, under [model] (default: the state's own). *)

@@ -14,14 +14,21 @@
    are nondeterministic and belong to the tracer, never to a registry —
    otherwise merged summaries stop being bit-identical across pool sizes. *)
 
+(* Sum, min and max live in the slots of one float array, which are
+   unboxed: an observation stores into them instead of boxing a float per
+   update, as mutable float fields of this mixed record would. *)
 type histogram = {
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;  (* length = Array.length bounds + 1; last = overflow *)
-  mutable sum : float;
+  stats : float array;  (* [| sum; min; max |] *)
   mutable count : int;
-  mutable vmin : float;
-  mutable vmax : float;
 }
+
+let sum_slot = 0
+
+let min_slot = 1
+
+let max_slot = 2
 
 type cell = Counter of int ref | Gauge of float ref | Histogram of histogram
 
@@ -46,10 +53,8 @@ let fresh_histogram bounds =
   {
     bounds = Array.copy bounds;
     counts = Array.make (Array.length bounds + 1) 0;
-    sum = 0.;
+    stats = [| 0.; infinity; neg_infinity |];
     count = 0;
-    vmin = infinity;
-    vmax = neg_infinity;
   }
 
 let type_error name = invalid_arg (Printf.sprintf "Metrics: %S already registered with another type" name)
@@ -87,7 +92,9 @@ let histogram ?(buckets = default_buckets) t name =
     Hashtbl.replace t.cells name (Histogram h);
     h
 
-let observe_h h v =
+(* Inlined into each entry point below, so [v] stays unboxed however the
+   caller holds it. *)
+let[@inline] record h v =
   let n = Array.length h.bounds in
   (* Bucket i holds values <= bounds.(i) (and > bounds.(i-1)); the trailing
      slot is the overflow bucket.  Linear scan: bucket arrays are short. *)
@@ -96,10 +103,17 @@ let observe_h h v =
     Stdlib.incr i
   done;
   h.counts.(!i) <- h.counts.(!i) + 1;
-  h.sum <- h.sum +. v;
+  let stats = h.stats in
+  stats.(sum_slot) <- stats.(sum_slot) +. v;
   h.count <- h.count + 1;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v
+  if v < stats.(min_slot) then stats.(min_slot) <- v;
+  if v > stats.(max_slot) then stats.(max_slot) <- v
+
+let observe_h h v = record h v
+
+let observe_cell h cell = record h cell.(0)
+
+let observe_int h i = record h (float_of_int i)
 
 let observe ?buckets t name v = observe_h (histogram ?buckets t name) v
 
@@ -126,10 +140,10 @@ let snapshot_h h =
   {
     s_bounds = Array.copy h.bounds;
     s_counts = Array.copy h.counts;
-    s_sum = h.sum;
+    s_sum = h.stats.(sum_slot);
     s_count = h.count;
-    s_min = h.vmin;
-    s_max = h.vmax;
+    s_min = h.stats.(min_slot);
+    s_max = h.stats.(max_slot);
   }
 
 let snapshot t =
@@ -209,10 +223,10 @@ let merge ts =
                 h
             in
             Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) hs.s_counts;
-            h.sum <- h.sum +. hs.s_sum;
+            h.stats.(sum_slot) <- h.stats.(sum_slot) +. hs.s_sum;
             h.count <- h.count + hs.s_count;
-            if hs.s_min < h.vmin then h.vmin <- hs.s_min;
-            if hs.s_max > h.vmax then h.vmax <- hs.s_max)
+            if hs.s_min < h.stats.(min_slot) then h.stats.(min_slot) <- hs.s_min;
+            if hs.s_max > h.stats.(max_slot) then h.stats.(max_slot) <- hs.s_max)
         (snapshot t))
     ts;
   out
@@ -333,10 +347,10 @@ let of_json json =
             (match histogram ~buckets:bounds t name with
             | hist ->
               Array.blit counts 0 hist.counts 0 (Array.length counts);
-              hist.sum <- sum;
+              hist.stats.(sum_slot) <- sum;
               hist.count <- count;
-              hist.vmin <- vmin;
-              hist.vmax <- vmax;
+              hist.stats.(min_slot) <- vmin;
+              hist.stats.(max_slot) <- vmax;
               go rest
             | exception Invalid_argument m -> Error m)
         | _ -> err "Metrics.of_json: unrecognized cell %S" name)

@@ -39,6 +39,14 @@ val observe_h : histogram -> float -> unit
     (exceeding every bound lands in the overflow bucket); sum, count, min
     and max are tracked exactly. *)
 
+val observe_cell : histogram -> float array -> unit
+(** [observe_cell h cell] is [observe_h h cell.(0)], reading the value
+    where the caller keeps it, so the observation allocates nothing. *)
+
+val observe_int : histogram -> int -> unit
+(** [observe_int h i] is [observe_h h (float_of_int i)], with no boxed
+    float on the way. *)
+
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** [histogram] + [observe_h] in one call (per-call lookup; prefer the
     pre-resolved handle on hot paths). *)

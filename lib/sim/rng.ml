@@ -56,6 +56,11 @@ let[@inline] unit_float t =
 
 let float t bound = unit_float t *. bound
 
+let float_into t bound cell = cell.(0) <- unit_float t *. bound
+
+(* [float t 1. < p] without the box: a uniform times 1. is itself. *)
+let[@inline] chance t p = unit_float t < p
+
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
 
 (* A uniform draw in (0, 1): zero is redrawn so its logarithm is finite. *)

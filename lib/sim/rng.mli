@@ -39,6 +39,15 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val float_into : t -> float -> float array -> unit
+(** [float_into t bound cell] draws what {!float} would and writes it to
+    [cell.(0)], so the draw allocates nothing. *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1. < p]: one uniform draw compared with the
+    probability [p], the same draw and the same verdict, without boxing
+    the uniform. *)
+
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
 

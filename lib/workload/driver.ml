@@ -485,7 +485,10 @@ type audit = {
   batch_log : (string * int list) list;  (** Every bundle cut, oldest first. *)
 }
 
-let run_point_audit (t : t) ~rate (config : Core.Config.t) =
+(* One run at one offered rate: the point, the harness it leaves and the
+   controller's result.  The in-flight count walks the batch table without
+   building the id list the audit keeps. *)
+let run (t : t) ~rate (config : Core.Config.t) =
   let t = { t with arrival = Arrival.with_rate t.arrival rate } in
   let h = create_harness ~seed:config.Core.Config.seed ~n:config.Core.Config.n ~rate t in
   let rec ctl = lazy (Core.Controller.create ~context:(decorate h ctl) config) in
@@ -498,13 +501,7 @@ let run_point_audit (t : t) ~rate (config : Core.Config.t) =
   let throughput =
     if duration_ms > 0. then float_of_int h.committed /. (duration_ms /. 1000.) else 0.
   in
-  let in_flight_ids =
-    Hashtbl.fold
-      (fun _ reqs acc -> List.map (fun (r : Mempool.request) -> r.id) reqs @ acc)
-      h.batches []
-    |> List.sort compare
-  in
-  let in_flight = List.length in_flight_ids in
+  let in_flight = Hashtbl.fold (fun _ reqs acc -> acc + List.length reqs) h.batches 0 in
   Option.iter
     (fun reg -> inject_metrics reg h ~throughput ~in_flight)
     result.Core.Controller.metrics;
@@ -534,20 +531,28 @@ let run_point_audit (t : t) ~rate (config : Core.Config.t) =
         latency = (match h.latencies with [] -> None | l -> Some (Core.Stats.of_list l));
       }
   in
+  (point, h, result)
+
+let run_point_audit (t : t) ~rate (config : Core.Config.t) =
+  let point, h, result = run t ~rate config in
   let audit =
     {
       committed_ids = List.rev h.committed_ids;
       requeued_ids =
         Hashtbl.fold (fun id n acc -> (id, n) :: acc) h.requeue_counts [] |> List.sort compare;
       pending_ids = List.map (fun (r : Mempool.request) -> r.id) (Mempool.to_list h.pool);
-      in_flight_ids;
+      in_flight_ids =
+        Hashtbl.fold
+          (fun _ reqs acc -> List.map (fun (r : Mempool.request) -> r.id) reqs @ acc)
+          h.batches []
+        |> List.sort compare;
       batch_log = List.rev h.batch_log;
     }
   in
   (point, audit, result)
 
 let run_point (t : t) ~rate (config : Core.Config.t) =
-  let point, _audit, result = run_point_audit t ~rate config in
+  let point, _, result = run t ~rate config in
   (point, result.Core.Controller.metrics)
 
 (* {1 Rate sweeps} *)

@@ -411,6 +411,100 @@ let test_loss_model_validate () =
     (Invalid_argument "burst_loss \"x\": expected \"p_gb,p_bg,p_bad\"") (fun () ->
       ignore (Loss_model.burst_of_string "x"))
 
+(* The record-returning sampler as it stood before the verdict became an
+   int code and a cell, kept here as the reference: its own per-link
+   chains in a hashtable created on first traffic, every draw boxed. *)
+module Reference_loss = struct
+  type state = { model : Loss_model.t; links : (int * int, bool ref) Hashtbl.t }
+
+  let state model = { model; links = Hashtbl.create 64 }
+
+  let sample ?model st rng ~src ~dst =
+    let model = match model with Some m -> m | None -> st.model in
+    let dropped =
+      let burst_dropped =
+        match model.Loss_model.burst with
+        | None -> false
+        | Some b ->
+          let bad =
+            match Hashtbl.find_opt st.links (src, dst) with
+            | Some r -> r
+            | None ->
+              let r = ref false in
+              Hashtbl.add st.links (src, dst) r;
+              r
+          in
+          let flip = Rng.float rng 1. in
+          if !bad then (if flip < b.Loss_model.p_bg then bad := false)
+          else if flip < b.Loss_model.p_gb then bad := true;
+          !bad && Rng.float rng 1. < b.Loss_model.p_bad
+      in
+      burst_dropped || (model.Loss_model.drop > 0. && Rng.float rng 1. < model.Loss_model.drop)
+    in
+    if dropped then { Loss_model.deliver = false; duplicate = false; reorder_extra_ms = 0. }
+    else
+      let duplicate = model.Loss_model.dup > 0. && Rng.float rng 1. < model.Loss_model.dup in
+      let reorder_extra_ms =
+        if model.Loss_model.reorder_ms > 0. then Rng.float rng model.Loss_model.reorder_ms else 0.
+      in
+      { Loss_model.deliver = true; duplicate; reorder_extra_ms }
+end
+
+(* Probabilities with their edges: never, always, and in between. *)
+let prob_gen = QCheck.Gen.(frequency [ (1, return 0.); (1, return 1.); (4, float_bound_inclusive 1.) ])
+
+let loss_model_gen =
+  QCheck.Gen.(
+    map
+      (fun ((drop, dup), (reorder_ms, burst)) -> Loss_model.make ~drop ~dup ~reorder_ms ?burst ())
+      (pair (pair prob_gen prob_gen)
+         (pair
+            (frequency [ (1, return 0.); (2, float_bound_inclusive 100.) ])
+            (opt
+               (map
+                  (fun ((p_gb, p_bg), p_bad) -> { Loss_model.p_gb; p_bg; p_bad })
+                  (pair (pair prob_gen prob_gen) prob_gen))))))
+
+(* A run of draws over random links, each under the base model or, as
+   while a chaos window is open, under another one: the draw's code, its
+   reorder extra and the RNG state afterwards equal the reference's, and
+   [sample] is [draw] as a record. *)
+let prop_draw_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"loss verdict: draw equals the reference sampler"
+    (QCheck.make
+       QCheck.Gen.(
+         quad loss_model_gen loss_model_gen nat
+           (list_size (int_range 1 60) (triple (int_bound 5) (int_bound 5) bool))))
+    (fun (base, window, seed, steps) ->
+      let r_ref = Rng.create seed and r_draw = Rng.create seed and r_sample = Rng.create seed in
+      let st_ref = Reference_loss.state base in
+      let st_draw = Loss_model.state base and st_sample = Loss_model.state base in
+      let extra = [| nan |] in
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun (src, dst, in_window) ->
+          let model = if in_window then window else base in
+          let v = Reference_loss.sample ~model st_ref r_ref ~src ~dst in
+          let code = Loss_model.draw st_draw ~model r_draw ~src ~dst extra in
+          let w =
+            if in_window then Loss_model.sample ~model st_sample r_sample ~src ~dst
+            else Loss_model.sample st_sample r_sample ~src ~dst
+          in
+          let expected =
+            if not v.Loss_model.deliver then Loss_model.lost
+            else if v.Loss_model.duplicate then Loss_model.duplicated
+            else Loss_model.delivered
+          in
+          code = expected
+          && same_float extra.(0) v.Loss_model.reorder_extra_ms
+          && w.Loss_model.deliver = v.Loss_model.deliver
+          && w.Loss_model.duplicate = v.Loss_model.duplicate
+          && same_float w.Loss_model.reorder_extra_ms v.Loss_model.reorder_extra_ms)
+        steps
+      &&
+      let next = Rng.bits64 r_ref in
+      Int64.equal next (Rng.bits64 r_draw) && Int64.equal next (Rng.bits64 r_sample))
+
 (* --- Allocation budgets ---
 
    Minor words per call, averaged over 1,000 calls, on the per-recipient
@@ -440,6 +534,21 @@ let test_send_path_alloc_budgets () =
   let net = Network.create ~delay:normal ~topology:(Topology.fully_connected 4) ~rng:(rng ()) () in
   let m = make_msg ~src:0 ~dst:1 in
   check_budget "Network.sample" 0. (fun () -> Network.sample net m.Message.msg ~dst:1 cell)
+
+(* The loss verdict compares its draws in place and writes the reorder
+   extra into the caller's cell: nothing allocates, burst chains
+   included. *)
+let test_loss_draw_alloc () =
+  let model =
+    Loss_model.make ~drop:0.05 ~dup:0.5 ~reorder_ms:50.
+      ~burst:{ Loss_model.p_gb = 0.3; p_bg = 0.3; p_bad = 0.5 }
+      ()
+  in
+  let st = Loss_model.state model and r = rng () and extra = [| 0. |] in
+  let link = ref 0 in
+  check_budget "Loss_model.draw" 0. (fun () ->
+      incr link;
+      ignore (Loss_model.draw st ~model r ~src:(!link land 3) ~dst:(!link land 7) extra : int))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -490,5 +599,7 @@ let () =
           Alcotest.test_case "empirical rates" `Quick test_loss_model_rates;
           Alcotest.test_case "burst chain states" `Quick test_loss_model_burst_chain;
           Alcotest.test_case "validation" `Quick test_loss_model_validate;
+          qc prop_draw_matches_reference;
+          Alcotest.test_case "draw allocates nothing" `Quick test_loss_draw_alloc;
         ] );
     ]

@@ -102,6 +102,39 @@ let test_histogram_quantiles () =
     Alcotest.(check bool) "monotone" true (q 25. <= q 50. && q 50. <= q 75.)
   | _ -> Alcotest.fail "expected one histogram"
 
+(* The cell and int entry points record what [observe_h] records, and
+   allocate nothing: sum, min and max are slots of a float array. *)
+let test_histogram_observe_unboxed () =
+  let reg = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram ~buckets:[| 1.; 10.; 100. |] reg "h" in
+  let reference = Obs.Metrics.histogram ~buckets:[| 1.; 10.; 100. |] reg "r" in
+  let cell = [| 0. |] in
+  List.iter
+    (fun v ->
+      cell.(0) <- v;
+      Obs.Metrics.observe_cell h cell;
+      Obs.Metrics.observe_h reference v)
+    [ 0.5; 1.0; 5.; 10.; 50.; 1000. ];
+  List.iter
+    (fun i ->
+      Obs.Metrics.observe_int h i;
+      Obs.Metrics.observe_h reference (float_of_int i))
+    [ 0; 7; 64; 4096 ];
+  (match Obs.Metrics.snapshot reg with
+  | [ ("h", Obs.Metrics.Histogram_v a); ("r", Obs.Metrics.Histogram_v b) ] ->
+    Alcotest.(check bool) "same histogram" true (a = b)
+  | _ -> Alcotest.fail "expected two histograms");
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "observe_cell words" 0. (words (fun () -> Obs.Metrics.observe_cell h cell));
+  Alcotest.(check (float 0.)) "observe_int words" 0. (words (fun () -> Obs.Metrics.observe_int h 300))
+
 let test_histogram_validation () =
   let reg = Obs.Metrics.create () in
   (match Obs.Metrics.histogram ~buckets:[||] reg "bad" with
@@ -491,6 +524,7 @@ let () =
           Alcotest.test_case "histogram bucket boundaries" `Quick test_histogram_buckets;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
+          Alcotest.test_case "histogram observes unboxed" `Quick test_histogram_observe_unboxed;
           Alcotest.test_case "merge semantics" `Quick test_merge_semantics;
           QCheck_alcotest.to_alcotest test_merge_chunking_qcheck;
         ] );

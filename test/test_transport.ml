@@ -11,7 +11,9 @@
    - no frame is sent more than [1 + retrans_max] times;
    - once the wire is perfect, a frame that reaches its receiver is acked
      before its sender could abandon it;
-   - every alarm the channel consumed closed its timer span. *)
+   - every retransmission has exactly one [timer:rc-retransmit] span, on
+     its sender's track, and no alarm stays open: each one armed was
+     consumed by the end of the drain. *)
 
 open Bftsim_sim
 open Bftsim_net
@@ -65,7 +67,7 @@ let run_script ops =
   let config =
     {
       (Core.Config.make "pbft" ~n:4 ~reliable:true ~retrans_max ~record_trace:true) with
-      Core.Config.telemetry = { Core.Config.default_telemetry with tracing = true };
+      Core.Config.telemetry = { Core.Config.default_telemetry with metrics = true; tracing = true };
     }
   in
   let flying = ref [] and alarms = ref [] in
@@ -89,7 +91,6 @@ let run_script ops =
             !flying @ [ Message.make ~id:!next_id ~src ~dst ~sent_at:Time.zero ~tag ~size payload ]);
       broadcast = (fun ~src:_ ~include_self:_ ~tag:_ ~size:_ _ -> ());
       deliver = (fun up -> up);
-      on_timer = (fun _ -> false);
     }
   in
   let telemetry = Core.Telemetry.create config ~now_ms:(fun () -> 0.) ~restarts:false in
@@ -106,13 +107,7 @@ let run_script ops =
       attack = None;
       next_id = (fun () -> incr next_id; !next_id);
       deliver_at = (fun _ ~dst:_ ~id:_ _ -> ());
-      arm_timer =
-        (fun ~owner ~delay_ms:_ ~tag payload ->
-          incr next_id;
-          let alarm = { Timer.id = !next_id; owner; deadline = Time.zero; tag; payload } in
-          alarms := !alarms @ [ alarm ];
-          Core.Telemetry.alarm telemetry Core.Telemetry.Armed alarm;
-          !next_id);
+      arm_retransmit = (fun frame _ -> alarms := !alarms @ [ frame ]);
       telemetry;
       dropped = ref 0;
     }
@@ -130,7 +125,7 @@ let run_script ops =
     | _ -> ());
     up msg ~dst
   in
-  let sent = ref [] in
+  let sent = ref [] and consumed = ref 0 in
   let step = function
     | Send (src, dst) ->
       (* The tag names the payload, so unwraps and give-ups identify it. *)
@@ -144,7 +139,8 @@ let run_script ops =
     | Fire i when !alarms <> [] ->
       let alarm, rest = take !alarms i in
       alarms := rest;
-      ignore (rc.Transport.on_timer alarm : bool)
+      incr consumed;
+      Transport.retransmit alarm
     | Lose _ | Arrive _ | Duplicate _ | Fire _ -> ()
   in
   List.iter step ops;
@@ -176,17 +172,98 @@ let run_script ops =
       end)
     (Core.Trace.entries trace);
   let count table k = Option.value ~default:0 (Hashtbl.find_opt table k) in
+  (* Retransmissions per sender, as the wire saw them and as the spans
+     record them. *)
+  let resent = Array.make nodes 0 and spans = Array.make nodes 0 in
+  Hashtbl.iter (fun (src, _, _) n -> resent.(src) <- resent.(src) + n - 1) frames;
+  Bftsim_obs.Tracer.iter
+    (Option.get (Core.Telemetry.tracer telemetry))
+    (fun e ->
+      if e.Bftsim_obs.Tracer.name = "timer:rc-retransmit" then
+        spans.(e.Bftsim_obs.Tracer.node) <- spans.(e.Bftsim_obs.Tracer.node) + 1);
+  let timer_set =
+    match
+      List.assoc_opt "timer.set"
+        (Bftsim_obs.Metrics.snapshot (Option.get (Core.Telemetry.metrics telemetry)))
+    with
+    | Some (Bftsim_obs.Metrics.Counter_v c) -> c
+    | _ -> 0
+  in
   List.for_all
     (fun k -> count unwrapped k = 1 || (count unwrapped k = 0 && Hashtbl.mem given_up k))
     !sent
   && Hashtbl.fold (fun _ n ok -> ok && n <= 1 + retrans_max) frames true
   && List.for_all (fun k -> not (Hashtbl.mem arrived_late k)) !given_up_late
+  && resent = spans
+  && timer_set = !consumed
   && Core.Telemetry.open_timer_spans telemetry = 0
 
 let prop_reliable_channel =
   QCheck.Test.make ~count:500
     ~name:"reliable channel: at most once, exactly once unless given up, bounded retries, acked"
     script_arb run_script
+
+(* A lossy reliable pbft run in which node 1 crashes at 1,000 ms and
+   restarts at 1,600 ms holding unacked frames: their retransmission
+   alarms come due while it is down, are deferred to its restart and run
+   then — three timer spans on node 1 armed before the crash end at the
+   restart instant.  The counters, the event count and the fingerprint are
+   pinned at their values before retransmission alarms became plain
+   events. *)
+let test_deferred_retransmission_pinned () =
+  let config =
+    {
+      (Core.Config.make "pbft" ~n:4 ~seed:1 ~lambda_ms:200.
+         ~delay:(Delay_model.normal ~mu:50. ~sigma:10.)
+         ~decisions_target:10 ~max_time_ms:60_000.
+         ~loss:(Loss_model.make ~drop:0.2 ~dup:0.05 ~reorder_ms:50. ())
+         ~reliable:true)
+      with
+      Core.Config.retrans_base_ms = 100.;
+      chaos = Result.get_ok (Bftsim_attack.Fault_schedule.of_string "crash:1@1000;restart:1@1600");
+      telemetry = { Core.Config.default_telemetry with metrics = true; tracing = true };
+    }
+  in
+  let r = Core.Controller.run config in
+  let snapshot = Bftsim_obs.Metrics.snapshot (Option.get r.Core.Controller.metrics) in
+  let counter name =
+    match List.assoc_opt name snapshot with
+    | Some (Bftsim_obs.Metrics.Counter_v c) -> c
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  let deferred = ref 0 in
+  Bftsim_obs.Tracer.iter (Option.get r.Core.Controller.spans) (fun e ->
+      if
+        e.Bftsim_obs.Tracer.name = "timer:rc-retransmit"
+        && e.Bftsim_obs.Tracer.node = 1
+        && e.Bftsim_obs.Tracer.ts_us < 1.0e6
+        && Float.abs (e.Bftsim_obs.Tracer.ts_us +. e.Bftsim_obs.Tracer.dur_us -. 1.6e6) < 1e-3
+      then incr deferred);
+  Alcotest.(check int) "deferred retransmissions run at the restart" 3 !deferred;
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("timer.set", 793);
+      ("timer.fired", 404);
+      ("net.retrans", 395);
+      ("net.dup_dropped", 216);
+      ("net.loss_dropped", 283);
+      ("net.dup_created", 37);
+    ]
+    (List.map
+       (fun name -> (name, counter name))
+       [
+         "timer.set";
+         "timer.fired";
+         "net.retrans";
+         "net.dup_dropped";
+         "net.loss_dropped";
+         "net.dup_created";
+       ]);
+  Alcotest.(check int) "events_processed" 1837 r.Core.Controller.events_processed;
+  Alcotest.(check string) "fingerprint"
+    "45be585a0192f79717fdd329f9c8a17b0cb2e42b62177818f5a218ea5892d097"
+    (Bftsim_conformance.Fingerprint.of_result r)
 
 (* The bare wire of an [n]-node pbft run (no chaos plan, twins or loss,
    and the verdict [attack], none by default): [broadcast ()] sends one
@@ -218,7 +295,7 @@ let bare_wire ?attack n =
           (fun msg ~dst ~id _ ->
             envelopes.(dst) <- msg;
             ids.(dst) <- id);
-        arm_timer = (fun ~owner:_ ~delay_ms:_ ~tag:_ _ -> 0);
+        arm_retransmit = (fun _ _ -> ());
         telemetry;
         dropped = ref 0;
       }
@@ -273,7 +350,12 @@ let test_bare_wire_alloc () =
 let () =
   Alcotest.run "transport"
     [
-      ("reliable channel", [ QCheck_alcotest.to_alcotest prop_reliable_channel ]);
+      ( "reliable channel",
+        [
+          QCheck_alcotest.to_alcotest prop_reliable_channel;
+          Alcotest.test_case "deferred retransmission pinned" `Quick
+            test_deferred_retransmission_pinned;
+        ] );
       ( "wire",
         [
           Alcotest.test_case "broadcast shares one envelope" `Quick test_broadcast_shares_envelope;

@@ -281,6 +281,23 @@ let test_driver_point_deterministic () =
   Alcotest.(check bool) "committed some requests" true (p1.Wl.Driver.committed > 0);
   Alcotest.(check bool) "latency measured" true (p1.Wl.Driver.latency <> None)
 
+(* [run_point] builds no audit, and counts in-flight requests without a
+   list: its point and registry are [run_point_audit]'s, on a point that
+   ends with requests in flight and in the pool. *)
+let test_driver_point_without_audit () =
+  let config =
+    { (load_config ()) with Core.Config.telemetry = { Core.Config.default_telemetry with metrics = true } }
+  in
+  let point, metrics = Wl.Driver.run_point (driver ()) ~rate:6400. config in
+  let audited, audit, result = Wl.Driver.run_point_audit (driver ()) ~rate:6400. config in
+  Alcotest.(check bool) "requests in flight at the end" true (point.Wl.Driver.in_flight > 0);
+  Alcotest.(check bool) "requests pending at the end" true (point.Wl.Driver.pending > 0);
+  Alcotest.(check bool) "same point" true (point = audited);
+  Alcotest.(check int) "in-flight count is the audit's" (List.length audit.Wl.Driver.in_flight_ids)
+    point.Wl.Driver.in_flight;
+  Alcotest.(check bool) "same registry" true
+    (Bftsim_obs.Metrics.equal (Option.get metrics) (Option.get result.Core.Controller.metrics))
+
 let test_driver_sweep_jobs_identical () =
   let config = load_config () in
   let rates = [ 200.; 800. ] in
@@ -696,6 +713,7 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "point deterministic" `Quick test_driver_point_deterministic;
+          Alcotest.test_case "point without audit" `Quick test_driver_point_without_audit;
           Alcotest.test_case "sweep jobs-identical" `Quick test_driver_sweep_jobs_identical;
           Alcotest.test_case "sweep journal keeps finished points" `Quick
             test_driver_sweep_journal_keeps_finished;
