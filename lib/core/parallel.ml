@@ -34,13 +34,56 @@ let default_jobs () =
    (messages die at delivery), so a big minor heap turns almost all of the
    collection work into cheap pointer resets — and under a domain pool it
    divides the number of stop-the-world synchronizations by the same
-   factor.  2^22 words = 32 MiB per domain. *)
-let simulation_minor_heap_words = 1 lsl 22
+   factor.  2^21 words = 16 MiB per domain.  With the 32 MiB heap used
+   before, a major slice at half the heap usually ended a major cycle,
+   whose stop-the-world step empties the minor heap, so most runs used
+   only its upper half, and at 16 MiB pass times move within host
+   noise. *)
+let simulation_minor_heap_words = 1 lsl 21
+
+(* Whether the current domain's minor heap had to grow. *)
+let grow_minor_heap () =
+  let g = Gc.get () in
+  let grow = g.Gc.minor_heap_size < simulation_minor_heap_words in
+  if grow then Gc.set { g with Gc.minor_heap_size = simulation_minor_heap_words };
+  grow
+
+(* Touches every page of the minor heap once, so the process holds the
+   whole heap in resident memory from the start.  Left alone, how much of
+   it a process touches depends on where collections happen to fall (see
+   above): with the 32 MiB heap, the peak memory of perfbench's
+   chaos-recovery read 34 MB for some seeds and 52 MB for others.  An
+   attempt allocates short-lived blocks from a freshly emptied heap down
+   to its last 512 words; it is repeated while a collection cut it short
+   (two attempts in practice, ~10 ms for 16 MiB on a 2.1 GHz Xeon vCPU). *)
+let commit_minor_heap () =
+  let words = float_of_int ((Gc.get ()).Gc.minor_heap_size - 512) in
+  let rec attempt tries =
+    Gc.minor ();
+    let collections = (Gc.quick_stat ()).Gc.minor_collections in
+    let w0 = Gc.minor_words () in
+    while Gc.minor_words () -. w0 < words do
+      ignore (Sys.opaque_identity (Array.make 255 0))
+    done;
+    if (Gc.quick_stat ()).Gc.minor_collections <> collections && tries > 1 then
+      attempt (tries - 1)
+  in
+  attempt 8
+
+(* The major heap's space overhead for simulations, below OCaml's default
+   of 120.  A run's major heap is mostly floating garbage (per-run tables
+   and the arrays a growing queue left behind), and how much of it is
+   still unswept at the peak depends on where major cycles end.  With the
+   default, perfbench fig2-scale's peak memory read 52 MB for most seeds
+   and 60 MB for about one in eight; at 80 it reads 47-48 MB for both,
+   with no pass time difference that the host noise shows. *)
+let simulation_space_overhead = 80
 
 let tune_gc () =
-  let g = Gc.get () in
-  if g.Gc.minor_heap_size < simulation_minor_heap_words then
-    Gc.set { g with Gc.minor_heap_size = simulation_minor_heap_words }
+  if grow_minor_heap () then begin
+    Gc.set { (Gc.get ()) with Gc.space_overhead = simulation_space_overhead };
+    commit_minor_heap ()
+  end
 
 (* Workers stay pinned in this loop until the queue drains.  [chunk]
    consecutive indices per claim amortizes the atomic and keeps one
@@ -96,8 +139,10 @@ let map ?jobs ?chunk ?(oversubscribe = false) f xs =
       Array.init spawned (fun _ ->
           Domain.spawn (fun () ->
               (* Fresh domains start with the default (small) minor heap;
-                 retune so GC synchronization stays rare (see header). *)
-              tune_gc ();
+                 grow it so GC synchronization stays rare (see header).
+                 Its pages are not touched up front: a worker of a short
+                 map would pay for memory it never uses. *)
+              ignore (grow_minor_heap () : bool);
               worker ()))
     in
     worker ();

@@ -16,12 +16,18 @@ val default_jobs : unit -> int
 
 val tune_gc : unit -> unit
 (** Grows the current domain's minor heap to the simulation profile
-    (32 MiB) if it is smaller.  Event-loop garbage is short-lived, so a
+    (16 MiB) if it is smaller.  Event-loop garbage is short-lived, so a
     large minor heap makes collections rare — and, under a domain pool,
     divides the number of stop-the-world synchronizations by the same
-    factor.  Entry points (CLI, bench) call it at startup; {!map} applies
-    it to every spawned worker automatically.  Never shrinks a heap the
-    user already grew via [OCAMLRUNPARAM]. *)
+    factor.  When it grows the heap it also touches every page of it once
+    (~10 ms), so the process's resident memory holds the whole minor heap
+    from the start rather than however much of it the first collections
+    happened to reach, and lowers the major heap's space overhead to 80
+    (OCaml's default is 120), which keeps a run's unswept garbage, and so
+    its peak memory, small and steady.  Entry points (CLI, bench) call it
+    at startup; {!map} grows, without touching, the heap of every spawned
+    worker.  Never shrinks a heap the user already grew via
+    [OCAMLRUNPARAM]. *)
 
 val map : ?jobs:int -> ?chunk:int -> ?oversubscribe:bool -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] is [List.map f xs] computed by up to [jobs] workers (the
